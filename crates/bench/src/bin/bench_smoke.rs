@@ -16,6 +16,12 @@
 //! carrying a 1 KiB value (the dominant steady-state broadcast at the
 //! paper's n = 105), fanned out to 7 peers plus local delivery.
 //!
+//! Three more timings cover the semantic vote path at the n = 27 of the
+//! whole-system benchmark: one `PaxosSemantics::validate` (votes of 27
+//! acceptors streamed to 3 peers, with the hosts' GC cadence), one
+//! `aggregate` of 27 single-voter votes into one, and one `RecentCache`
+//! insert at capacity with the mesh's 64% duplicate share.
+//!
 //! Beyond the hot-path timings, the run also measures **wire redundancy**
 //! per dissemination substrate: a small deterministic WAN sim (13 nodes,
 //! Paxos at 13 values/s) runs once on push gossip and once on eager/lazy
@@ -49,7 +55,10 @@ use std::time::{Duration, Instant};
 
 use paxos::{InstanceId, PaxosMessage, Round, Value};
 use semantic_gossip::codec::Wire;
-use semantic_gossip::{GossipConfig, GossipNode, NoSemantics, NodeId};
+use semantic_gossip::{
+    DuplicateFilter, GossipConfig, GossipNode, MessageId, NoSemantics, NodeId, RecentCache,
+    Semantics,
+};
 use transport::Bytes;
 
 const FANOUT: usize = 7;
@@ -57,10 +66,13 @@ const BATCH: usize = 16;
 
 /// Metrics the `--check` gate compares against the recorded baseline
 /// (the hot-path costs; the ratios derived from them are informational).
-const GATED: [&str; 4] = [
+const GATED: [&str; 7] = [
     "ns_per_fanout_shared",
     "ns_per_encode_once",
     "ns_per_broadcast_drain",
+    "ns_per_semantics_validate",
+    "ns_per_semantics_aggregate_n27",
+    "ns_per_recent_cache_insert",
     "bytes_sent_per_byte_encoded_eager_lazy",
 ];
 
@@ -276,6 +288,69 @@ fn main() -> ExitCode {
         })
     };
 
+    // Semantic filtering: every acceptor's vote offered to each of 3 peers,
+    // instance after instance; past the quorum the rule filters. Collected
+    // the way the hosts do (every 256 instances, keeping 1024).
+    let ns_semantics_validate = {
+        const N: u64 = 27;
+        const PEERS: u64 = 3;
+        let mut sem = bench::semantics(N as usize);
+        let mut vote = bench::vote_batch(1).pop().expect("one vote");
+        let mut calls = 0u64;
+        time_ns(move || {
+            let (at, peer) = (calls / PEERS, calls % PEERS);
+            let (number, voter) = (at / N, at % N);
+            if calls.is_multiple_of(N * PEERS) && number.is_multiple_of(256) {
+                sem.gc(InstanceId::new(number.saturating_sub(1024)));
+            }
+            calls += 1;
+            if let PaxosMessage::Phase2b {
+                instance, voters, ..
+            } = &mut vote
+            {
+                *instance = InstanceId::new(number);
+                voters[0] = NodeId::new(voter as u32);
+            }
+            black_box(sem.validate(&vote, NodeId::new(peer as u32)));
+        })
+    };
+
+    // Semantic aggregation: 27 pending single-voter votes become one.
+    let ns_semantics_aggregate = {
+        let mut sem = bench::semantics(27);
+        let batch = bench::vote_batch(27);
+        time_ns_batched(
+            move || batch.clone(),
+            move |pending| {
+                black_box(sem.aggregate(pending, NodeId::new(1)));
+            },
+        )
+    };
+
+    // Duplicate suppression at capacity: 9 fresh structural ids (each
+    // evicting the oldest) for every 16 re-offers of recent ones.
+    let ns_recent_cache_insert = {
+        let vote_id = |k: u64| MessageId::from_parts((5 << 56) | ((k % 27) << 24), k / 27);
+        let capacity = GossipConfig::default().recent_cache_size;
+        let mut cache = RecentCache::new(capacity);
+        let mut fresh = 0u64;
+        while cache.len() < capacity {
+            fresh += 1;
+            cache.insert(vote_id(fresh));
+        }
+        let mut calls = 0u64;
+        time_ns(move || {
+            calls += 1;
+            let id = if calls % 25 < 9 {
+                fresh += 1;
+                vote_id(fresh)
+            } else {
+                vote_id(fresh - calls % 1000)
+            };
+            black_box(cache.insert(id));
+        })
+    };
+
     // The injected slowdown scales every measured cost — a synthetic
     // regression for validating that `--check` actually fails.
     let ns_fanout_cloned = ns_fanout_cloned * slowdown;
@@ -283,6 +358,9 @@ fn main() -> ExitCode {
     let ns_encode_per_peer = ns_encode_per_peer * slowdown;
     let ns_encode_once = ns_encode_once * slowdown;
     let ns_broadcast_drain = ns_broadcast_drain * slowdown;
+    let ns_semantics_validate = ns_semantics_validate * slowdown;
+    let ns_semantics_aggregate = ns_semantics_aggregate * slowdown;
+    let ns_recent_cache_insert = ns_recent_cache_insert * slowdown;
 
     let frame_bytes = msg.to_bytes().len();
     let broadcasts_per_sec = 1e9 / ns_broadcast_drain;
@@ -315,6 +393,9 @@ fn main() -> ExitCode {
          \"encode_speedup\": {encode_speedup:.2},\n  \
          \"ns_per_broadcast_drain\": {ns_broadcast_drain:.1},\n  \
          \"broadcast_throughput_per_sec\": {broadcasts_per_sec:.0},\n  \
+         \"ns_per_semantics_validate\": {ns_semantics_validate:.1},\n  \
+         \"ns_per_semantics_aggregate_n27\": {ns_semantics_aggregate:.1},\n  \
+         \"ns_per_recent_cache_insert\": {ns_recent_cache_insert:.1},\n  \
          \"bytes_encoded_per_broadcast\": {frame_bytes},\n  \
          \"bytes_sent_per_broadcast\": {},\n  \
          \"bytes_sent_per_byte_encoded_push\": {redundancy_push:.2},\n  \
@@ -358,12 +439,15 @@ fn main() -> ExitCode {
     };
 
     use obs::json::JsonValue as J;
-    let measured: [(&str, f64); 9] = [
+    let measured: [(&str, f64); 12] = [
         ("ns_per_fanout_cloned", ns_fanout_cloned),
         ("ns_per_fanout_shared", ns_fanout_shared),
         ("ns_per_encode_per_peer", ns_encode_per_peer),
         ("ns_per_encode_once", ns_encode_once),
         ("ns_per_broadcast_drain", ns_broadcast_drain),
+        ("ns_per_semantics_validate", ns_semantics_validate),
+        ("ns_per_semantics_aggregate_n27", ns_semantics_aggregate),
+        ("ns_per_recent_cache_insert", ns_recent_cache_insert),
         ("bytes_sent_per_byte_encoded_push", redundancy_push),
         (
             "bytes_sent_per_byte_encoded_eager_lazy",

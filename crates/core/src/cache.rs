@@ -10,6 +10,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
+use crate::hash::MixState;
 use crate::id::MessageId;
 
 /// A set-like structure answering "was this message seen recently?".
@@ -41,6 +42,11 @@ pub trait DuplicateFilter {
 /// paper accepts ("there is no actual guarantee of a deliver-and-forward
 /// once behavior").
 ///
+/// The set is hashed with the keyed [`MixState`] mixer rather than SipHash:
+/// the node probes it once per received message part, and for 128-bit ids
+/// the default hasher costs more than the probe. Eviction order comes from
+/// the queue, never from the set's iteration order.
+///
 /// # Example
 ///
 /// ```
@@ -56,7 +62,7 @@ pub trait DuplicateFilter {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RecentCache {
-    set: HashSet<MessageId>,
+    set: HashSet<MessageId, MixState>,
     order: VecDeque<MessageId>,
     capacity: usize,
 }
@@ -70,7 +76,7 @@ impl RecentCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         RecentCache {
-            set: HashSet::with_capacity(capacity),
+            set: HashSet::with_capacity_and_hasher(capacity, MixState::new()),
             order: VecDeque::with_capacity(capacity),
             capacity,
         }
@@ -319,21 +325,29 @@ mod tests {
     }
 
     proptest! {
-        /// An exact cache never reports a fresh id as duplicate while it is
-        /// among the `capacity` most recent distinct ids.
+        /// Against a `VecDeque` model: an id is fresh exactly when it is not
+        /// among the `capacity` most recently admitted ids, eviction is
+        /// strictly first-in-first-out, an evicted id is admitted again,
+        /// and `len`/`contains` agree with the model after every step. The
+        /// ids are structural (kind in the top bits) like the protocol's.
         #[test]
-        fn prop_recent_cache_exactness(ids in proptest::collection::vec(0u128..50, 1..200), cap in 1usize..20) {
+        fn prop_recent_cache_matches_fifo_model(ids in proptest::collection::vec(0u128..50, 1..200), cap in 1usize..20) {
+            let structural = |v: u128| id(((v % 7) << 120) | (v << 64) | (v * 3));
             let mut c = RecentCache::new(cap);
-            let mut recent: Vec<u128> = Vec::new();
+            let mut recent: VecDeque<u128> = VecDeque::new();
             for &v in &ids {
                 let expected_fresh = !recent.contains(&v);
-                let fresh = c.insert(id(v));
+                let fresh = c.insert(structural(v));
                 prop_assert_eq!(fresh, expected_fresh);
                 if expected_fresh {
-                    recent.push(v);
+                    recent.push_back(v);
                     if recent.len() > cap {
-                        recent.remove(0);
+                        recent.pop_front();
                     }
+                }
+                prop_assert_eq!(c.len(), recent.len());
+                for probe in 0u128..50 {
+                    prop_assert_eq!(c.contains(structural(probe)), recent.contains(&probe));
                 }
             }
         }

@@ -20,6 +20,7 @@
 //! isolated between groups while sharing one send path.
 
 use crate::codec::{Reader, Wire, WireError};
+use crate::hash::mix_words;
 use crate::id::{MessageId, NodeId};
 use crate::node::{GossipItem, TraceTag};
 use crate::semantics::Semantics;
@@ -104,6 +105,13 @@ impl<M: GossipItem> GossipItem for Grouped<M> {
             tag.instance = group_scoped_instance(self.group, tag.instance);
         }
         Some(tag)
+    }
+
+    /// Messages of different groups never merge: the group is folded into
+    /// the inner class.
+    fn aggregation_key(&self) -> Option<u64> {
+        let inner = self.inner.aggregation_key()?;
+        Some(mix_words(&[inner, self.group as u64]))
     }
 }
 

@@ -58,6 +58,7 @@ pub mod cache;
 pub mod codec;
 pub mod config;
 pub mod group;
+pub mod hash;
 pub mod id;
 pub mod node;
 pub mod plumtree;

@@ -7,13 +7,14 @@
 //! semantic extensions hook the send path (`aggregate`, `validate`) and the
 //! receive path (`disaggregate`).
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use obs::{Event, NoopObserver, Observer};
 
 use crate::cache::{DuplicateFilter, RecentCache};
 use crate::config::GossipConfig;
+use crate::hash::MixState;
 use crate::id::{MessageId, NodeId};
 use crate::semantics::{NoSemantics, Semantics};
 use crate::stats::{MessageStats, Stat};
@@ -51,6 +52,45 @@ pub trait GossipItem: Clone {
     fn trace_tag(&self) -> Option<TraceTag> {
         None
     }
+
+    /// The class of messages [`Semantics::aggregate`] may merge this one
+    /// with: two pending messages can only collapse into one if they return
+    /// the same `Some(key)`. `None` (the default) means the message never
+    /// merges with anything.
+    ///
+    /// The node hands `aggregate` only the pending messages whose key
+    /// occurs at least twice in a peer's queue; every other message stays
+    /// in the shared handle its fan-out created, so a transport can still
+    /// encode it once for all peers. A message type whose semantics
+    /// aggregate must therefore override this. Keys only need to be equal
+    /// *within* a class — a collision between classes costs one useless
+    /// `aggregate` call, nothing else.
+    fn aggregation_key(&self) -> Option<u64> {
+        None
+    }
+}
+
+/// One message waiting in a peer's send queue.
+#[derive(Debug)]
+struct Pending<M> {
+    msg: Arc<M>,
+    /// Wire size and aggregation class, computed once per broadcast —
+    /// `wire_size()` walks the message (voter lists, payload) and must not
+    /// be re-paid for every peer a shared handle fans out to.
+    size: u32,
+    class: Option<u64>,
+    /// Set while draining: another message pending for this peer shares
+    /// `class`, so both go through `aggregate`.
+    merges: bool,
+}
+
+/// One pending message in a peer's drain plan.
+#[derive(Debug)]
+enum Planned<M> {
+    /// Alone in its aggregation class: goes out in its shared handle.
+    Shared(Arc<M>, u32),
+    /// Handed to `aggregate`; the class key says which output belongs here.
+    Merging(u64),
 }
 
 /// Consensus-level identity of a wire message, joining the gossip-layer
@@ -105,11 +145,8 @@ impl TraceTag {
 pub struct GossipNode<M, S = NoSemantics, F = RecentCache, O = NoopObserver> {
     id: NodeId,
     peers: Vec<NodeId>,
-    /// Per-peer outgoing queues. Each entry carries the message's wire
-    /// size, computed once per broadcast — `wire_size()` walks the
-    /// message (voter lists, payload) and must not be re-paid for every
-    /// peer a shared handle fans out to.
-    send_queues: Vec<VecDeque<(Arc<M>, u32)>>,
+    /// Per-peer outgoing queues.
+    send_queues: Vec<VecDeque<Pending<M>>>,
     /// When each send queue last went empty→non-empty (on the external
     /// clock), for head-of-line queue-lag gauges. `None` while empty.
     queue_busy_since: Vec<Option<u64>>,
@@ -121,6 +158,12 @@ pub struct GossipNode<M, S = NoSemantics, F = RecentCache, O = NoopObserver> {
     /// External clock (nanoseconds), advanced by the runtime alongside the
     /// observer's; only read for queue-lag accounting.
     clock: u64,
+    /// Drain scratch, kept across drains for its allocations: where each
+    /// aggregation class first occurs in the queue being drained, the
+    /// drain plan, and the owned messages handed to `aggregate`.
+    classes: HashMap<u64, usize, MixState>,
+    plan: Vec<Planned<M>>,
+    merging: Vec<M>,
     observer: O,
 }
 
@@ -205,6 +248,9 @@ impl<M: GossipItem, S: Semantics<M>, F: DuplicateFilter, O: Observer> GossipNode
             stats: MessageStats::default(),
             config,
             clock: 0,
+            classes: HashMap::default(),
+            plan: Vec::new(),
+            merging: Vec::new(),
             observer,
         }
     }
@@ -259,7 +305,7 @@ impl<M: GossipItem, S: Semantics<M>, F: DuplicateFilter, O: Observer> GossipNode
     ///
     /// Re-broadcasting a recently seen message is a no-op (duplicate).
     pub fn broadcast(&mut self, msg: M) {
-        self.register_fresh(msg, None);
+        self.register(msg, None);
     }
 
     /// Handles a message received from `from`: disaggregates it, and every
@@ -289,30 +335,18 @@ impl<M: GossipItem, S: Semantics<M>, F: DuplicateFilter, O: Observer> GossipNode
         }
         for part in parts {
             self.stats.received_parts.incr();
-            if self.filter.contains(part.message_id()) {
-                self.stats.duplicates.incr();
-                if O::ENABLED {
-                    self.observer.record(Event::DuplicateDropped {
-                        node: self.id.as_u32(),
-                        msg: part.message_id().trace_id(),
-                    });
-                }
-                continue;
-            }
-            self.register_fresh(part, Some(from));
+            self.register(part, Some(from));
         }
     }
 
-    /// Registers a fresh message: cache, observe, deliver, enqueue to peers
-    /// (except the optional origin).
-    fn register_fresh(&mut self, msg: M, origin: Option<NodeId>) {
-        let trace_id = if O::ENABLED {
-            msg.message_id().trace_id()
-        } else {
-            0
-        };
-        if !self.filter.insert(msg.message_id()) {
-            // Locally broadcast duplicate (e.g. consensus re-broadcasts).
+    /// Registers a message unless it is a duplicate: cache, observe,
+    /// deliver, enqueue to peers (except the optional origin). The
+    /// duplicate filter is probed exactly once.
+    fn register(&mut self, msg: M, origin: Option<NodeId>) {
+        let id = msg.message_id();
+        let trace_id = if O::ENABLED { id.trace_id() } else { 0 };
+        if !self.filter.insert(id) {
+            // Seen before: another overlay path, or consensus re-broadcast.
             self.stats.duplicates.incr();
             if O::ENABLED {
                 self.observer.record(Event::DuplicateDropped {
@@ -360,6 +394,7 @@ impl<M: GossipItem, S: Semantics<M>, F: DuplicateFilter, O: Observer> GossipNode
             }
         }
         let size = shared.wire_size() as u32;
+        let class = shared.aggregation_key();
         for i in 0..self.peers.len() {
             if Some(self.peers[i]) == origin {
                 continue;
@@ -377,7 +412,12 @@ impl<M: GossipItem, S: Semantics<M>, F: DuplicateFilter, O: Observer> GossipNode
                 if self.send_queues[i].is_empty() {
                     self.queue_busy_since[i] = Some(self.clock);
                 }
-                self.send_queues[i].push_back((Arc::clone(&shared), size));
+                self.send_queues[i].push_back(Pending {
+                    msg: Arc::clone(&shared),
+                    size,
+                    class,
+                    merges: false,
+                });
                 self.stats.shared_enqueues.incr();
             }
         }
@@ -439,9 +479,16 @@ impl<M: GossipItem, S: Semantics<M>, F: DuplicateFilter, O: Observer> GossipNode
     }
 
     /// The one drain implementation behind the owned and shared variants:
-    /// aggregation (which needs owned messages) and per-message validation
-    /// happen here; `emit` decides whether the surviving handle is passed
-    /// on shared or unwrapped into an owned copy.
+    /// aggregation and per-message validation happen here; `emit` decides
+    /// whether the surviving handle is passed on shared or unwrapped into
+    /// an owned copy.
+    ///
+    /// Only messages that can actually merge — those sharing an
+    /// [`aggregation_key`](GossipItem::aggregation_key) with another
+    /// message pending for the same peer — leave their shared handle to be
+    /// handed (owned) to the semantics hook. Each merged output is emitted
+    /// at the position of its class's first member; everything else goes
+    /// out in queue order, untouched.
     fn drain_outgoing(&mut self, mut emit: impl FnMut(NodeId, Arc<M>, &mut MessageStats)) {
         for i in 0..self.peers.len() {
             let peer = self.peers[i];
@@ -452,39 +499,85 @@ impl<M: GossipItem, S: Semantics<M>, F: DuplicateFilter, O: Observer> GossipNode
             // The whole queue drains below, ending its busy period.
             self.queue_busy_since[i] = None;
             if before == 1 {
-                let (shared, size) = self.send_queues[i].pop_front().expect("non-empty queue");
-                self.emit_validated(peer, shared, size as u64, &mut emit);
+                let only = self.send_queues[i].pop_front().expect("non-empty queue");
+                self.emit_validated(peer, only.msg, only.size as u64, &mut emit);
                 continue;
             }
-            // Aggregation path: the semantics hook consumes owned messages,
-            // so aliased payloads are materialized (and counted) here.
-            let (queues, stats) = (&mut self.send_queues, &mut self.stats);
-            let pending: Vec<M> = queues[i]
-                .drain(..)
-                .map(|(shared, _)| unwrap_or_clone(shared, &mut stats.drain_clones))
-                .collect();
-            let aggregated = self.semantics.aggregate(pending, peer);
+            // Mark every message whose class occurs more than once: each
+            // repeat marks itself and the class's first member.
+            let queue = &mut self.send_queues[i];
+            self.classes.clear();
+            for at in 0..before {
+                let Some(key) = queue[at].class else { continue };
+                let first = *self.classes.entry(key).or_insert(at);
+                if first != at {
+                    queue[at].merges = true;
+                    queue[first].merges = true;
+                }
+            }
+            let mut plan = std::mem::take(&mut self.plan);
+            let mut merging = std::mem::take(&mut self.merging);
+            for pending in queue.drain(..) {
+                match pending.class {
+                    Some(key) if pending.merges => {
+                        // The hook consumes owned messages, so an aliased
+                        // payload is materialized (and counted) here.
+                        merging.push(unwrap_or_clone(pending.msg, &mut self.stats.drain_clones));
+                        plan.push(Planned::Merging(key));
+                    }
+                    _ => plan.push(Planned::Shared(pending.msg, pending.size)),
+                }
+            }
+            let handed = merging.len();
+            let mut merged = if handed == 0 {
+                merging
+            } else {
+                self.semantics.aggregate(merging, peer)
+            };
             debug_assert!(
-                aggregated.len() <= before,
+                merged.len() <= handed,
                 "aggregation must not grow the pending list"
             );
-            self.stats
-                .aggregated_away
-                .add((before - aggregated.len()) as u64);
+            let after = before - handed + merged.len();
+            self.stats.aggregated_away.add((before - after) as u64);
             if O::ENABLED {
                 self.observer.record(Event::VotesAggregated {
                     node: self.id.as_u32(),
                     before: before as u64,
-                    after: aggregated.len() as u64,
+                    after: after as u64,
                 });
             }
-            for msg in aggregated {
-                // Aggregation may have rewritten the message, so its
-                // queue-time size no longer applies; each survivor is
-                // sized once and emitted to a single peer.
+            // Aggregation may have rewritten a message, so its queue-time
+            // size no longer applies; each output is sized once and emitted
+            // to a single peer. `aggregate` keeps first-occurrence order, so
+            // walking the plan meets each class's output at the position of
+            // its first member.
+            let mut outputs = merged
+                .drain(..)
+                .map(|m| (m.aggregation_key(), m))
+                .peekable();
+            for planned in plan.drain(..) {
+                let (shared, size) = match planned {
+                    Planned::Shared(shared, size) => (shared, size as u64),
+                    Planned::Merging(key) => {
+                        // A member merged into an earlier one has no output.
+                        let Some((_, msg)) = outputs.next_if(|(class, _)| *class == Some(key))
+                        else {
+                            continue;
+                        };
+                        let size = msg.wire_size() as u64;
+                        (Arc::new(msg), size)
+                    }
+                };
+                self.emit_validated(peer, shared, size, &mut emit);
+            }
+            // Outputs a hook moved to another class (none of ours does).
+            for (_, msg) in outputs {
                 let size = msg.wire_size() as u64;
                 self.emit_validated(peer, Arc::new(msg), size, &mut emit);
             }
+            self.plan = plan;
+            self.merging = merged;
         }
     }
 
@@ -607,6 +700,10 @@ mod tests {
         }
         fn wire_size(&self) -> usize {
             8
+        }
+        /// Every `Msg` may merge with every other (see `TestSemantics`).
+        fn aggregation_key(&self) -> Option<u64> {
+            Some(0)
         }
     }
 
@@ -1133,6 +1230,142 @@ mod tests {
             owned.stats().aggregated_away.get(),
             shared.stats().aggregated_away.get()
         );
+    }
+
+    /// A message with an explicit aggregation class (`None`: never merges).
+    #[derive(Clone, Debug, PartialEq)]
+    struct Classed {
+        id: u64,
+        class: Option<u64>,
+    }
+
+    impl GossipItem for Classed {
+        fn message_id(&self) -> MessageId {
+            MessageId::from_u128(self.id as u128)
+        }
+        fn wire_size(&self) -> usize {
+            8
+        }
+        fn aggregation_key(&self) -> Option<u64> {
+            self.class
+        }
+    }
+
+    /// Sums the ids of each class into its first member, like the Paxos
+    /// rules merge voters; records what it was handed.
+    #[derive(Default)]
+    struct SumPerClass {
+        handed: Vec<Vec<u64>>,
+    }
+
+    impl Semantics<Classed> for SumPerClass {
+        fn aggregate(&mut self, pending: Vec<Classed>, _peer: NodeId) -> Vec<Classed> {
+            self.handed.push(pending.iter().map(|m| m.id).collect());
+            let mut out: Vec<Classed> = Vec::new();
+            for msg in pending {
+                match out.iter_mut().find(|m| m.class == msg.class) {
+                    Some(first) => first.id += msg.id,
+                    None => out.push(msg),
+                }
+            }
+            out
+        }
+    }
+
+    fn classed(id: u64, class: Option<u64>) -> Classed {
+        Classed { id, class }
+    }
+
+    #[test]
+    fn only_mergeable_messages_leave_their_shared_handle() {
+        let peers: Vec<NodeId> = (1..=3).map(NodeId::new).collect();
+        let mut node = GossipNode::new(
+            NodeId::new(0),
+            peers,
+            GossipConfig::default(),
+            SumPerClass::default(),
+        );
+        for msg in [
+            classed(1, Some(7)),
+            classed(2, None),
+            classed(4, Some(9)),
+            classed(8, Some(7)),
+            classed(16, Some(7)),
+        ] {
+            node.broadcast(msg);
+        }
+        node.take_deliveries();
+        let delivery_clones = node.stats().drain_clones.get();
+        let out = node.take_outgoing_shared();
+        // Per peer: the class-7 aggregate where its first member stood,
+        // then the two loners in place.
+        let ids: Vec<(u32, u64)> = out.iter().map(|(p, m)| (p.as_u32(), m.id)).collect();
+        let per_peer = [25, 2, 4];
+        let expected: Vec<(u32, u64)> = (1..=3)
+            .flat_map(|p| per_peer.iter().map(move |&id| (p, id)))
+            .collect();
+        assert_eq!(ids, expected);
+        // The loners still alias one allocation across all three peers...
+        for at in [1, 2] {
+            assert!(Arc::ptr_eq(&out[at].1, &out[at + 3].1));
+            assert!(Arc::ptr_eq(&out[at].1, &out[at + 6].1));
+        }
+        // ...the aggregates are per-peer products.
+        assert!(!Arc::ptr_eq(&out[0].1, &out[3].1));
+        // Only the class with two or more members was handed over, and
+        // only its members were cloned (the last peer unwraps for free).
+        assert_eq!(node.semantics().handed, vec![vec![1, 8, 16]; 3]);
+        assert_eq!(node.stats().drain_clones.get() - delivery_clones, 6);
+        assert_eq!(node.stats().aggregated_away.get(), 6);
+        assert_eq!(node.stats().sent.get(), 9);
+    }
+
+    #[test]
+    fn queues_without_a_repeated_class_skip_the_hook() {
+        let mut node = GossipNode::new(
+            NodeId::new(0),
+            vec![NodeId::new(1), NodeId::new(2)],
+            GossipConfig::default(),
+            SumPerClass::default(),
+        );
+        node.broadcast(classed(1, Some(7)));
+        node.broadcast(classed(2, Some(9)));
+        node.broadcast(classed(3, None));
+        node.take_deliveries();
+        let delivery_clones = node.stats().drain_clones.get();
+        let out = node.take_outgoing_shared();
+        assert_eq!(out.len(), 6);
+        assert!(node.semantics().handed.is_empty());
+        assert_eq!(node.stats().drain_clones.get(), delivery_clones);
+        for at in 0..3 {
+            assert!(Arc::ptr_eq(&out[at].1, &out[at + 3].1));
+        }
+    }
+
+    #[test]
+    fn interleaved_classes_keep_first_occurrence_order() {
+        let mut node = GossipNode::new(
+            NodeId::new(0),
+            vec![NodeId::new(1)],
+            GossipConfig::default(),
+            SumPerClass::default(),
+        );
+        // a b x a b  →  (a+a) (b+b) x
+        for msg in [
+            classed(1, Some(1)),
+            classed(10, Some(2)),
+            classed(100, None),
+            classed(2, Some(1)),
+            classed(20, Some(2)),
+        ] {
+            node.broadcast(msg);
+        }
+        let ids: Vec<u64> = node
+            .take_outgoing()
+            .into_iter()
+            .map(|(_, m)| m.id)
+            .collect();
+        assert_eq!(ids, vec![3, 30, 100]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   seen), so the implementation can track consensus progress without
 //!   touching the consensus protocol itself;
 //! * [`Semantics::aggregate`] — when a send routine finds *several* messages
-//!   pending for one peer;
+//!   pending for one peer that share an aggregation class
+//!   ([`GossipItem::aggregation_key`](crate::GossipItem::aggregation_key));
 //! * [`Semantics::validate`] — when a send routine is about to transmit one
 //!   message to one peer (false ⇒ the message is dropped for that peer);
 //! * [`Semantics::disaggregate`] — when a message arrives from a peer,
@@ -51,8 +52,16 @@ pub trait Semantics<M> {
     /// Semantic aggregation: may replace several `pending` messages for
     /// `peer` with fewer, semantically equivalent messages.
     ///
-    /// Returned messages are sent in order. The default returns the input
-    /// unchanged.
+    /// `pending` is not necessarily everything queued for the peer: the
+    /// node hands over, in queue order, only the messages whose
+    /// [`aggregation_key`](crate::GossipItem::aggregation_key) occurs at
+    /// least twice in the queue, and leaves the rest in their shared
+    /// handles. The output must **preserve first-occurrence order** — a
+    /// merged message stands where the first of its members stood — because
+    /// the node puts each output back at that queue position and sends in
+    /// that order (a Decision sent before a vote filters that vote). It
+    /// must not return more messages than it was given. The default
+    /// returns the input unchanged.
     fn aggregate(&mut self, pending: Vec<M>, peer: NodeId) -> Vec<M> {
         let _ = peer;
         pending

@@ -7,12 +7,14 @@
 //! up decisions". Decided values are released in instance order with no
 //! gaps, the contract state machine replication requires.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
+use semantic_gossip::hash::MixState;
 use semantic_gossip::NodeId;
 
 use crate::config::PaxosConfig;
 use crate::types::{InstanceId, Round, Value, ValueId};
+use crate::voters::VoterSet;
 
 /// One in-order delivery slot released by the learner.
 ///
@@ -55,14 +57,14 @@ pub struct Delivered {
 /// assert_eq!(learner.take_ordered().len(), 1);
 /// ```
 /// Per-instance vote bookkeeping: (round, value-id) → (value, voters).
-type Tally = HashMap<(Round, ValueId), (Value, BTreeSet<NodeId>)>;
+type Tally = HashMap<(Round, ValueId), (Value, VoterSet), MixState>;
 
 #[derive(Debug)]
 pub struct Learner {
     config: PaxosConfig,
     /// Vote tallies for undecided instances:
     /// instance → (round, value-id) → (value, voters).
-    votes: HashMap<InstanceId, Tally>,
+    votes: HashMap<InstanceId, Tally, MixState>,
     decided: BTreeMap<InstanceId, Value>,
     next_to_deliver: InstanceId,
     /// Ids of values already released, to flag cross-instance duplicates.
@@ -75,7 +77,7 @@ impl Learner {
     pub fn new(config: PaxosConfig) -> Self {
         Learner {
             config,
-            votes: HashMap::new(),
+            votes: HashMap::default(),
             decided: BTreeMap::new(),
             next_to_deliver: InstanceId::ZERO,
             delivered_ids: HashSet::new(),
@@ -96,12 +98,13 @@ impl Learner {
         if self.is_decided(instance) {
             return None;
         }
+        let n = self.config.n;
         let tally = self
             .votes
             .entry(instance)
             .or_default()
             .entry((round, value.id()))
-            .or_insert_with(|| (value.clone(), BTreeSet::new()));
+            .or_insert_with(|| (value.clone(), VoterSet::new(n)));
         tally.1.insert(voter);
         if self.config.is_quorum(tally.1.len()) {
             let value = tally.0.clone();

@@ -61,6 +61,7 @@ pub mod message;
 pub mod process;
 pub mod storage;
 pub mod types;
+pub mod voters;
 
 pub use acceptor::Acceptor;
 pub use config::PaxosConfig;
@@ -71,3 +72,4 @@ pub use message::{Kind, PaxosMessage};
 pub use process::{Outbound, PaxosProcess, Route};
 pub use storage::{MemoryStorage, StableStorage};
 pub use types::{InstanceId, Round, Value, ValueId};
+pub use voters::VoterSet;

@@ -17,6 +17,7 @@
 //! hash collisions between distinct protocol messages.
 
 use semantic_gossip::codec::{decode_seq, encode_seq, seq_len, Reader, Wire, WireError};
+use semantic_gossip::hash::mix_words;
 use semantic_gossip::id::stable_hash64;
 use semantic_gossip::{GossipItem, MessageId, NodeId, TraceTag};
 
@@ -334,6 +335,25 @@ impl GossipItem for PaxosMessage {
             origin: value_id.map_or(0, |id| id.origin.as_u32()),
             seq: value_id.map_or(0, |id| id.seq),
         })
+    }
+
+    /// Phase 2b votes for the same `(instance, round, value)` are identical
+    /// except for their voters and may merge (§3.2); nothing else does.
+    fn aggregation_key(&self) -> Option<u64> {
+        match self {
+            PaxosMessage::Phase2b {
+                instance,
+                round,
+                value,
+                ..
+            } => Some(mix_words(&[
+                instance.as_u64(),
+                round.as_u32() as u64,
+                value.id().origin.as_u32() as u64,
+                value.id().seq,
+            ])),
+            _ => None,
+        }
     }
 }
 

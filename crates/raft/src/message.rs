@@ -140,6 +140,18 @@ impl GossipItem for RaftMessage {
         use semantic_gossip::codec::Wire;
         self.encoded_len()
     }
+
+    /// Acks for the same `(term, index)` differ only in their voters and
+    /// may merge (see `RaftSemantics::aggregate`); nothing else does.
+    fn aggregation_key(&self) -> Option<u64> {
+        match self {
+            RaftMessage::Ack { term, index, .. } => Some(semantic_gossip::hash::mix_words(&[
+                term.as_u32() as u64,
+                index.as_u64(),
+            ])),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -10,9 +10,9 @@
 //! the instance was sent, or identical Phase 2b votes from a majority of
 //! acceptors were sent (a learner decides from those alone). Evaluating the
 //! rules is "a lightweight execution of the consensus protocol on behalf of
-//! a peer": the implementation keeps, per peer, the set of instances whose
-//! decision the peer must know, and per (peer, instance, round, value) the
-//! votes already forwarded.
+//! a peer": the implementation keeps, per instance, the set of peers that
+//! must know its decision and, per (peer, round, value), the votes already
+//! forwarded.
 //!
 //! **Semantic aggregation** (send path, opportunistic). Pending Phase 2b
 //! messages for the same `(instance, round, value)` — identical except for
@@ -22,6 +22,15 @@
 //!
 //! Either technique can be disabled individually ([`SemanticMode`]), which
 //! the ablation benchmarks exploit.
+//!
+//! # State layout
+//!
+//! `validate` runs once per (message, peer) pair and `observe` once per
+//! fresh message, so the summary is built for lookups without hashing or
+//! allocation: instances live in a window sliding with the GC watermark
+//! (slot `instance − watermark`), and every set of processes — the peers
+//! that know a decision, the voters of a tally — is a [`VoterSet`] bitset
+//! indexed by the dense process ids `0..n`. A quorum test is a popcount.
 //!
 //! # Example
 //!
@@ -42,10 +51,13 @@
 //! assert!(!sem.validate(&vote, peer));
 //! ```
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::VecDeque;
 
-use paxos::{InstanceId, Kind, PaxosConfig, PaxosMessage, Round, ValueId};
+use paxos::{InstanceId, Kind, PaxosConfig, PaxosMessage, Round, ValueId, VoterSet};
 use semantic_gossip::{NodeId, Semantics};
+
+#[cfg(test)]
+mod reference;
 
 /// Which of the two semantic techniques are active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,13 +87,104 @@ impl SemanticMode {
     };
 }
 
-/// Per-peer summary: what this peer is expected to already know.
-#[derive(Debug, Default)]
-struct PeerState {
-    /// Instances whose decision the peer must know from what we sent it.
-    knows_decided: HashSet<InstanceId>,
-    /// Votes forwarded to the peer, per (instance, round, value).
-    sent_votes: HashMap<(InstanceId, Round, ValueId), BTreeSet<NodeId>>,
+/// Instances summarised at once, counted from the GC watermark.
+///
+/// Hosts collect every 256 instances and keep 1024, so a live window spans
+/// about 1300 slots plus the open instances. The limit only bounds what a
+/// frame naming an absurd instance can make the window allocate; instances
+/// past it are not summarised, and what is not summarised is never
+/// filtered.
+const MAX_WINDOW: u64 = 1 << 16;
+
+/// Distinct voters seen for one `(round, value)` of an instance.
+#[derive(Debug)]
+struct Tally {
+    round: Round,
+    value: ValueId,
+    voters: VoterSet,
+}
+
+/// Everything the filter knows about one instance.
+#[derive(Debug)]
+struct InstanceSummary {
+    /// This node knows the instance is decided (observed a Decision or a
+    /// majority of identical votes).
+    decided: bool,
+    /// Votes observed while undecided, one tally per competing
+    /// `(round, value)`. Dropped on decision.
+    tallies: Vec<Tally>,
+    /// Peers expected to know the decision from what was sent to them.
+    informed: VoterSet,
+    /// Votes forwarded to peers that do not know the decision yet. All of a
+    /// peer's entries go once it joins `informed`.
+    sent: Vec<(NodeId, Tally)>,
+}
+
+impl InstanceSummary {
+    fn new(n: usize) -> Self {
+        InstanceSummary {
+            decided: false,
+            tallies: Vec::new(),
+            informed: VoterSet::new(n),
+            sent: Vec::new(),
+        }
+    }
+
+    fn decide(&mut self) {
+        self.decided = true;
+        self.tallies = Vec::new();
+    }
+
+    /// Accounts for a message about to be forwarded to `peer`: a Decision
+    /// (`vote` is `None`) or votes for one `(round, value)`. Once the peer
+    /// holds the decision or a quorum of identical votes it is `informed`,
+    /// and every vote entry kept for it — winning round or not — is
+    /// dropped: nothing for this instance will be sent to it again.
+    fn record_sent(
+        &mut self,
+        peer: NodeId,
+        vote: Option<(Round, ValueId, &[NodeId])>,
+        n: usize,
+        quorum: usize,
+    ) {
+        let knows = match vote {
+            None => true,
+            Some((round, value, voters)) => {
+                let at = self
+                    .sent
+                    .iter()
+                    .position(|(p, t)| *p == peer && t.round == round && t.value == value)
+                    .unwrap_or_else(|| {
+                        let voters = VoterSet::new(n);
+                        self.sent.push((
+                            peer,
+                            Tally {
+                                round,
+                                value,
+                                voters,
+                            },
+                        ));
+                        self.sent.len() - 1
+                    });
+                let sent = &mut self.sent[at].1.voters;
+                sent.extend(voters.iter().copied());
+                sent.len() >= quorum
+            }
+        };
+        if knows {
+            self.informed.insert(peer);
+            self.sent.retain(|(p, _)| *p != peer);
+            if self.sent.is_empty() {
+                // A settled instance stays in the window until the next
+                // GC: give the buffer back rather than hold it that long.
+                self.sent = Vec::new();
+            }
+        }
+    }
+
+    fn occupancy(&self) -> usize {
+        self.decided as usize + self.tallies.len() + self.informed.len() + self.sent.len()
+    }
 }
 
 /// Paxos-aware [`Semantics`] implementation (see the [crate docs](crate)).
@@ -89,12 +192,8 @@ struct PeerState {
 pub struct PaxosSemantics {
     config: PaxosConfig,
     mode: SemanticMode,
-    peers: HashMap<NodeId, PeerState>,
-    /// Instances this node knows are decided (observed Decision or a
-    /// majority of identical votes).
-    decided: HashSet<InstanceId>,
-    /// Observed vote tallies for undecided instances.
-    tallies: HashMap<(InstanceId, Round, ValueId), BTreeSet<NodeId>>,
+    /// `window[i]` summarises instance `gc_watermark + i`.
+    window: VecDeque<InstanceSummary>,
     /// Everything below this instance has been garbage-collected.
     gc_watermark: InstanceId,
     /// Messages suppressed by the filter, indexed by [`Kind::index`] — the
@@ -109,9 +208,7 @@ impl PaxosSemantics {
         PaxosSemantics {
             config,
             mode,
-            peers: HashMap::new(),
-            decided: HashSet::new(),
-            tallies: HashMap::new(),
+            window: VecDeque::new(),
             gc_watermark: InstanceId::ZERO,
             filtered_by_kind: [0; Kind::COUNT],
         }
@@ -137,7 +234,7 @@ impl PaxosSemantics {
 
     /// Whether this node knows `instance` is decided.
     pub fn knows_decided(&self, instance: InstanceId) -> bool {
-        instance < self.gc_watermark || self.decided.contains(&instance)
+        instance < self.gc_watermark || self.slot(instance).is_some_and(|s| s.decided)
     }
 
     /// Drops per-peer and tally state for instances below `watermark`
@@ -147,56 +244,48 @@ impl PaxosSemantics {
         if watermark <= self.gc_watermark {
             return;
         }
+        let below = watermark.as_u64() - self.gc_watermark.as_u64();
+        let dropped = below.min(self.window.len() as u64) as usize;
+        self.window.drain(..dropped);
         self.gc_watermark = watermark;
-        self.decided.retain(|&i| i >= watermark);
-        self.tallies.retain(|&(i, _, _), _| i >= watermark);
-        for peer in self.peers.values_mut() {
-            peer.knows_decided.retain(|&i| i >= watermark);
-            peer.sent_votes.retain(|&(i, _, _), _| i >= watermark);
+    }
+
+    /// Entries currently held: decided marks, vote tallies, informed peers
+    /// and per-peer forwarded-vote records, summed over the instance
+    /// window. The occupancy gauge of the semantic summary; with the hosts'
+    /// GC cadence it stays flat however long the run.
+    pub fn occupancy(&self) -> usize {
+        self.window.iter().map(InstanceSummary::occupancy).sum()
+    }
+
+    /// The summary of `instance`, if it has one.
+    fn slot(&self, instance: InstanceId) -> Option<&InstanceSummary> {
+        let offset = instance.as_u64().checked_sub(self.gc_watermark.as_u64())?;
+        self.window.get(usize::try_from(offset).ok()?)
+    }
+
+    /// The summary of `instance`, growing the window up to it. `None` below
+    /// the watermark and past [`MAX_WINDOW`].
+    fn slot_mut(&mut self, instance: InstanceId) -> Option<&mut InstanceSummary> {
+        let offset = instance.as_u64().checked_sub(self.gc_watermark.as_u64())?;
+        if offset >= MAX_WINDOW {
+            return None;
         }
-    }
-
-    /// Whether the peer is expected to already know `instance`'s decision.
-    fn peer_knows(&self, peer: NodeId, instance: InstanceId) -> bool {
-        if instance < self.gc_watermark {
-            return true;
+        let offset = offset as usize;
+        if offset >= self.window.len() {
+            let n = self.config.n;
+            self.window
+                .resize_with(offset + 1, || InstanceSummary::new(n));
         }
-        self.peers
-            .get(&peer)
-            .is_some_and(|p| p.knows_decided.contains(&instance))
+        self.window.get_mut(offset)
     }
+}
 
-    fn record_decision_sent(&mut self, peer: NodeId, instance: InstanceId) {
-        self.peers
-            .entry(peer)
-            .or_default()
-            .knows_decided
-            .insert(instance);
-    }
-
-    /// Records votes forwarded to `peer`; returns true when the peer has now
-    /// seen a majority of identical votes (and thus knows the decision).
-    fn record_votes_sent(
-        &mut self,
-        peer: NodeId,
-        instance: InstanceId,
-        round: Round,
-        value: ValueId,
-        voters: &[NodeId],
-    ) -> bool {
-        let quorum = self.config.quorum();
-        let state = self.peers.entry(peer).or_default();
-        let sent = state
-            .sent_votes
-            .entry((instance, round, value))
-            .or_default();
-        sent.extend(voters.iter().copied());
-        if sent.len() >= quorum {
-            state.knows_decided.insert(instance);
-            state.sent_votes.remove(&(instance, round, value));
-            true
-        } else {
-            false
+/// Adds the members of `from` to the sorted, duplicate-free `into`.
+fn merge_voters(into: &mut Vec<NodeId>, from: &[NodeId]) {
+    for voter in from {
+        if let Err(at) = into.binary_search(voter) {
+            into.insert(at, *voter);
         }
     }
 }
@@ -204,9 +293,10 @@ impl PaxosSemantics {
 impl Semantics<PaxosMessage> for PaxosSemantics {
     fn observe(&mut self, msg: &PaxosMessage) {
         match msg {
-            PaxosMessage::Decision { instance, .. } if *instance >= self.gc_watermark => {
-                self.decided.insert(*instance);
-                self.tallies.retain(|&(i, _, _), _| i != *instance);
+            PaxosMessage::Decision { instance, .. } => {
+                if let Some(slot) = self.slot_mut(*instance) {
+                    slot.decide();
+                }
             }
             PaxosMessage::Phase2b {
                 instance,
@@ -214,18 +304,31 @@ impl Semantics<PaxosMessage> for PaxosSemantics {
                 value,
                 voters,
             } => {
-                if *instance < self.gc_watermark || self.decided.contains(instance) {
+                let n = self.config.n;
+                let quorum = self.config.quorum();
+                let Some(slot) = self.slot_mut(*instance) else {
+                    return;
+                };
+                if slot.decided {
                     return;
                 }
-                let tally = self
+                let value = value.id();
+                let at = slot
                     .tallies
-                    .entry((*instance, *round, value.id()))
-                    .or_default();
+                    .iter()
+                    .position(|t| t.round == *round && t.value == value)
+                    .unwrap_or_else(|| {
+                        slot.tallies.push(Tally {
+                            round: *round,
+                            value,
+                            voters: VoterSet::new(n),
+                        });
+                        slot.tallies.len() - 1
+                    });
+                let tally = &mut slot.tallies[at].voters;
                 tally.extend(voters.iter().copied());
-                if self.config.is_quorum(tally.len()) {
-                    self.decided.insert(*instance);
-                    let inst = *instance;
-                    self.tallies.retain(|&(i, _, _), _| i != inst);
+                if tally.len() >= quorum {
+                    slot.decide();
                 }
             }
             _ => {}
@@ -236,81 +339,75 @@ impl Semantics<PaxosMessage> for PaxosSemantics {
         if !self.mode.filtering {
             return true;
         }
-        match msg {
+        let (instance, vote) = match msg {
             PaxosMessage::Phase2b {
                 instance,
                 round,
                 value,
                 voters,
-            } => {
-                if self.peer_knows(peer, *instance) {
-                    self.filtered_by_kind[msg.kind().index()] += 1;
-                    return false;
+            } => (*instance, Some((*round, value.id(), voters.as_slice()))),
+            PaxosMessage::Decision { instance, .. } => (*instance, None),
+            _ => return true,
+        };
+        // Below the watermark everything is decided everywhere.
+        let pass = instance >= self.gc_watermark && {
+            let (n, quorum) = (self.config.n, self.config.quorum());
+            match self.slot_mut(instance) {
+                None => true,
+                Some(slot) if slot.informed.contains(peer) => false,
+                Some(slot) => {
+                    // Forward, and account for what the peer now knows.
+                    slot.record_sent(peer, vote, n, quorum);
+                    true
                 }
-                // Forward, and account for what the peer now knows.
-                self.record_votes_sent(peer, *instance, *round, value.id(), voters);
-                true
             }
-            PaxosMessage::Decision { instance, .. } => {
-                if self.peer_knows(peer, *instance) {
-                    self.filtered_by_kind[Kind::Decision.index()] += 1;
-                    return false;
-                }
-                self.record_decision_sent(peer, *instance);
-                true
-            }
-            _ => true,
+        };
+        if !pass {
+            self.filtered_by_kind[msg.kind().index()] += 1;
         }
+        pass
     }
 
-    fn aggregate(&mut self, pending: Vec<PaxosMessage>, _peer: NodeId) -> Vec<PaxosMessage> {
-        if !self.mode.aggregation {
+    /// Merges in place: each vote joins the first pending vote with its
+    /// `(instance, round, value)`, which keeps that position; everything
+    /// else stays where it was. The input comes back untouched when fewer
+    /// than two votes are pending.
+    fn aggregate(&mut self, mut pending: Vec<PaxosMessage>, _peer: NodeId) -> Vec<PaxosMessage> {
+        let is_vote = |m: &PaxosMessage| matches!(m, PaxosMessage::Phase2b { .. });
+        if !self.mode.aggregation || pending.iter().filter(|m| is_vote(m)).nth(1).is_none() {
             return pending;
         }
-        // First pass: index pending Phase 2b messages by (instance, round,
-        // value); collect merged voter sets.
-        let mut merged: HashMap<(InstanceId, Round, ValueId), BTreeSet<NodeId>> = HashMap::new();
-        for msg in &pending {
+        // pending[..kept] is the output so far; merged-away votes collect
+        // behind it and fall off with the final truncate.
+        let mut kept = 0;
+        for at in 0..pending.len() {
+            let (head, tail) = pending.split_at_mut(at);
             if let PaxosMessage::Phase2b {
                 instance,
                 round,
                 value,
                 voters,
-            } = msg
+            } = &tail[0]
             {
-                merged
-                    .entry((*instance, *round, value.id()))
-                    .or_default()
-                    .extend(voters.iter().copied());
-            }
-        }
-        // Second pass: emit the aggregate at the first occurrence of each
-        // group; drop later occurrences; leave everything else untouched.
-        let mut emitted: HashSet<(InstanceId, Round, ValueId)> = HashSet::new();
-        let mut out = Vec::with_capacity(pending.len());
-        for msg in pending {
-            match msg {
-                PaxosMessage::Phase2b {
-                    instance,
-                    round,
-                    value,
-                    ..
-                } => {
-                    let key = (instance, round, value.id());
-                    if emitted.insert(key) {
-                        let voters: Vec<NodeId> = merged[&key].iter().copied().collect();
-                        out.push(PaxosMessage::Phase2b {
-                            instance,
-                            round,
-                            value,
-                            voters,
-                        });
-                    }
+                let first = head[..kept].iter_mut().find_map(|m| match m {
+                    PaxosMessage::Phase2b {
+                        instance: i,
+                        round: r,
+                        value: v,
+                        voters: into,
+                    } if i == instance && r == round && v.id() == value.id() => Some(into),
+                    _ => None,
+                });
+                if let Some(into) = first {
+                    merge_voters(into, voters);
+                    continue;
                 }
-                other => out.push(other),
             }
+            pending.swap(kept, at);
+            kept += 1;
         }
-        out
+        pending.truncate(kept);
+        pending
     }
 
     fn disaggregate(&mut self, msg: PaxosMessage) -> Vec<PaxosMessage> {
@@ -327,13 +424,17 @@ mod tests {
         Value::new(NodeId::new(9), seq, vec![seq as u8; 4])
     }
 
-    fn vote(instance: u64, round: u32, seq: u64, voter: u32) -> PaxosMessage {
+    fn votes(instance: u64, round: u32, seq: u64, voters: &[u32]) -> PaxosMessage {
         PaxosMessage::Phase2b {
             instance: InstanceId::new(instance),
             round: Round::new(round),
             value: value(seq),
-            voters: vec![NodeId::new(voter)],
+            voters: voters.iter().copied().map(NodeId::new).collect(),
         }
+    }
+
+    fn vote(instance: u64, round: u32, seq: u64, voter: u32) -> PaxosMessage {
+        votes(instance, round, seq, &[voter])
     }
 
     fn decision(instance: u64, seq: u64) -> PaxosMessage {
@@ -376,13 +477,7 @@ mod tests {
         assert!(s.validate(&decision(0, 1), PEER));
         assert!(!s.validate(&vote(0, 0, 1, 2), PEER)); // Phase2b filtered
         assert!(!s.validate(&decision(0, 1), PEER)); // Decision filtered
-        let agg = PaxosMessage::Phase2b {
-            instance: InstanceId::new(0),
-            round: Round::ZERO,
-            value: value(1),
-            voters: vec![NodeId::new(2), NodeId::new(3)],
-        };
-        assert!(!s.validate(&agg, PEER)); // aggregated vote filtered
+        assert!(!s.validate(&votes(0, 0, 1, &[2, 3]), PEER)); // aggregated vote filtered
         let counts = s.filtered_by_kind();
         assert_eq!(counts[Kind::Phase2b.index()], 1);
         assert_eq!(counts[Kind::Phase2bAggregated.index()], 1);
@@ -417,8 +512,7 @@ mod tests {
         let mut s = sem(3); // quorum = 2
         assert!(s.validate(&vote(0, 0, 1, 1), PEER));
         assert!(s.validate(&vote(0, 0, 2, 2), PEER)); // different value
-                                                      // Value 1 reaches a quorum of sent votes with a second voter.
-        assert!(s.validate(&vote(0, 0, 1, 3), PEER));
+        assert!(s.validate(&vote(0, 0, 1, 3), PEER)); // value 1 reaches quorum
         assert!(!s.validate(&vote(0, 0, 2, 3), PEER));
     }
 
@@ -435,13 +529,7 @@ mod tests {
     #[test]
     fn aggregated_votes_advance_peer_knowledge_at_once() {
         let mut s = sem(3); // quorum = 2
-        let agg = PaxosMessage::Phase2b {
-            instance: InstanceId::ZERO,
-            round: Round::ZERO,
-            value: value(1),
-            voters: vec![NodeId::new(1), NodeId::new(2)],
-        };
-        assert!(s.validate(&agg, PEER));
+        assert!(s.validate(&votes(0, 0, 1, &[1, 2]), PEER));
         assert!(!s.validate(&vote(0, 0, 1, 3), PEER));
     }
 
@@ -464,6 +552,40 @@ mod tests {
         assert!(s.validate(&decision(0, 1), PEER));
         assert!(s.validate(&decision(0, 1), PEER));
         assert!(s.validate(&vote(0, 0, 1, 1), PEER));
+    }
+
+    #[test]
+    fn quorum_counts_across_a_word_boundary() {
+        // n = 105 needs 53 identical votes; voters 40..93 straddle bit 64.
+        let mut s = sem(105);
+        for voter in 40..92 {
+            assert!(s.validate(&vote(0, 0, 1, voter), PEER));
+            s.observe(&vote(0, 0, 1, voter));
+        }
+        assert!(!s.knows_decided(InstanceId::ZERO));
+        s.observe(&vote(0, 0, 1, 92));
+        assert!(s.knows_decided(InstanceId::ZERO));
+        assert!(s.validate(&vote(0, 0, 1, 92), PEER)); // the 53rd: peer knows now
+        assert!(!s.validate(&vote(0, 0, 1, 93), PEER));
+    }
+
+    #[test]
+    fn instances_past_the_window_are_passed_not_summarised() {
+        let mut s = sem(3);
+        let far = (1u64 << 40) + 7;
+        s.observe(&decision(far, 1));
+        assert!(!s.knows_decided(InstanceId::new(far)));
+        // Never filtered, never recorded, and the window did not grow.
+        assert!(s.validate(&decision(far, 1), PEER));
+        assert!(s.validate(&decision(far, 1), PEER));
+        assert!(s.validate(&vote(far, 0, 1, 1), PEER));
+        assert_eq!(s.occupancy(), 0);
+        assert!(s.window.is_empty());
+        assert_eq!(s.filtered_by_kind().iter().sum::<u64>(), 0);
+        // The last slot inside the window is still summarised.
+        let edge = MAX_WINDOW - 1;
+        assert!(s.validate(&decision(edge, 1), PEER));
+        assert!(!s.validate(&decision(edge, 1), PEER));
     }
 
     // --- observation --------------------------------------------------------
@@ -500,16 +622,7 @@ mod tests {
         let mut s = sem(5);
         let pending = vec![vote(0, 0, 1, 1), vote(0, 0, 1, 3), vote(0, 0, 1, 2)];
         let out = s.aggregate(pending, PEER);
-        assert_eq!(out.len(), 1);
-        match &out[0] {
-            PaxosMessage::Phase2b { voters, .. } => {
-                assert_eq!(
-                    voters,
-                    &vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)]
-                );
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(out, vec![votes(0, 0, 1, &[1, 2, 3])]);
         // The aggregate passes the wire-format invariant.
         out[0].validate().unwrap();
     }
@@ -548,11 +661,34 @@ mod tests {
             ],
             PEER,
         );
-        // [merged vote, phase1a, decision]
-        assert_eq!(out.len(), 3);
-        assert!(matches!(out[0], PaxosMessage::Phase2b { .. }));
-        assert_eq!(out[1], p1a);
-        assert_eq!(out[2], decision(1, 2));
+        assert_eq!(out, vec![votes(0, 0, 1, &[1, 2]), p1a, decision(1, 2)]);
+    }
+
+    #[test]
+    fn merged_votes_keep_their_first_occurrence_position() {
+        // A Decision emitted before a vote filters that vote, so where the
+        // aggregate lands is part of the contract.
+        let mut s = sem(7);
+        let out = s.aggregate(
+            vec![
+                vote(1, 0, 2, 5),
+                vote(0, 0, 1, 1),
+                decision(0, 1),
+                vote(1, 0, 2, 4),
+                vote(0, 0, 1, 2),
+                vote(2, 0, 3, 6),
+            ],
+            PEER,
+        );
+        assert_eq!(
+            out,
+            vec![
+                votes(1, 0, 2, &[4, 5]),
+                votes(0, 0, 1, &[1, 2]),
+                decision(0, 1),
+                vote(2, 0, 3, 6),
+            ]
+        );
     }
 
     #[test]
@@ -565,20 +701,8 @@ mod tests {
     #[test]
     fn aggregation_merges_already_aggregated_votes() {
         let mut s = sem(7);
-        let agg = PaxosMessage::Phase2b {
-            instance: InstanceId::ZERO,
-            round: Round::ZERO,
-            value: value(1),
-            voters: vec![NodeId::new(1), NodeId::new(4)],
-        };
-        let out = s.aggregate(vec![agg, vote(0, 0, 1, 2)], PEER);
-        assert_eq!(out.len(), 1);
-        match &out[0] {
-            PaxosMessage::Phase2b { voters, .. } => {
-                assert_eq!(voters.len(), 3);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let out = s.aggregate(vec![votes(0, 0, 1, &[1, 4]), vote(0, 0, 1, 2)], PEER);
+        assert_eq!(out, vec![votes(0, 0, 1, &[1, 2, 4])]);
     }
 
     #[test]
@@ -591,21 +715,22 @@ mod tests {
         assert_eq!(parts, pending);
     }
 
-    // --- garbage collection -------------------------------------------------
+    // --- garbage collection and bounded state ---------------------------------
 
     #[test]
     fn gc_drops_old_state_but_keeps_filtering_below_watermark() {
         let mut s = sem(3);
         s.observe(&decision(0, 1));
         s.validate(&decision(0, 1), PEER);
+        assert_eq!(s.occupancy(), 2); // decided mark + one informed peer
         s.gc(InstanceId::new(1));
         // Below the watermark everything is known-decided: still filtered.
         assert!(!s.validate(&vote(0, 0, 1, 1), PEER));
         assert!(!s.validate(&decision(0, 1), PEER));
         assert!(s.knows_decided(InstanceId::ZERO));
-        // Internal maps no longer hold the instance.
-        assert!(s.decided.is_empty());
-        assert!(s.peers[&PEER].knows_decided.is_empty());
+        // The summary no longer holds the instance.
+        assert_eq!(s.occupancy(), 0);
+        assert!(s.window.is_empty());
     }
 
     #[test]
@@ -614,5 +739,268 @@ mod tests {
         s.gc(InstanceId::new(5));
         s.gc(InstanceId::new(2)); // ignored
         assert!(s.knows_decided(InstanceId::new(4)));
+    }
+
+    #[test]
+    fn gc_past_the_window_empties_it_and_rebases() {
+        let mut s = sem(3);
+        s.observe(&decision(2, 1));
+        s.gc(InstanceId::new(100));
+        assert!(s.window.is_empty());
+        s.observe(&decision(101, 1));
+        assert!(s.knows_decided(InstanceId::new(101)));
+        assert!(!s.knows_decided(InstanceId::new(100)));
+        assert_eq!(s.window.len(), 2);
+    }
+
+    #[test]
+    fn an_informed_peer_leaves_no_vote_records_behind() {
+        // n = 5: a quorum is 3. Round 0 stalls at two votes, round 1
+        // competes with another value.
+        let mut s = sem(5);
+        assert!(s.validate(&vote(0, 0, 1, 1), PEER));
+        assert!(s.validate(&vote(0, 0, 1, 2), PEER));
+        assert!(s.validate(&vote(0, 1, 2, 1), PEER));
+        assert_eq!(s.occupancy(), 2);
+        // Round 1 reaches a quorum at the peer: the losing round's record
+        // goes with the winning one.
+        assert!(s.validate(&votes(0, 1, 2, &[2, 3]), PEER));
+        assert_eq!(s.occupancy(), 1, "just the informed mark");
+        // Same when a Decision, not a quorum, informs the peer.
+        assert!(s.validate(&vote(1, 0, 1, 1), PEER));
+        assert!(s.validate(&vote(1, 1, 1, 2), PEER));
+        assert!(s.validate(&decision(1, 1), PEER));
+        assert_eq!(s.occupancy(), 2);
+    }
+
+    /// Ten times the hosts' retention (`GC_KEEP` = 1024 instances, collected
+    /// every 256) with competing rounds in every instance: the occupancy
+    /// high-water mark is reached within the first retention period and
+    /// never exceeded.
+    #[test]
+    fn occupancy_stays_flat_over_ten_retention_periods() {
+        const GC_EVERY: u64 = 256;
+        const GC_KEEP: u64 = 1024;
+        let peers = [NodeId::new(1), NodeId::new(2), NodeId::new(3)];
+        let mut s = sem(5); // quorum = 3
+        let mut high_water = Vec::new();
+        for i in 0..10 * GC_KEEP {
+            // Round 0 splits between two values and stalls; round 1 decides.
+            for msg in [vote(i, 0, 1, 0), vote(i, 0, 2, 1), vote(i, 0, 1, 2)] {
+                s.observe(&msg);
+                for peer in peers {
+                    s.validate(&msg, peer);
+                }
+            }
+            for voter in 0..3 {
+                let msg = vote(i, 1, 1, voter);
+                s.observe(&msg);
+                for peer in peers {
+                    s.validate(&msg, peer);
+                }
+            }
+            for peer in peers {
+                assert!(!s.validate(&decision(i, 1), peer), "peer already knows");
+            }
+            let delivered = i + 1;
+            if delivered.is_multiple_of(GC_EVERY) {
+                s.gc(InstanceId::new(delivered.saturating_sub(GC_KEEP)));
+            }
+            high_water.push(s.occupancy());
+        }
+        // A settled instance holds its decided mark and three informed
+        // peers — no tallies, no per-peer vote records.
+        let per_instance = 1 + peers.len();
+        let bound = (GC_KEEP + GC_EVERY) as usize * per_instance;
+        let first_period = *high_water[..(GC_KEEP + GC_EVERY) as usize]
+            .iter()
+            .max()
+            .unwrap();
+        let overall = *high_water.iter().max().unwrap();
+        assert_eq!(overall, first_period, "occupancy kept growing");
+        assert!(overall <= bound, "{overall} entries exceed {bound}");
+    }
+
+    // --- equivalence with the reference model --------------------------------
+
+    mod equivalence {
+        use super::*;
+        use crate::reference::ReferenceSemantics;
+        use proptest::prelude::*;
+
+        /// One call into the semantics; ids are reduced modulo the run's
+        /// `n` when the op is applied.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Observe(Msg),
+            Validate(Msg, u32),
+            Aggregate(Vec<Msg>, u32),
+            Disaggregate(Msg),
+            Gc(u64),
+        }
+
+        #[derive(Debug, Clone)]
+        enum Msg {
+            Vote {
+                instance: u64,
+                round: u32,
+                seq: u64,
+                voters: Vec<u32>,
+            },
+            Decision {
+                instance: u64,
+                seq: u64,
+            },
+            Phase2a {
+                instance: u64,
+            },
+        }
+
+        impl Msg {
+            /// Voter ids range over `0..n + 3`: mostly configured
+            /// processes, now and then an id the bitset has no bit for.
+            fn build(&self, n: usize) -> PaxosMessage {
+                match self {
+                    Msg::Vote {
+                        instance,
+                        round,
+                        seq,
+                        voters,
+                    } => {
+                        let mut ids: Vec<u32> = voters.iter().map(|v| v % (n as u32 + 3)).collect();
+                        ids.sort_unstable();
+                        ids.dedup();
+                        votes(*instance, *round, *seq, &ids)
+                    }
+                    Msg::Decision { instance, seq } => decision(*instance, *seq),
+                    Msg::Phase2a { instance } => PaxosMessage::Phase2a {
+                        instance: InstanceId::new(*instance),
+                        round: Round::ZERO,
+                        value: value(0),
+                        sender: NodeId::new(0),
+                    },
+                }
+            }
+        }
+
+        fn arb_msg() -> impl Strategy<Value = Msg> {
+            prop_oneof![
+                (
+                    0u64..14,
+                    0u32..3,
+                    0u64..3,
+                    proptest::collection::vec(0u32..400, 1..5)
+                )
+                    .prop_map(|(instance, round, seq, voters)| Msg::Vote {
+                        instance,
+                        round,
+                        seq,
+                        voters,
+                    }),
+                // Votes are most of the traffic: weight them double.
+                (
+                    0u64..14,
+                    0u32..2,
+                    0u64..2,
+                    proptest::collection::vec(0u32..400, 1..3)
+                )
+                    .prop_map(|(instance, round, seq, voters)| Msg::Vote {
+                        instance,
+                        round,
+                        seq,
+                        voters,
+                    }),
+                (0u64..14, 0u64..3).prop_map(|(instance, seq)| Msg::Decision { instance, seq }),
+                (0u64..14).prop_map(|instance| Msg::Phase2a { instance }),
+            ]
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                arb_msg().prop_map(Op::Observe),
+                (arb_msg(), 0u32..5).prop_map(|(m, p)| Op::Validate(m, p)),
+                (arb_msg(), 0u32..5).prop_map(|(m, p)| Op::Validate(m, p)),
+                (proptest::collection::vec(arb_msg(), 0..9), 0u32..5)
+                    .prop_map(|(ms, p)| Op::Aggregate(ms, p)),
+                arb_msg().prop_map(Op::Disaggregate),
+                (0u64..12).prop_map(Op::Gc),
+            ]
+        }
+
+        /// Peers 0..3 are configured processes; 4 maps to an id past `n`.
+        fn peer(index: u32, n: usize) -> NodeId {
+            if index == 4 {
+                NodeId::new(n as u32 + 40)
+            } else {
+                NodeId::new(index % n as u32)
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(192))]
+
+            /// Any interleaving of the five calls leaves the dense
+            /// implementation and the reference model indistinguishable:
+            /// same verdicts, same aggregates in the same order, same
+            /// per-kind filter counters, same decided instances.
+            #[test]
+            fn prop_dense_state_matches_reference(
+                n in prop_oneof![Just(3usize), Just(27), Just(130)],
+                mode in prop_oneof![
+                    Just(SemanticMode::FULL),
+                    Just(SemanticMode::FULL),
+                    Just(SemanticMode::FILTERING_ONLY),
+                    Just(SemanticMode::AGGREGATION_ONLY),
+                ],
+                ops in proptest::collection::vec(arb_op(), 1..80),
+            ) {
+                let mut fast = PaxosSemantics::new(PaxosConfig::new(n), mode);
+                let mut model = ReferenceSemantics::new(PaxosConfig::new(n), mode);
+                for op in &ops {
+                    match op {
+                        Op::Observe(m) => {
+                            let msg = m.build(n);
+                            fast.observe(&msg);
+                            model.observe(&msg);
+                        }
+                        Op::Validate(m, p) => {
+                            let msg = m.build(n);
+                            prop_assert_eq!(
+                                fast.validate(&msg, peer(*p, n)),
+                                model.validate(&msg, peer(*p, n)),
+                                "verdict on {:?}", msg
+                            );
+                        }
+                        Op::Aggregate(ms, p) => {
+                            let pending: Vec<PaxosMessage> =
+                                ms.iter().map(|m| m.build(n)).collect();
+                            prop_assert_eq!(
+                                fast.aggregate(pending.clone(), peer(*p, n)),
+                                model.aggregate(pending, peer(*p, n))
+                            );
+                        }
+                        Op::Disaggregate(m) => {
+                            let msg = m.build(n);
+                            prop_assert_eq!(
+                                fast.disaggregate(msg.clone()),
+                                model.disaggregate(msg)
+                            );
+                        }
+                        Op::Gc(watermark) => {
+                            fast.gc(InstanceId::new(*watermark));
+                            model.gc(InstanceId::new(*watermark));
+                        }
+                    }
+                    for instance in 0..16 {
+                        prop_assert_eq!(
+                            fast.knows_decided(InstanceId::new(instance)),
+                            model.knows_decided(InstanceId::new(instance)),
+                            "knows_decided({})", instance
+                        );
+                    }
+                }
+                prop_assert_eq!(fast.filtered_by_kind(), model.filtered_by_kind());
+            }
+        }
     }
 }

@@ -615,23 +615,30 @@ mod tests {
         let kinds_of = |ring: &SharedRing| -> Vec<&'static str> {
             ring.snapshot().iter().map(|e| e.event.kind()).collect()
         };
-        let b_kinds = kinds_of(&ring_b);
-        assert!(b_kinds.contains(&"dialed"), "{b_kinds:?}");
-        assert!(b_kinds.contains(&"frame_sent"), "{b_kinds:?}");
-        assert!(b_kinds.contains(&"frame_dropped"), "{b_kinds:?}");
-        // The acceptor side may record the accept shortly after dial returns.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let a_kinds = kinds_of(&ring_a);
-            if a_kinds.contains(&"accepted") && a_kinds.contains(&"frame_received") {
-                break;
+        // Both sides record from their own threads: the sender's
+        // `frame_sent` follows the write that let `a` receive the frame, and
+        // the acceptor may record `accepted` shortly after dial returns. Poll
+        // each ring until its part of the trace is there.
+        let wait_for = |ring: &SharedRing, side: &str, wanted: &[&str]| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            loop {
+                let kinds = kinds_of(ring);
+                if wanted.iter().all(|kind| kinds.contains(kind)) {
+                    break;
+                }
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{side} trace incomplete: {kinds:?}"
+                );
+                std::thread::sleep(Duration::from_millis(20));
             }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "acceptor trace incomplete: {a_kinds:?}"
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        };
+        wait_for(
+            &ring_b,
+            "sender",
+            &["dialed", "frame_sent", "frame_dropped"],
+        );
+        wait_for(&ring_a, "acceptor", &["accepted", "frame_received"]);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! the old clone-per-peer, encode-per-peer implementation.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -64,7 +65,137 @@ fn classic_node(peers: u32) -> GossipNode<PaxosMessage, NoSemantics> {
     )
 }
 
+fn semantic_node(n: usize, peers: u32) -> GossipNode<PaxosMessage, PaxosSemantics> {
+    GossipNode::new(
+        NodeId::new(0),
+        (1..=peers).map(NodeId::new).collect(),
+        GossipConfig::default(),
+        PaxosSemantics::full(PaxosConfig::new(n)),
+    )
+}
+
+/// Only messages that can merge leave their shared handle in a drain: a
+/// message alone in its aggregation class — anything but a vote, or a vote
+/// nothing pending can merge with — reaches every peer as the *same*
+/// `Arc`, so a transport still encodes it once, while the votes queued
+/// beside it collapse into one aggregate per peer.
+#[test]
+fn lone_messages_stay_shared_while_votes_beside_them_merge() {
+    let value = |seq: u64| Value::new(NodeId::new(1), seq, vec![seq as u8; 32]);
+    let vote = |instance: u64, voter: u32| PaxosMessage::Phase2b {
+        instance: InstanceId::new(instance),
+        round: Round::ZERO,
+        value: value(instance),
+        voters: vec![NodeId::new(voter)],
+    };
+    let peers = 3usize;
+    let mut node = semantic_node(9, peers as u32);
+    let queued = [
+        PaxosMessage::ClientValue {
+            forwarder: NodeId::new(0),
+            value: value(7),
+        },
+        vote(4, 1),
+        PaxosMessage::Phase2a {
+            instance: InstanceId::new(5),
+            round: Round::ZERO,
+            value: value(5),
+            sender: NodeId::new(0),
+        },
+        vote(4, 2),
+        vote(6, 3), // alone in its class
+        vote(4, 0),
+        PaxosMessage::Decision {
+            instance: InstanceId::new(3),
+            value: value(3),
+            sender: NodeId::new(0),
+        },
+    ];
+    for msg in &queued {
+        node.broadcast(msg.clone());
+    }
+    let mut shared = Vec::new();
+    node.take_outgoing_shared_into(&mut shared);
+
+    // Per peer: ClientValue, votes(4; 0 1 2) where the first vote stood,
+    // Phase2a, the lone vote, Decision.
+    let per_peer = 5;
+    assert_eq!(shared.len(), peers * per_peer);
+    let merged = PaxosMessage::Phase2b {
+        instance: InstanceId::new(4),
+        round: Round::ZERO,
+        value: value(4),
+        voters: vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)],
+    };
+    let expected = [
+        queued[0].clone(),
+        merged,
+        queued[2].clone(),
+        queued[4].clone(),
+        queued[6].clone(),
+    ];
+    for (at, (peer, msg)) in shared.iter().enumerate() {
+        assert_eq!(peer.as_index(), 1 + at / per_peer);
+        assert_eq!(**msg, expected[at % per_peer]);
+        // Aggregates (slot 1) are built per peer; everything else is the
+        // first peer's handle again.
+        let is_aggregate = at % per_peer == 1;
+        if at >= per_peer {
+            assert_eq!(
+                Arc::ptr_eq(msg, &shared[at % per_peer].1),
+                !is_aggregate,
+                "slot {}",
+                at % per_peer
+            );
+        }
+    }
+    assert_eq!(node.stats().aggregated_away.get(), (2 * peers) as u64);
+}
+
 proptest! {
+    /// With the Paxos rules filtering and merging, the owned and the shared
+    /// drain still hand out the same `(peer, message)` sequence and count
+    /// the same sends, filter drops and merges — whatever mix of messages
+    /// piled up between drains.
+    #[test]
+    fn prop_owned_and_shared_semantic_drains_agree(
+        rounds in proptest::collection::vec(
+            proptest::collection::vec((arb_message(), any::<bool>(), 1u32..8), 1..12),
+            1..6,
+        ),
+        peers in 1u32..6,
+    ) {
+        let mut owned = semantic_node(64, peers);
+        let mut shared = semantic_node(64, peers);
+        for ops in &rounds {
+            for (msg, is_broadcast, from) in ops {
+                let from = NodeId::new(from % peers + 1);
+                if *is_broadcast {
+                    owned.broadcast(msg.clone());
+                    shared.broadcast(msg.clone());
+                } else {
+                    owned.on_receive(from, msg.clone());
+                    shared.on_receive(from, msg.clone());
+                }
+            }
+            let out_owned = owned.take_outgoing();
+            let out_shared: Vec<(NodeId, PaxosMessage)> = shared
+                .take_outgoing_shared()
+                .into_iter()
+                .map(|(peer, msg)| (peer, (*msg).clone()))
+                .collect();
+            prop_assert_eq!(out_owned, out_shared);
+            prop_assert_eq!(owned.take_deliveries(), shared.take_deliveries());
+        }
+        for (a, b) in [
+            (owned.stats().sent.get(), shared.stats().sent.get()),
+            (owned.stats().filtered.get(), shared.stats().filtered.get()),
+            (owned.stats().aggregated_away.get(), shared.stats().aggregated_away.get()),
+        ] {
+            prop_assert_eq!(a, b);
+        }
+    }
+
     /// `encode_into` (the reusable-buffer path) produces exactly the bytes
     /// of the allocating `to_bytes`, for arbitrary messages, regardless of
     /// what the scratch buffer held before.
