@@ -1,11 +1,12 @@
 //! Ablation benchmarks for the design choices called out in DESIGN.md §5:
 //! which semantic technique buys what, how sensitive duplicate suppression
-//! is to the cache, and what a pull phase would add to the push strategy.
+//! is to the cache, and what trading push's redundancy for eager/lazy's pull
+//! half costs under loss.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use bench::{dedup_workload, lossy_dissemination, mini_cluster, raft_mesh_sent};
+use bench::{dedup_workload, mini_cluster, raft_mesh_sent};
 use paxos_semantics::SemanticMode;
 use semantic_gossip::{GossipConfig, RecentCache, SlidingBloom};
 use testbed::{run_cluster, ClusterParams, DedupKind, Setup};
@@ -111,25 +112,28 @@ fn ablation_dedup(c: &mut Criterion) {
     g.finish();
 }
 
-/// Push vs push-pull under link loss (§2.2: the techniques "could be
-/// extended to other strategies"): the pull phase recovers deliveries that
-/// pure push lost.
+/// Push vs eager/lazy under receive loss (§2.2: the techniques "could be
+/// extended to other strategies"): push masks loss with redundant copies,
+/// eager/lazy with its pull half — IHAVE announcements, IWANT requests —
+/// at a fraction of the wire bytes.
 fn ablation_strategy(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_strategy");
-    g.sample_size(20);
-    let push = lossy_dissemination(24, 16, 0.3, false, 5);
-    let push_pull = lossy_dissemination(24, 16, 0.3, true, 5);
-    eprintln!(
-        "[ablation_strategy] 30% link loss: push missing {} / push-pull missing {}",
-        push.missing, push_pull.missing
-    );
-    assert!(push_pull.missing <= push.missing);
-    for (name, with_pull) in [("push", false), ("push_pull", true)] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(name),
-            &with_pull,
-            |b, &with_pull| b.iter(|| black_box(lossy_dissemination(24, 16, 0.3, with_pull, 5))),
+    g.sample_size(10);
+    let strategies = [
+        ("push", Setup::Gossip),
+        ("eager_lazy", Setup::EagerLazyGossip),
+    ];
+    for (name, setup) in strategies {
+        let m = mini_cluster(setup, 13, 26.0, 0.05, 5);
+        eprintln!(
+            "[ablation_strategy] 5% receive loss, {name}: {} of {} not ordered, {} bytes sent",
+            m.not_ordered_in_window,
+            m.submitted_in_window,
+            m.gossip.bytes_sent.get()
         );
+        g.bench_with_input(BenchmarkId::from_parameter(name), &setup, |b, &setup| {
+            b.iter(|| black_box(mini_cluster(setup, 13, 26.0, 0.05, 5)))
+        });
     }
     g.finish();
 }

@@ -9,9 +9,8 @@ use paxos::{PaxosConfig, PaxosMessage, Value};
 use paxos_semantics::PaxosSemantics;
 use raft_lite::{RaftConfig, RaftMessage, RaftNode, RaftSemantics, Term};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use semantic_gossip::pull::PullStore;
-use semantic_gossip::{DuplicateFilter, GossipConfig, GossipItem, GossipNode, NoSemantics, NodeId};
+use rand::SeedableRng;
+use semantic_gossip::{DuplicateFilter, GossipConfig, GossipItem, GossipNode, NodeId};
 use testbed::{run_cluster, ClusterParams, RunMetrics, Setup};
 
 /// A small, fast cluster run used by the figure benches.
@@ -24,142 +23,6 @@ pub fn mini_cluster(setup: Setup, n: usize, rate: f64, loss: f64, seed: u64) -> 
     let m = run_cluster(&params);
     assert!(m.safety_ok, "bench run violated safety");
     m
-}
-
-/// Outcome of one lossy dissemination round over a mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LossyOutcome {
-    /// `(node, message)` deliveries that happened.
-    pub delivered: usize,
-    /// Deliveries still missing after the strategy ran.
-    pub missing: usize,
-}
-
-/// Disseminates `messages` broadcasts over a random overlay with per-link
-/// loss, using plain push gossip; optionally follows up with one push-pull
-/// anti-entropy exchange between every pair of neighbors.
-///
-/// This is the `ablation_strategy` workload: it quantifies how many
-/// deliveries the pull half recovers that push alone lost.
-pub fn lossy_dissemination(
-    n: usize,
-    messages: usize,
-    loss: f64,
-    with_pull: bool,
-    seed: u64,
-) -> LossyOutcome {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let graph = overlay::connected_k_out(n, overlay::paper_fanout(n), &mut rng, 100)
-        .expect("connected overlay");
-    let mut nodes: Vec<GossipNode<PaxosMessage, NoSemantics>> = (0..n)
-        .map(|i| {
-            let peers = graph
-                .neighbors(i)
-                .iter()
-                .map(|&p| NodeId::new(p as u32))
-                .collect();
-            GossipNode::new(
-                NodeId::new(i as u32),
-                peers,
-                GossipConfig::default(),
-                NoSemantics,
-            )
-        })
-        .collect();
-    let mut stores: Vec<PullStore<PaxosMessage>> =
-        (0..n).map(|_| PullStore::new(messages * 2 + 16)).collect();
-
-    let msgs: Vec<PaxosMessage> = (0..messages)
-        .map(|s| PaxosMessage::ClientValue {
-            forwarder: NodeId::new(0),
-            value: Value::new(NodeId::new((s % n) as u32), s as u64, vec![0; 32]),
-        })
-        .collect();
-    for (s, msg) in msgs.iter().enumerate() {
-        nodes[s % n].broadcast(msg.clone());
-    }
-
-    // Scratch buffers reused across rounds — the dissemination loop itself
-    // should not allocate per round.
-    let mut deliveries: Vec<PaxosMessage> = Vec::new();
-    let mut outgoing: Vec<(NodeId, PaxosMessage)> = Vec::new();
-
-    // Push phase with lossy links.
-    loop {
-        let mut progressed = false;
-        for i in 0..n {
-            nodes[i].take_deliveries_into(&mut deliveries);
-            for msg in deliveries.drain(..) {
-                stores[i].record(msg);
-            }
-            nodes[i].take_outgoing_into(&mut outgoing);
-            for (peer, msg) in outgoing.drain(..) {
-                progressed = true;
-                if rng.gen::<f64>() < loss {
-                    continue;
-                }
-                nodes[peer.as_index()].on_receive(NodeId::new(i as u32), msg);
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    for i in 0..n {
-        nodes[i].take_deliveries_into(&mut deliveries);
-        for msg in deliveries.drain(..) {
-            stores[i].record(msg);
-        }
-    }
-
-    // Optional pull phase: each node offers its digest to each neighbor,
-    // which requests and receives what it misses (reliable exchange, like
-    // Bimodal Multicast's anti-entropy round).
-    if with_pull {
-        for round in 0..2 {
-            let _ = round;
-            for (a, b) in graph.edges() {
-                for (src, dst) in [(a, b), (b, a)] {
-                    let digest = stores[src].digest(messages * 2);
-                    let missing: Vec<_> = digest
-                        .iter()
-                        .copied()
-                        .filter(|&id| !stores[dst].lookup(&[id]).iter().any(|_| true))
-                        .collect();
-                    for msg in stores[src].lookup(&missing) {
-                        nodes[dst].on_receive(NodeId::new(src as u32), msg);
-                    }
-                }
-            }
-            for i in 0..n {
-                nodes[i].take_deliveries_into(&mut deliveries);
-                for msg in deliveries.drain(..) {
-                    stores[i].record(msg);
-                }
-                // Forward pulled messages with the usual push (lossless here
-                // would be cheating — apply the same loss).
-                nodes[i].take_outgoing_into(&mut outgoing);
-                for (peer, msg) in outgoing.drain(..) {
-                    if rng.gen::<f64>() < loss {
-                        continue;
-                    }
-                    nodes[peer.as_index()].on_receive(NodeId::new(i as u32), msg);
-                }
-            }
-        }
-        for i in 0..n {
-            nodes[i].take_deliveries_into(&mut deliveries);
-            for msg in deliveries.drain(..) {
-                stores[i].record(msg);
-            }
-        }
-    }
-
-    let delivered: usize = stores.iter().map(|s| s.len()).sum();
-    LossyOutcome {
-        delivered,
-        missing: n * messages - delivered,
-    }
 }
 
 /// Floods `count` distinct vote messages through a duplicate filter,
@@ -282,26 +145,15 @@ mod tests {
 
     #[test]
     fn mini_cluster_runs_every_setup() {
-        for setup in [Setup::Baseline, Setup::Gossip, Setup::SemanticGossip] {
+        for setup in [
+            Setup::Baseline,
+            Setup::Gossip,
+            Setup::SemanticGossip,
+            Setup::EagerLazyGossip,
+        ] {
             let m = mini_cluster(setup, 13, 13.0, 0.0, 1);
             assert!(m.ordered > 0, "{setup:?}");
         }
-    }
-
-    #[test]
-    fn pull_recovers_what_push_lost() {
-        let push_only = lossy_dissemination(16, 10, 0.35, false, 9);
-        let push_pull = lossy_dissemination(16, 10, 0.35, true, 9);
-        assert!(
-            push_pull.missing <= push_only.missing,
-            "pull should not lose more: {push_pull:?} vs {push_only:?}"
-        );
-    }
-
-    #[test]
-    fn lossless_push_delivers_everything() {
-        let out = lossy_dissemination(12, 8, 0.0, false, 3);
-        assert_eq!(out.missing, 0);
     }
 
     #[test]

@@ -252,6 +252,12 @@ impl<M, S: Semantics<M>> Semantics<Grouped<M>> for GroupedSemantics<S> {
             .map(|m| Grouped { group: g, inner: m })
             .collect()
     }
+
+    fn on_progress(&mut self, group: u32, watermark: u64) {
+        if let Some(inner) = self.groups.get_mut(group as usize) {
+            inner.on_progress(group, watermark);
+        }
+    }
 }
 
 #[cfg(test)]

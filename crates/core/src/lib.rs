@@ -62,9 +62,9 @@ pub mod hash;
 pub mod id;
 pub mod node;
 pub mod plumtree;
-pub mod pull;
 pub mod semantics;
 pub mod stats;
+pub mod substrate;
 
 pub use cache::{DuplicateFilter, RecentCache, SlidingBloom};
 pub use codec::{Reader, Wire, WireError};
@@ -75,3 +75,4 @@ pub use node::{GossipItem, GossipNode, TraceTag};
 pub use plumtree::{EagerLazyConfig, EagerLazyNode, Packet, PlumtreeStats};
 pub use semantics::{NoSemantics, Semantics};
 pub use stats::MessageStats;
+pub use substrate::{Dest, Direct, LinkFrame, Substrate};

@@ -21,7 +21,7 @@ use crate::stats::{MessageStats, Stat};
 
 /// Moves a shared payload out of its handle: free when this was the last
 /// reference, a counted deep clone when another queue still aliases it.
-fn unwrap_or_clone<M: Clone>(shared: Arc<M>, drain_clones: &mut Stat) -> M {
+pub(crate) fn unwrap_or_clone<M: Clone>(shared: Arc<M>, drain_clones: &mut Stat) -> M {
     match Arc::try_unwrap(shared) {
         Ok(msg) => msg,
         Err(shared) => {

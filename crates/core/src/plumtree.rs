@@ -53,9 +53,10 @@ use std::sync::Arc;
 use obs::{Event, NoopObserver, Observer};
 
 use crate::cache::{DuplicateFilter, RecentCache};
+use crate::codec::{Reader, Wire, WireError};
 use crate::config::GossipConfig;
 use crate::id::NodeId;
-use crate::node::GossipItem;
+use crate::node::{unwrap_or_clone, GossipItem};
 use crate::stats::{MessageStats, Stat};
 
 /// Class label of IHAVE control frames in ledgers and traces.
@@ -132,6 +133,79 @@ impl<M: GossipItem> Packet<M> {
             Packet::IWant(_) => Some(CLASS_IWANT),
             Packet::Graft(_, _) => Some(CLASS_GRAFT),
             Packet::Prune(_) => Some(CLASS_PRUNE),
+        }
+    }
+}
+
+const TAG_PAYLOAD: u8 = 0;
+const TAG_IHAVE: u8 = 1;
+const TAG_IWANT: u8 = 2;
+const TAG_GRAFT: u8 = 3;
+const TAG_PRUNE: u8 = 4;
+
+fn put_ids(buf: &mut Vec<u8>, ids: &[u64]) {
+    let count = u16::try_from(ids.len()).expect("id list fits its 2-byte count");
+    buf.extend_from_slice(&count.to_le_bytes());
+    for id in ids {
+        buf.extend_from_slice(&id.to_le_bytes());
+    }
+}
+
+fn read_u32(r: &mut Reader<'_>) -> Result<u32, WireError> {
+    let b = r.bytes(SOURCE_BYTES)?;
+    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+}
+
+fn read_ids(r: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
+    let b = r.bytes(IDLIST_HEADER)?;
+    let count = u16::from_le_bytes([b[0], b[1]]) as usize;
+    // The slice is bounds-checked against the frame before anything is
+    // allocated, so a hostile count cannot size an allocation.
+    let body = r.bytes(count * ANNOUNCE_ID_BYTES)?;
+    Ok(body
+        .chunks_exact(ANNOUNCE_ID_BYTES)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .collect())
+}
+
+/// The on-wire form is exactly what [`Packet::wire_size`] accounts for:
+/// fixed-width header fields, then the inner encoding for payloads.
+impl<M: Wire> Wire for Packet<M> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match self {
+            Packet::Payload(source, m) => {
+                buf.push(TAG_PAYLOAD);
+                buf.extend_from_slice(&source.to_le_bytes());
+                m.encode(buf);
+            }
+            Packet::IHave(ids) => {
+                buf.push(TAG_IHAVE);
+                put_ids(buf, ids);
+            }
+            Packet::IWant(ids) => {
+                buf.push(TAG_IWANT);
+                put_ids(buf, ids);
+            }
+            Packet::Graft(source, ids) => {
+                buf.push(TAG_GRAFT);
+                buf.extend_from_slice(&source.to_le_bytes());
+                put_ids(buf, ids);
+            }
+            Packet::Prune(source) => {
+                buf.push(TAG_PRUNE);
+                buf.extend_from_slice(&source.to_le_bytes());
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            TAG_PAYLOAD => Ok(Packet::Payload(read_u32(r)?, M::decode(r)?)),
+            TAG_IHAVE => Ok(Packet::IHave(read_ids(r)?)),
+            TAG_IWANT => Ok(Packet::IWant(read_ids(r)?)),
+            TAG_GRAFT => Ok(Packet::Graft(read_u32(r)?, read_ids(r)?)),
+            TAG_PRUNE => Ok(Packet::Prune(read_u32(r)?)),
+            t => Err(WireError::InvalidTag(t)),
         }
     }
 }
@@ -236,8 +310,8 @@ impl PlumtreeStats {
 }
 
 /// Bounded FIFO of recently seen payloads (and their broadcast source),
-/// keyed by announce id, serving IWANT/GRAFT requests (the eager/lazy
-/// sibling of [`PullStore`](crate::pull::PullStore)).
+/// keyed by announce id, serving IWANT/GRAFT requests — the pull half of
+/// the substrate.
 #[derive(Debug)]
 struct PayloadStore<M> {
     by_fold: HashMap<u64, (u32, Arc<M>)>,
@@ -331,18 +405,6 @@ enum OutEntry<M> {
     Payload(u32, Arc<M>, u32),
     /// A control packet with its precomputed wire size.
     Control(Packet<M>, u32),
-}
-
-/// Moves a shared payload out of its handle: free when this was the last
-/// reference, a counted deep clone when another queue still aliases it.
-fn unwrap_or_clone<M: Clone>(shared: Arc<M>, drain_clones: &mut Stat) -> M {
-    match Arc::try_unwrap(shared) {
-        Ok(msg) => msg,
-        Err(shared) => {
-            drain_clones.incr();
-            (*shared).clone()
-        }
-    }
 }
 
 /// A sans-IO eager/lazy (Plumtree-style) gossip node maintaining one
@@ -1466,5 +1528,41 @@ mod tests {
         node.on_packet(peer, Packet::Payload(fresh, Msg(424242)));
         assert_eq!(node.lazy_peers(NodeId::new(fresh)), vec![peer]);
         assert_eq!(node.plumtree_stats().pruned_evictions.get(), 2);
+    }
+
+    impl Wire for Msg {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            buf.extend_from_slice(&[0xAB; 92]);
+            buf.extend_from_slice(&self.0.to_le_bytes());
+        }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+            r.bytes(92)?;
+            let b = r.bytes(8)?;
+            Ok(Msg(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+        }
+    }
+
+    #[test]
+    fn packets_encode_to_their_accounted_size_and_round_trip() {
+        let packets = [
+            Packet::Payload(SRC, Msg(5)),
+            Packet::IHave(vec![1, u64::MAX, 3]),
+            Packet::IWant(vec![9]),
+            Packet::Graft(SRC, vec![]),
+            Packet::Graft(SRC, vec![4, 5]),
+            Packet::Prune(u32::MAX),
+        ];
+        for packet in packets {
+            let bytes = packet.to_bytes();
+            assert_eq!(bytes.len(), packet.wire_size(), "{packet:?}");
+            assert_eq!(Packet::<Msg>::from_bytes(&bytes).unwrap(), packet);
+            // Every strict prefix is a truncated frame, never a panic.
+            for cut in 0..bytes.len() {
+                assert!(Packet::<Msg>::from_bytes(&bytes[..cut]).is_err());
+            }
+        }
+        // An id count far beyond the frame is rejected before allocating.
+        assert!(Packet::<Msg>::from_bytes(&[TAG_IHAVE, 0xFF, 0xFF, 1, 2, 3]).is_err());
+        assert!(Packet::<Msg>::from_bytes(&[9]).is_err());
     }
 }

@@ -73,6 +73,15 @@ pub trait Semantics<M> {
     fn disaggregate(&mut self, msg: M) -> Vec<M> {
         vec![msg]
     }
+
+    /// Progress hook: the local consensus process of `group` has delivered,
+    /// in order, everything the caller still needs below instance
+    /// `watermark`, so whatever the implementation summarised about older
+    /// instances can go. Called by node runtimes on their GC cadence; the
+    /// default keeps no such state.
+    fn on_progress(&mut self, group: u32, watermark: u64) {
+        let _ = (group, watermark);
+    }
 }
 
 /// Classic gossip: no filtering, no aggregation.

@@ -13,60 +13,63 @@
 //! * [`simnet`] — the deterministic WAN simulator (the AWS testbed
 //!   substitute);
 //! * [`transport`] — a threaded TCP transport (the libp2p substitute);
-//! * [`testbed`] — experiment runners for every table and figure of the
-//!   paper's evaluation;
+//! * [`testbed`] — the sans-IO node runtime, its simulated host and the
+//!   experiment runners for every table and figure of the paper's
+//!   evaluation;
+//! * [`live`] — the TCP host of the same node runtime;
 //! * [`raft`] *(crate `raft-lite`)* — a Raft-style protocol on the same
 //!   substrate, making §5's generality claim executable.
 //!
 //! # Quick start
 //!
-//! Run three processes of Paxos over semantic gossip, fully in memory:
+//! Run three processes of Paxos over semantic gossip, fully in memory. Each
+//! process is a [`NodeRuntime`](testbed::NodeRuntime) — one substrate plus
+//! the consensus groups multiplexed over it — and this loop is its host:
+//! it carries frames between the runtimes. The simulator and the TCP driver
+//! ([`live`]) are the other two hosts of the very same runtime.
 //!
 //! ```
 //! use gossip_consensus::prelude::*;
 //!
 //! let n = 3;
-//! let config = PaxosConfig::new(n);
-//! // A full mesh of gossip nodes with Paxos semantics.
-//! let mut nodes: Vec<(GossipNode<PaxosMessage, PaxosSemantics>, PaxosProcess)> = (0..n as u32)
+//! // A full mesh of Semantic Gossip processes, one consensus group.
+//! let mut nodes: Vec<_> = (0..n as u32)
 //!     .map(|i| {
 //!         let peers = (0..n as u32).filter(|&p| p != i).map(NodeId::new).collect();
-//!         (
-//!             GossipNode::new(NodeId::new(i), peers, GossipConfig::default(),
-//!                             PaxosSemantics::full(config.clone())),
-//!             PaxosProcess::new(NodeId::new(i), config.clone()),
-//!         )
+//!         let groups = vec![PaxosConfig::new(n)];
+//!         NodeRuntime::semantic_gossip(NodeId::new(i), peers, groups, Timers::default(), || {
+//!             gossip_consensus::obs::NoopObserver
+//!         })
 //!     })
 //!     .collect();
 //!
 //! // Process 0 coordinates round 0 and a client value enters there.
-//! let out = nodes[0].1.start_round(Round::ZERO);
-//! for o in out { nodes[0].0.broadcast(o.msg); }
-//! let (_, out) = nodes[0].1.submit_payload(b"hello".to_vec());
-//! for o in out { nodes[0].0.broadcast(o.msg); }
+//! let now = 0; // the host's clock, in nanoseconds
+//! nodes[0].start_round(0, Round::ZERO, now);
+//! nodes[0].submit(Value::new(NodeId::new(0), 0, b"hello".to_vec()), now);
 //!
-//! // Synchronous gossip rounds until quiescence.
-//! loop {
-//!     let mut progressed = false;
+//! // Carry frames until nobody has anything left to send.
+//! let mut frames = Vec::new();
+//! while nodes.iter().any(|node| node.has_outgoing()) {
 //!     for i in 0..n {
-//!         for msg in nodes[i].0.take_deliveries() {
-//!             for o in nodes[i].1.handle(msg) { nodes[i].0.broadcast(o.msg); }
-//!             progressed = true;
-//!         }
-//!         for (peer, msg) in nodes[i].0.take_outgoing() {
-//!             nodes[peer.as_index()].0.on_receive(NodeId::new(i as u32), msg);
-//!             progressed = true;
+//!         nodes[i].take_outgoing_into(&mut frames, now);
+//!         for (peer, frame) in frames.drain(..) {
+//!             nodes[peer.as_index()].on_frame(NodeId::new(i as u32), frame, now);
 //!         }
 //!     }
-//!     if !progressed { break; }
 //! }
-//! for (_, p) in nodes.iter_mut() {
-//!     assert_eq!(p.take_decisions().len(), 1);
+//! for node in &mut nodes {
+//!     assert_eq!(node.drain_ordered().count(), 1);
 //! }
 //! ```
 //!
+//! `examples/quickstart.rs` wires a gossip node to a Paxos process by hand
+//! instead, to show what the runtime does on a host's behalf.
+//!
 //! See `examples/` for runnable scenarios and DESIGN.md / EXPERIMENTS.md for
 //! the experiment map.
+
+pub mod live;
 
 pub use obs;
 pub use overlay;
@@ -88,7 +91,7 @@ pub mod prelude {
         NodeId, Semantics, MAX_GROUPS,
     };
     pub use simnet::{Region, RegionMap, SimDuration, SimTime};
-    pub use testbed::{run_cluster, ClusterParams, RunMetrics, Setup};
+    pub use testbed::{run_cluster, ClusterParams, NodeRuntime, RunMetrics, Setup, Timers};
 }
 
 #[cfg(test)]

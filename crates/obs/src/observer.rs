@@ -25,6 +25,14 @@ pub trait Observer {
 
     /// Consumes one event.
     fn record(&mut self, event: Event);
+
+    /// Sets the timestamp applied to subsequently recorded events, for
+    /// sinks whose clock is driven from outside (a sans-IO runtime stamps
+    /// its observers with the time of the event it is about to process).
+    /// Sinks that read their own clock ignore it — the default.
+    fn set_now(&mut self, now_nanos: u64) {
+        let _ = now_nanos;
+    }
 }
 
 /// The zero-cost default: disabled at compile time.
@@ -120,6 +128,10 @@ impl Observer for RingObserver {
             event,
         });
     }
+
+    fn set_now(&mut self, now_nanos: u64) {
+        RingObserver::set_now(self, now_nanos);
+    }
 }
 
 /// Fans every event out to two observers.
@@ -157,6 +169,11 @@ impl<A: Observer, B: Observer> Observer for Tee<A, B> {
         } else if B::ENABLED {
             self.b.record(event);
         }
+    }
+
+    fn set_now(&mut self, now_nanos: u64) {
+        self.a.set_now(now_nanos);
+        self.b.set_now(now_nanos);
     }
 }
 

@@ -100,6 +100,16 @@ impl RoundChangeTimer {
         self.current_round
     }
 
+    /// When [`suspect`](Self::suspect) can next return a round, for hosts
+    /// that sleep until something is due instead of polling: the end of the
+    /// current silence, or `None` while this process is not the one to act
+    /// (it does not coordinate the next round, or already started it).
+    pub fn deadline(&self) -> Option<u64> {
+        let next = self.current_round.next();
+        let ours = next.coordinator_at(self.offset, self.n) == self.id;
+        (ours && self.fired_for != Some(next)).then(|| self.last_progress + self.timeout)
+    }
+
     /// Polls the timer: returns the round this process should start, if the
     /// current coordinator has been silent past the timeout *and* this
     /// process coordinates the next round. Fires at most once per round.
@@ -122,6 +132,19 @@ impl RoundChangeTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deadline_is_set_only_while_this_process_is_the_one_to_act() {
+        // Process 1 of 3 coordinates round 1; process 2 does not.
+        let mut next = RoundChangeTimer::new(NodeId::new(1), 3, 100, 0);
+        let other = RoundChangeTimer::new(NodeId::new(2), 3, 100, 0);
+        assert_eq!(next.deadline(), Some(100));
+        assert_eq!(other.deadline(), None);
+        next.on_progress(40);
+        assert_eq!(next.deadline(), Some(140));
+        assert_eq!(next.suspect(140), Some(Round::new(1)));
+        assert_eq!(next.deadline(), None, "fired: nothing more to wait for");
+    }
 
     #[test]
     fn no_suspicion_while_progressing() {

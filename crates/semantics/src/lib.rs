@@ -413,6 +413,11 @@ impl Semantics<PaxosMessage> for PaxosSemantics {
     fn disaggregate(&mut self, msg: PaxosMessage) -> Vec<PaxosMessage> {
         msg.disaggregate_votes()
     }
+
+    /// One group's semantics: the group id was the dispatcher's concern.
+    fn on_progress(&mut self, _group: u32, watermark: u64) {
+        self.gc(InstanceId::new(watermark));
+    }
 }
 
 #[cfg(test)]

@@ -1,23 +1,26 @@
 //! The simulated deployment: Paxos over Baseline / Gossip / Semantic Gossip
-//! communication, driven by the discrete-event simulator.
+//! / Eager-Lazy communication, driven by the discrete-event simulator.
 //!
 //! One [`run_cluster`] call reproduces one experiment execution of the paper
 //! (§4.2): `n` processes spread over the 13 AWS regions (coordinator pinned
 //! to North Virginia), 13 open-loop clients submitting 1 KiB values at a
-//! fixed aggregate rate to the process of their region, and one of three
-//! communication substrates:
+//! fixed aggregate rate to the process of their region, and one
+//! communication substrate:
 //!
 //! * [`Setup::Baseline`] — the coordinator talks to every process over
 //!   direct channels (full connectivity, the paper's best-case reference);
 //! * [`Setup::Gossip`] — every protocol message is broadcast through classic
 //!   push gossip over a random partially connected overlay;
 //! * [`Setup::SemanticGossip`] — same overlay, gossip augmented with the
-//!   semantic filtering/aggregation rules.
+//!   semantic filtering/aggregation rules;
+//! * [`Setup::EagerLazyGossip`] — same overlay, Plumtree-style trees.
 //!
-//! Every process is a single-server queue ([`simnet::NodeCpu`]): each
-//! received or sent message costs CPU time, which is what makes throughput
-//! saturate (Figures 3/4). Message loss can be injected at the receiver
-//! (Figure 6). Runs are deterministic per seed.
+//! Every process is a [`NodeRuntime`] over its substrate; this module is
+//! the runtime's *simulation host* and holds only what is simulation. Every
+//! process is a single-server queue ([`simnet::NodeCpu`]): each received or
+//! sent frame costs CPU time, which is what makes throughput saturate
+//! (Figures 3/4). Message loss can be injected at the receiver (Figure 6).
+//! Runs are deterministic per seed.
 
 use obs::ledger::{SUBSYS_PAXOS, SUBSYS_SEMANTICS, SUBSYS_TRANSPORT};
 use obs::{
@@ -25,412 +28,24 @@ use obs::{
     TimedEvent,
 };
 use overlay::{connected_k_out, paper_fanout, Graph};
-use paxos::{InstanceId, PaxosConfig, PaxosMessage, Round, Value, ValueId};
+use paxos::message::Kind;
+use paxos::{PaxosMessage, Round, Value, ValueId};
 use paxos_semantics::{PaxosSemantics, SemanticMode};
 use semantic_gossip::{
-    DuplicateFilter, EagerLazyConfig, EagerLazyNode, GossipConfig, GossipItem, GossipNode, Grouped,
-    GroupedSemantics, MessageId, NoSemantics, NodeId, Packet, RecentCache, Semantics, SlidingBloom,
-    MAX_GROUPS,
+    Direct, DuplicateFilter, EagerLazyConfig, EagerLazyNode, GossipItem, GossipNode,
+    GroupedSemantics, LinkFrame, MessageId, NoSemantics, NodeId, RecentCache, Semantics,
+    SlidingBloom, Substrate, MAX_GROUPS,
 };
-use simnet::fault::{CrashSchedule, LinkCutSchedule, PartitionSchedule};
+use simnet::fault::CrashSchedule;
 use simnet::trace::{render_event, Tracer};
-use simnet::{
-    CpuModel, EventQueue, LossInjector, NodeCpu, RegionMap, SeedSplitter, SimDuration, SimTime,
-};
+use simnet::{EventQueue, LossInjector, NodeCpu, RegionMap, SeedSplitter, SimDuration, SimTime};
 use std::collections::HashMap;
 
 use crate::audit::{RunAudit, SafetyAuditor};
-use crate::group_runtime::{shard_of, GroupRuntime};
+use crate::group_runtime::shard_of;
 use crate::metrics::{RunMetrics, ValueFate};
-
-/// The communication substrate under evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Setup {
-    /// Direct channels between the coordinator and every process.
-    Baseline,
-    /// Classic push gossip over a random overlay.
-    Gossip,
-    /// Gossip with semantic filtering + aggregation.
-    SemanticGossip,
-    /// Plumtree-style eager/lazy dissemination over the same overlay:
-    /// full payloads along the eager spanning tree, batched IHAVE
-    /// announcements to lazy peers, IWANT recovery and GRAFT/PRUNE tree
-    /// repair.
-    EagerLazyGossip,
-    /// Gossip with a custom combination of the semantic techniques
-    /// (ablations).
-    Custom(SemanticMode),
-}
-
-impl Setup {
-    /// The paper's display name of the setup.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Setup::Baseline => "Baseline",
-            Setup::Gossip => "Gossip",
-            Setup::SemanticGossip => "Semantic Gossip",
-            Setup::EagerLazyGossip => "Eager/Lazy Gossip",
-            Setup::Custom(m) if m.filtering && m.aggregation => "Semantic Gossip",
-            Setup::Custom(m) if m.filtering => "Filtering only",
-            Setup::Custom(m) if m.aggregation => "Aggregation only",
-            Setup::Custom(_) => "Gossip",
-        }
-    }
-
-    /// Whether this setup communicates via gossip.
-    pub fn uses_gossip(&self) -> bool {
-        !matches!(self, Setup::Baseline)
-    }
-}
-
-/// The duplicate-suppression structure used by gossip nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DedupKind {
-    /// Exact FIFO recently-seen cache (the paper's implementation).
-    RecentCache,
-    /// Sliding Bloom filter (the paper's suggested alternative).
-    SlidingBloom,
-}
-
-/// CPU cost model of one process: receptions are charged the full
-/// per-message cost; transmissions are cheaper (the paper's libp2p channels
-/// batch at network level).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpuCosts {
-    /// Cost model for handling one received message.
-    pub recv: CpuModel,
-    /// Cost model for sending one message.
-    pub send: CpuModel,
-    /// Extra receive cost per disaggregated part beyond the first: a
-    /// k-voter aggregated Phase 2b saves wire bytes and per-message
-    /// overhead, but the receiver still runs the duplicate check and
-    /// forwarding bookkeeping for each reconstructed vote.
-    pub per_extra_part: SimDuration,
-}
-
-impl Default for CpuCosts {
-    fn default() -> Self {
-        CpuCosts {
-            recv: CpuModel {
-                per_message: SimDuration::from_micros(20),
-                per_byte: SimDuration::from_nanos(2),
-            },
-            send: CpuModel {
-                per_message: SimDuration::from_micros(4),
-                per_byte: SimDuration::from_nanos(2),
-            },
-            per_extra_part: SimDuration::from_micros(10),
-        }
-    }
-}
-
-/// Parameters of one cluster run.
-#[derive(Debug, Clone)]
-pub struct ClusterParams {
-    /// System size (number of Paxos processes).
-    pub n: usize,
-    /// Number of independent consensus groups sharded over the one
-    /// substrate (≤ [`MAX_GROUPS`]). Client values are routed to groups by
-    /// a stable hash of their id ([`shard_of`]); group `g`'s round `r` is
-    /// led by process `(r + g) mod n`, so bootstrap leadership spreads
-    /// across the cluster. 1 — the default — is the paper's single-group
-    /// deployment.
-    pub groups: usize,
-    /// Client values the coordinator of each group may pack into one batch
-    /// instance under backpressure (1 = the paper's one-value-per-instance
-    /// behavior).
-    pub batch_values: usize,
-    /// Override for each group's open-instance pipeline window; `None`
-    /// keeps the [`PaxosConfig`] default. Small windows make a single
-    /// group RTT-bound, which is what the shard-scaling benchmark sweeps.
-    pub max_open_instances: Option<usize>,
-    /// Communication substrate.
-    pub setup: Setup,
-    /// Root seed for all randomness in the run.
-    pub seed: u64,
-    /// Client value payload size in bytes (the paper uses 1 KiB).
-    pub value_size: usize,
-    /// Aggregate client submission rate (values/s over all 13 clients).
-    pub rate: f64,
-    /// Warm-up period excluded from measurements.
-    pub warmup: SimDuration,
-    /// Measurement window (after warm-up). Submissions stop at its end; the
-    /// run continues for a drain period so in-flight values can complete.
-    pub window: SimDuration,
-    /// Drain period after the measurement window.
-    pub drain: SimDuration,
-    /// Receive-side injected message-loss rate (Figure 6); 0 disables.
-    pub loss_rate: f64,
-    /// Overlay for the gossip setups; generated from the seed when `None`.
-    pub overlay: Option<Graph>,
-    /// Gossip layer configuration.
-    pub gossip: GossipConfig,
-    /// Eager/lazy substrate tunables ([`Setup::EagerLazyGossip`] only).
-    /// Its embedded `gossip` sub-config is overridden by the `gossip`
-    /// field above, so queue capacities are configured in one place.
-    pub eager_lazy: EagerLazyConfig,
-    /// CPU cost model.
-    pub cpu: CpuCosts,
-    /// Duplicate filter implementation.
-    pub dedup: DedupKind,
-    /// Coordinator retransmission period for open proposals; `None`
-    /// reproduces the paper's reliability experiments (timeout-triggered
-    /// procedures disabled).
-    pub retransmit: Option<SimDuration>,
-    /// Upper bound on how long gossip messages may sit in the send queues
-    /// waiting for the send routine (the "flush quantum"). Messages
-    /// accumulate while the CPU is busy — which is when semantic
-    /// aggregation finds batches — but a real send routine drains
-    /// continuously, so the accumulation window is bounded.
-    pub flush_quantum: SimDuration,
-    /// Crash windows `(process, down_from, up_at)`, offsets from the start
-    /// of the run. A crashed process neither receives nor sends; on
-    /// recovery it is rebuilt from its acceptor's stable storage — all
-    /// volatile state (learner, coordinator, gossip caches) is lost, the
-    /// paper's crash-recovery model (§2.1).
-    pub crashes: Vec<(u32, SimDuration, SimDuration)>,
-    /// Link-level partition windows: while a window is active, messages
-    /// crossing the cut between its two sides are dropped at the receiver
-    /// (both directions). Windows heal on their own; overlapping windows
-    /// compose. Unlike crashes, partitioned processes keep all state.
-    pub partitions: PartitionSchedule,
-    /// Single-link cuts: each entry severs one overlay link (both
-    /// directions) during its window, leaving every other path intact.
-    /// The surgical fault for eager/lazy dissemination — cutting a link
-    /// that is a spanning-tree edge for some broadcast sources forces
-    /// those trees through miss-timer → `IWANT` → `GRAFT` repair.
-    pub link_cuts: LinkCutSchedule,
-    /// Round-change timeout: when set, every process runs a
-    /// [`paxos::RoundChangeTimer`] and the next coordinator in line takes
-    /// over after this much silence (coordinator failover).
-    pub failover: Option<SimDuration>,
-    /// Capacity of the execution tracer; 0 disables tracing. When enabled,
-    /// injected-loss drops, ordered deliveries and crash/recovery marks are
-    /// recorded and the rendered log is returned in
-    /// [`RunMetrics::trace`](crate::RunMetrics).
-    pub trace_capacity: usize,
-    /// Capacity of the always-on flight recorder: the most recent events
-    /// of the merged stream are kept and returned in
-    /// [`RunMetrics::flight`](crate::RunMetrics) even when full tracing is
-    /// off, so failed runs (audit violations, stalls) can dump their
-    /// recent-event context. 0 disables flight recording. Nodes' ring
-    /// buffers are sized to `max(trace_capacity, flight_capacity)`.
-    pub flight_capacity: usize,
-    /// Stall threshold for the health tracker run over the trace: pending
-    /// work with no in-order delivery for longer than this raises a
-    /// `stall_detected` event. Health tracking needs the full event
-    /// stream, so it runs only when `trace_capacity > 0`.
-    pub stall_after: SimDuration,
-}
-
-impl ClusterParams {
-    /// The paper's experiment defaults for a given system size and setup:
-    /// 1 KiB values, 1 s warm-up, 5 s measurement window, 1 s drain, no
-    /// injected loss, overlay generated from the seed.
-    pub fn paper(n: usize, setup: Setup) -> Self {
-        ClusterParams {
-            n,
-            groups: 1,
-            batch_values: 1,
-            max_open_instances: None,
-            setup,
-            seed: 1,
-            value_size: 1024,
-            rate: 26.0,
-            warmup: SimDuration::from_secs(1),
-            window: SimDuration::from_secs(5),
-            drain: SimDuration::from_secs(1),
-            loss_rate: 0.0,
-            overlay: None,
-            gossip: GossipConfig::default(),
-            eager_lazy: EagerLazyConfig {
-                // WAN settings: an IHAVE arrives over one direct link while
-                // the payload crosses several 5–150 ms tree hops, so the
-                // miss timer must exceed that spread or spurious IWANTs
-                // re-densify the tree (see plumtree.rs on_payload).
-                ihave_timeout_ns: 400_000_000,
-                iwant_retry_ns: 200_000_000,
-                ..EagerLazyConfig::default()
-            },
-            cpu: CpuCosts::default(),
-            dedup: DedupKind::RecentCache,
-            retransmit: None,
-            flush_quantum: SimDuration::from_micros(500),
-            crashes: Vec::new(),
-            partitions: PartitionSchedule::none(),
-            link_cuts: LinkCutSchedule::none(),
-            failover: None,
-            trace_capacity: 0,
-            flight_capacity: 1024,
-            stall_after: SimDuration::from_secs(2),
-        }
-    }
-
-    /// Shards client values over `groups` independent consensus groups
-    /// (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups` is 0 or exceeds [`MAX_GROUPS`].
-    pub fn with_groups(mut self, groups: usize) -> Self {
-        assert!(
-            groups >= 1 && groups <= MAX_GROUPS as usize,
-            "groups must be 1..={MAX_GROUPS}"
-        );
-        self.groups = groups;
-        self
-    }
-
-    /// Lets each group's coordinator pack up to `batch_values` client
-    /// values into one instance under backpressure (builder style).
-    pub fn with_batch_values(mut self, batch_values: usize) -> Self {
-        self.batch_values = batch_values;
-        self
-    }
-
-    /// Caps each group's open-instance pipeline window (builder style).
-    pub fn with_max_open_instances(mut self, window: usize) -> Self {
-        self.max_open_instances = Some(window);
-        self
-    }
-
-    /// The per-group Paxos configuration of this deployment.
-    fn group_config(&self, group: u32) -> PaxosConfig {
-        let mut config = PaxosConfig::new(self.n)
-            .with_group(group)
-            .with_batch_values(self.batch_values);
-        if let Some(w) = self.max_open_instances {
-            config = config.with_max_open_instances(w);
-        }
-        config
-    }
-
-    /// Adds a crash window for a process (builder style).
-    pub fn with_crash(mut self, node: u32, down_from: SimDuration, up_at: SimDuration) -> Self {
-        self.crashes.push((node, down_from, up_at));
-        self
-    }
-
-    /// Adds a partition window cutting `side_a` off from the rest of the
-    /// cluster between the two offsets (builder style).
-    pub fn with_partition(
-        mut self,
-        side_a: impl IntoIterator<Item = u32>,
-        from: SimDuration,
-        until: SimDuration,
-    ) -> Self {
-        self.partitions.push(simnet::PartitionWindow::new(
-            side_a,
-            SimTime::ZERO + from,
-            SimTime::ZERO + until,
-        ));
-        self
-    }
-
-    /// Enables coordinator failover with the given round-change timeout.
-    pub fn with_failover(mut self, timeout: SimDuration) -> Self {
-        self.failover = Some(timeout);
-        self
-    }
-
-    /// Sets the aggregate submission rate (builder style).
-    pub fn with_rate(mut self, rate: f64) -> Self {
-        self.rate = rate;
-        self
-    }
-
-    /// Sets warm-up and measurement window in seconds (drain stays 1 s).
-    pub fn with_seconds(mut self, window: f64, warmup: f64) -> Self {
-        self.window = SimDuration::from_secs_f64(window);
-        self.warmup = SimDuration::from_secs_f64(warmup);
-        self
-    }
-
-    /// Sets the run seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the injected receive-side loss rate.
-    pub fn with_loss(mut self, loss: f64) -> Self {
-        self.loss_rate = loss;
-        self
-    }
-
-    /// Sets a pre-generated overlay (enforced overlays, §4.6).
-    pub fn with_overlay(mut self, overlay: Graph) -> Self {
-        self.overlay = Some(overlay);
-        self
-    }
-
-    /// End of the simulation (warm-up + window + drain).
-    pub fn end_time(&self) -> SimTime {
-        SimTime::ZERO + self.warmup + self.window + self.drain
-    }
-
-    /// Per-node observer ring capacity: sized for the full trace when
-    /// tracing is on, and for the flight recorder's tail otherwise.
-    fn ring_capacity(&self) -> usize {
-        self.trace_capacity.max(self.flight_capacity)
-    }
-}
-
-/// Semantics dispatch: classic gossip or Paxos semantic rules, behind one
-/// concrete type so a single `GossipNode` type covers all setups.
-///
-/// The variants are deliberately unboxed: there is exactly one per node,
-/// allocated once at cluster setup, and the hot path dispatches on it —
-/// the size asymmetry costs nothing here.
-#[allow(clippy::large_enum_variant)]
-enum AnySemantics {
-    None(NoSemantics),
-    Paxos(PaxosSemantics),
-}
-
-impl Semantics<PaxosMessage> for AnySemantics {
-    fn observe(&mut self, msg: &PaxosMessage) {
-        match self {
-            AnySemantics::None(s) => s.observe(msg),
-            AnySemantics::Paxos(s) => s.observe(msg),
-        }
-    }
-    fn validate(&mut self, msg: &PaxosMessage, peer: NodeId) -> bool {
-        match self {
-            AnySemantics::None(s) => s.validate(msg, peer),
-            AnySemantics::Paxos(s) => s.validate(msg, peer),
-        }
-    }
-    fn aggregate(&mut self, pending: Vec<PaxosMessage>, peer: NodeId) -> Vec<PaxosMessage> {
-        match self {
-            AnySemantics::None(s) => s.aggregate(pending, peer),
-            AnySemantics::Paxos(s) => s.aggregate(pending, peer),
-        }
-    }
-    fn disaggregate(&mut self, msg: PaxosMessage) -> Vec<PaxosMessage> {
-        match self {
-            AnySemantics::None(s) => s.disaggregate(msg),
-            AnySemantics::Paxos(s) => s.disaggregate(msg),
-        }
-    }
-}
-
-impl AnySemantics {
-    fn gc(&mut self, watermark: InstanceId) {
-        if let AnySemantics::Paxos(s) = self {
-            s.gc(watermark);
-        }
-    }
-
-    /// The Paxos semantic layer, when this node runs one (per-kind filter
-    /// counters live there; classic gossip has none).
-    fn paxos(&self) -> Option<&PaxosSemantics> {
-        match self {
-            AnySemantics::Paxos(s) => Some(s),
-            AnySemantics::None(_) => None,
-        }
-    }
-}
+use crate::node_runtime::{frame_class, NodeRuntime, Timers, WireMsg};
+pub use crate::params::{ClusterParams, CpuCosts, DedupKind, Setup};
 
 /// Duplicate-filter dispatch (exact cache vs sliding Bloom).
 enum AnyFilter {
@@ -476,35 +91,134 @@ impl DuplicateFilter for AnyFilter {
     }
 }
 
-/// What actually travels on the shared substrate: a Paxos message tagged
-/// with its consensus group. The tag keys the duplicate caches and the
-/// per-group semantic state, so co-hosted groups never alias. A
-/// single-group run tags everything group 0.
-type WireMsg = Grouped<PaxosMessage>;
-
-/// Gossip nodes carry a [`RingObserver`] like the Paxos processes do: with
-/// `trace_capacity` 0 (the default) the ring records nothing, and with
-/// tracing on the hot-path events (receive/dedup/filter/aggregate/send)
-/// land in the same merged JSONL stream the analyzer consumes.
-type Gossip = GossipNode<WireMsg, GroupedSemantics<AnySemantics>, AnyFilter, RingObserver>;
+/// Push gossip with per-group semantics `S`. Like the Paxos processes, the
+/// node records into a [`RingObserver`]: with `trace_capacity` 0 (the
+/// default) the ring holds the flight tail only, and with tracing on the
+/// hot-path events (receive/dedup/filter/aggregate/send) land in the same
+/// merged JSONL stream the analyzer consumes.
+type Push<S> = GossipNode<WireMsg, GroupedSemantics<S>, AnyFilter, RingObserver>;
 
 /// The eager/lazy node uses the same duplicate filter and observer plumbing
 /// as the push node; there is no semantics hook (the tree already removes
 /// the redundancy that filtering/aggregation suppress).
 type Plumtree = EagerLazyNode<WireMsg, AnyFilter, RingObserver>;
 
-enum Comms {
-    Direct,
-    Gossip(Box<Gossip>),
-    EagerLazy(Box<Plumtree>),
+/// A substrate the simulator can host: built from the run's parameters —
+/// at start-up and again when a crashed process recovers — and tracing
+/// into a ring. [`run_cluster`] picks the implementation from
+/// [`ClusterParams::setup`]; nothing past that point knows which it is.
+trait SimSubstrate: Substrate<WireMsg, Observer = RingObserver> + Sized {
+    fn build(params: &ClusterParams, overlay: Option<&Graph>, node: u32) -> Self;
+
+    /// Folds the sends the semantic filter suppressed, per message class,
+    /// into the run's ledger (counts only: their bytes never hit a wire).
+    fn fold_filtered(&self, _ledger: &mut ResourceLedger) {}
 }
 
-struct Node {
-    /// The consensus groups this process participates in — one
-    /// [`GroupRuntime`] per group, all multiplexed over the node's single
-    /// communication layer and CPU.
-    groups: Vec<GroupRuntime>,
-    comms: Comms,
+/// The overlay neighbours and duplicate filter of gossip node `node`.
+fn gossip_parts(
+    params: &ClusterParams,
+    overlay: Option<&Graph>,
+    node: u32,
+) -> (Vec<NodeId>, AnyFilter) {
+    let peers = overlay
+        .expect("gossip setup has an overlay")
+        .neighbors(node as usize)
+        .iter()
+        .map(|&p| NodeId::new(p as u32))
+        .collect();
+    let filter = AnyFilter::build(params.dedup, params.gossip.recent_cache_size);
+    (peers, filter)
+}
+
+fn push_node<S: Semantics<PaxosMessage>>(
+    params: &ClusterParams,
+    overlay: Option<&Graph>,
+    node: u32,
+    semantics: impl FnMut(u32) -> S,
+) -> Push<S> {
+    let (peers, filter) = gossip_parts(params, overlay, node);
+    // One semantic layer per group, dispatched on the wire group tag so
+    // each group filters and aggregates in isolation.
+    let semantics = GroupedSemantics::new((0..params.groups as u32).map(semantics).collect());
+    GossipNode::with_observer(
+        NodeId::new(node),
+        peers,
+        params.gossip,
+        semantics,
+        filter,
+        RingObserver::with_capacity(params.ring_capacity()),
+    )
+}
+
+impl SimSubstrate for Direct<WireMsg, RingObserver> {
+    fn build(params: &ClusterParams, _overlay: Option<&Graph>, _node: u32) -> Self {
+        // Direct channels record nothing: a ring without capacity.
+        Direct::new(params.n, RingObserver::with_capacity(0))
+    }
+}
+
+impl SimSubstrate for Push<NoSemantics> {
+    fn build(params: &ClusterParams, overlay: Option<&Graph>, node: u32) -> Self {
+        push_node(params, overlay, node, |_| NoSemantics)
+    }
+}
+
+impl SimSubstrate for Push<PaxosSemantics> {
+    fn build(params: &ClusterParams, overlay: Option<&Graph>, node: u32) -> Self {
+        let mode = match params.setup {
+            Setup::Custom(mode) => mode,
+            _ => SemanticMode::FULL,
+        };
+        push_node(params, overlay, node, |g| {
+            PaxosSemantics::new(params.group_config(g), mode)
+        })
+    }
+
+    fn fold_filtered(&self, ledger: &mut ResourceLedger) {
+        for s in self.semantics().iter() {
+            for (kind, &count) in Kind::ALL.iter().zip(s.filtered_by_kind()) {
+                if count > 0 {
+                    ledger.add_messages(SUBSYS_SEMANTICS, kind.name(), count);
+                }
+            }
+        }
+    }
+}
+
+impl SimSubstrate for Plumtree {
+    fn build(params: &ClusterParams, overlay: Option<&Graph>, node: u32) -> Self {
+        let (peers, filter) = gossip_parts(params, overlay, node);
+        let config = EagerLazyConfig {
+            gossip: params.gossip,
+            ..params.eager_lazy
+        };
+        EagerLazyNode::with_observer(
+            NodeId::new(node),
+            peers,
+            config,
+            filter,
+            RingObserver::with_capacity(params.ring_capacity()),
+        )
+    }
+}
+
+/// Trace id of the message a frame carries (0 for control frames).
+fn frame_trace_id<F: LinkFrame<WireMsg>>(frame: &F) -> u64 {
+    frame.payload().map_or(0, |m| m.message_id().trace_id())
+}
+
+struct Node<S: SimSubstrate> {
+    /// The process itself: its substrate and consensus groups. Everything
+    /// else in this struct is the simulator's model of the machine it runs
+    /// on.
+    ///
+    /// Boxed on measurement, not taste: a push node owns megabyte-sized
+    /// dedup tables, and with the runtimes inline in the node vector glibc
+    /// serves those tables from recycled heap instead of fresh mappings on
+    /// every run after the first — cluster set-up on `sim_semantic_n27`
+    /// goes from 0.13 ms to 1 ms (`bench_e2e`'s `setup_s`).
+    runtime: Box<NodeRuntime<S>>,
     cpu: NodeCpu,
     loss: LossInjector,
     /// Messages that physically arrived (post injected loss).
@@ -516,31 +230,20 @@ struct Node {
     schedule: CrashSchedule,
 }
 
-enum Event {
+/// Simulator events; `F` is the substrate's link frame.
+enum Event<F> {
     /// Wire arrival at `dst` (loss checked here, then CPU charged).
-    Arrival { dst: u32, from: u32, msg: WireMsg },
-    /// CPU finished receiving: hand to the communication layer.
-    Handle { dst: u32, from: u32, msg: WireMsg },
-    /// Wire arrival of an eager/lazy packet (payload or control) at `dst`.
-    PacketArrival {
-        dst: u32,
-        from: u32,
-        pkt: Packet<WireMsg>,
-    },
-    /// CPU finished receiving an eager/lazy packet: hand to the substrate.
-    PacketHandle {
-        dst: u32,
-        from: u32,
-        pkt: Packet<WireMsg>,
-    },
-    /// Periodic miss-timer poll of every eager/lazy node (IHAVE → IWANT
-    /// escalation happens here).
+    Arrival { dst: u32, from: u32, frame: F },
+    /// CPU finished receiving: hand to the process.
+    Handle { dst: u32, from: u32, frame: F },
+    /// Periodic poll of every substrate's timers (eager/lazy only: IHAVE →
+    /// IWANT escalation happens here).
     LazyTick,
     /// Client of region-slot `client` submits its next value.
     Submit { client: usize },
     /// CPU finished absorbing a client value at `node`.
     ClientDeliver { node: u32, value: Value },
-    /// The send routine of `node` flushes its gossip queues.
+    /// The send routine of `node` flushes its send queues.
     Flush { node: u32 },
     /// Coordinator retransmission timer.
     Retransmit,
@@ -550,7 +253,7 @@ enum Event {
     Crash { node: u32 },
     /// A crashed process comes back up, rebuilt from stable storage.
     Recover { node: u32 },
-    /// Failover poll: `node` checks its round-change timer.
+    /// Failover poll: `node` checks its round-change timers.
     FailoverCheck { node: u32 },
 }
 
@@ -569,13 +272,17 @@ struct Tracked {
     in_window: bool,
 }
 
-struct Cluster {
+/// The simulation host: it owns what is simulation — the event queue, the
+/// CPU/loss/partition/link-cut models, the clients and their latency
+/// bookkeeping, the ledger and tracer — and moves frames between the
+/// processes' [`NodeRuntime`]s.
+struct Cluster<S: SimSubstrate> {
     params: ClusterParams,
     regions: RegionMap,
     overlay: Option<Graph>,
-    nodes: Vec<Node>,
+    nodes: Vec<Node<S>>,
     clients: Vec<Client>,
-    queue: EventQueue<Event>,
+    queue: EventQueue<Event<S::Frame>>,
     link_rng: rand::rngs::StdRng,
     tracked: HashMap<ValueId, Tracked>,
     tracer: Tracer,
@@ -583,9 +290,9 @@ struct Cluster {
     /// for the promise-monotonicity audit, sampled at crash instants,
     /// after recovery, and at the end of the run.
     promise_log: Vec<Vec<Vec<(u64, u32)>>>,
-    /// Paxos events salvaged from processes replaced on crash recovery.
-    paxos_trace_backlog: Vec<TimedEvent>,
-    received_by_kind: [u64; paxos::message::Kind::COUNT],
+    /// Events salvaged from processes replaced on crash recovery.
+    trace_backlog: Vec<TimedEvent>,
+    received_by_kind: [u64; Kind::COUNT],
     /// Per-`(subsystem, class)` byte/CPU attribution for the run: wire
     /// bytes and modelled send/receive CPU land at the physical send and
     /// arrival points; per-kind protocol counters are folded in at
@@ -594,40 +301,14 @@ struct Cluster {
     end: SimTime,
     window_start: SimTime,
     window_end: SimTime,
-    /// Scratch buffer for flush drains, reused across every `Flush` event
-    /// (its capacity stabilizes after warmup, so steady state doesn't
-    /// allocate per flush).
-    scratch_outgoing: Vec<(NodeId, WireMsg)>,
-    /// Scratch buffer for delivery drains, reused across `pump_node` calls.
-    scratch_deliveries: Vec<WireMsg>,
-    /// Scratch buffer for eager/lazy packet drains, reused across flushes.
-    scratch_packets: Vec<(NodeId, Packet<WireMsg>)>,
+    /// Scratch buffer for flush drains, reused across every flush (its
+    /// capacity stabilizes after warmup, so steady state doesn't allocate
+    /// per flush).
+    scratch_outgoing: Vec<(NodeId, S::Frame)>,
 }
 
-impl Cluster {
-    /// The per-group semantic layers of one gossip node, dispatching on
-    /// the wire group tag so each group filters and aggregates in
-    /// isolation.
-    fn build_semantics(params: &ClusterParams) -> GroupedSemantics<AnySemantics> {
-        GroupedSemantics::new(
-            (0..params.groups as u32)
-                .map(|g| match params.setup {
-                    Setup::Gossip => AnySemantics::None(NoSemantics),
-                    Setup::SemanticGossip => {
-                        AnySemantics::Paxos(PaxosSemantics::full(params.group_config(g)))
-                    }
-                    Setup::Custom(mode) => {
-                        AnySemantics::Paxos(PaxosSemantics::new(params.group_config(g), mode))
-                    }
-                    Setup::Baseline | Setup::EagerLazyGossip => {
-                        unreachable!("semantics on a non-gossip setup")
-                    }
-                })
-                .collect(),
-        )
-    }
-
-    fn build(params: ClusterParams) -> Cluster {
+impl<S: SimSubstrate> Cluster<S> {
+    fn build(params: ClusterParams) -> Self {
         assert!(params.n > 0, "cluster needs processes");
         assert!(params.rate > 0.0, "submission rate must be positive");
         assert!(
@@ -660,62 +341,27 @@ impl Cluster {
             w.sort();
         }
 
+        // The simulator drives retransmission itself (one cluster-wide
+        // timer), so the runtimes only carry the failover timers.
+        let timers = Timers {
+            failover: params.failover.map(|t| t.as_nanos()),
+            retransmit: None,
+        };
         let nodes = (0..params.n as u32)
-            .map(|i| {
-                let comms = match (&params.setup, &overlay) {
-                    (Setup::Baseline, _) => Comms::Direct,
-                    (setup, Some(g)) => {
-                        let peers: Vec<NodeId> = g
-                            .neighbors(i as usize)
-                            .iter()
-                            .map(|&p| NodeId::new(p as u32))
-                            .collect();
-                        let filter =
-                            AnyFilter::build(params.dedup, params.gossip.recent_cache_size);
-                        if matches!(setup, Setup::EagerLazyGossip) {
-                            let config = EagerLazyConfig {
-                                gossip: params.gossip,
-                                ..params.eager_lazy
-                            };
-                            Comms::EagerLazy(Box::new(EagerLazyNode::with_observer(
-                                NodeId::new(i),
-                                peers,
-                                config,
-                                filter,
-                                RingObserver::with_capacity(params.ring_capacity()),
-                            )))
-                        } else {
-                            Comms::Gossip(Box::new(GossipNode::with_observer(
-                                NodeId::new(i),
-                                peers,
-                                params.gossip,
-                                Cluster::build_semantics(&params),
-                                filter,
-                                RingObserver::with_capacity(params.ring_capacity()),
-                            )))
-                        }
-                    }
-                    (_, None) => unreachable!("gossip setup without overlay"),
-                };
-                Node {
-                    groups: (0..params.groups as u32)
-                        .map(|g| {
-                            GroupRuntime::new(
-                                NodeId::new(i),
-                                params.group_config(g),
-                                params.ring_capacity(),
-                                params.failover.map(|t| t.as_nanos()),
-                            )
-                        })
-                        .collect(),
-                    comms,
-                    cpu: NodeCpu::new(params.cpu.recv),
-                    loss: LossInjector::new(params.loss_rate, seeds.rng("loss-injector", i as u64)),
-                    raw_received: 0,
-                    raw_sent: 0,
-                    flush_scheduled: false,
-                    schedule: CrashSchedule::new(std::mem::take(&mut windows[i as usize])),
-                }
+            .map(|i| Node {
+                runtime: Box::new(NodeRuntime::new(
+                    NodeId::new(i),
+                    S::build(&params, overlay.as_ref(), i),
+                    (0..params.groups as u32).map(|g| params.group_config(g)),
+                    timers,
+                    || RingObserver::with_capacity(params.ring_capacity()),
+                )),
+                cpu: NodeCpu::new(params.cpu.recv),
+                loss: LossInjector::new(params.loss_rate, seeds.rng("loss-injector", i as u64)),
+                raw_received: 0,
+                raw_sent: 0,
+                flush_scheduled: false,
+                schedule: CrashSchedule::new(std::mem::take(&mut windows[i as usize])),
             })
             .collect();
 
@@ -746,42 +392,19 @@ impl Cluster {
             link_rng: seeds.rng("links", 0),
             tracked: HashMap::new(),
             promise_log: vec![vec![Vec::new(); params.groups]; params.n],
-            paxos_trace_backlog: Vec::new(),
+            trace_backlog: Vec::new(),
             tracer: if params.trace_capacity > 0 {
                 Tracer::enabled(params.trace_capacity)
             } else {
                 Tracer::disabled()
             },
-            received_by_kind: [0; paxos::message::Kind::COUNT],
+            received_by_kind: [0; Kind::COUNT],
             ledger: ResourceLedger::new(),
             end,
             window_start,
             window_end,
             scratch_outgoing: Vec::new(),
-            scratch_deliveries: Vec::new(),
-            scratch_packets: Vec::new(),
             params,
-        }
-    }
-
-    /// Timestamps a process's observers (Paxos and, under gossip, the
-    /// gossip layer's) with the simulated clock so events recorded during
-    /// the next interaction carry `now`.
-    fn stamp(&mut self, node: u32, now: SimTime) {
-        let n = &mut self.nodes[node as usize];
-        for g in &mut n.groups {
-            g.paxos.observer_mut().set_now(now.as_nanos());
-        }
-        match &mut n.comms {
-            Comms::Gossip(g) => {
-                g.observer_mut().set_now(now.as_nanos());
-                g.set_clock(now.as_nanos());
-            }
-            Comms::EagerLazy(p) => {
-                p.observer_mut().set_now(now.as_nanos());
-                p.set_clock(now.as_nanos());
-            }
-            Comms::Direct => {}
         }
     }
 
@@ -803,12 +426,10 @@ impl Cluster {
         // reproduces the paper: process 0 (North Virginia) coordinates.
         for g in 0..self.params.groups as u32 {
             let leader = g % self.params.n as u32;
-            self.stamp(leader, SimTime::ZERO);
-            let out = self.nodes[leader as usize].groups[g as usize]
-                .paxos
-                .start_round(Round::ZERO);
-            self.dispatch_outbound(leader, g, out, SimTime::ZERO);
-            self.pump_node(leader, SimTime::ZERO);
+            self.nodes[leader as usize]
+                .runtime
+                .start_round(g, Round::ZERO, 0);
+            self.settle(leader, SimTime::ZERO);
         }
 
         // Stagger client start within one interval to avoid lockstep.
@@ -866,49 +487,54 @@ impl Cluster {
         self.collect()
     }
 
-    fn handle_event(&mut self, now: SimTime, event: Event) {
+    /// Records a frame dropped on its way to `dst`.
+    fn trace_loss(&mut self, now: SimTime, dst: u32, frame: &S::Frame, reason: &str) {
+        if self.tracer.is_enabled() {
+            self.tracer.record(
+                now,
+                ObsEvent::MessageLost {
+                    node: dst,
+                    msg: frame_trace_id(frame),
+                    reason: reason.to_string(),
+                },
+            );
+        }
+    }
+
+    fn handle_event(&mut self, now: SimTime, event: Event<S::Frame>) {
         match event {
-            Event::Arrival { dst, from, msg } => {
+            Event::Arrival { dst, from, frame } => {
                 if !self.is_up(dst, now) {
                     return;
                 }
+                // A frame a process addressed to itself (direct channels)
+                // crosses no link: nothing can cut or lose it.
                 if from != dst
                     && (self.params.partitions.is_blocked(from, dst, now)
                         || self.params.link_cuts.is_blocked(from, dst, now))
                 {
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(
-                            now,
-                            ObsEvent::MessageLost {
-                                node: dst,
-                                msg: msg.message_id().trace_id(),
-                                reason: "partition".to_string(),
-                            },
-                        );
-                    }
+                    self.trace_loss(now, dst, &frame, "partition");
+                    return;
+                }
+                if from != dst && self.nodes[dst as usize].loss.should_drop() {
+                    self.trace_loss(now, dst, &frame, "injected loss");
                     return;
                 }
                 let node = &mut self.nodes[dst as usize];
-                if from != dst && node.loss.should_drop() {
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(
-                            now,
-                            ObsEvent::MessageLost {
-                                node: dst,
-                                msg: msg.message_id().trace_id(),
-                                reason: "injected loss".to_string(),
-                            },
-                        );
-                    }
-                    return;
-                }
                 node.raw_received += 1;
-                self.received_by_kind[msg.inner.kind().index()] += 1;
-                let parts = match &msg.inner {
-                    PaxosMessage::Phase2b { voters, .. } => voters.len(),
-                    _ => 1,
+                let size = frame.wire_size();
+                let class = frame_class(&frame);
+                let parts = match frame.payload() {
+                    Some(m) => {
+                        self.received_by_kind[m.inner.kind().index()] += 1;
+                        match &m.inner {
+                            PaxosMessage::Phase2b { voters, .. } => voters.len(),
+                            _ => 1,
+                        }
+                    }
+                    None => 1,
                 };
-                let base = self.params.cpu.recv.service_time(msg.wire_size());
+                let base = self.params.cpu.recv.service_time(size);
                 let extra = self
                     .params
                     .cpu
@@ -918,121 +544,36 @@ impl Cluster {
                 // the transport cell of this class; the per-extra-part
                 // disaggregation overhead (only non-zero for aggregated
                 // votes) is the semantic layer's coordination work.
-                let class = msg.inner.kind().name();
-                self.ledger
-                    .add_in(SUBSYS_TRANSPORT, class, msg.wire_size() as u64);
+                self.ledger.add_in(SUBSYS_TRANSPORT, class, size as u64);
                 self.ledger
                     .charge_cpu(SUBSYS_TRANSPORT, class, base.as_nanos());
                 if extra.as_nanos() > 0 {
                     self.ledger
                         .charge_cpu(SUBSYS_SEMANTICS, class, extra.as_nanos());
                 }
-                let work = base + extra;
-                let done = node.cpu.admit_work(now, work);
-                self.queue.schedule(done, Event::Handle { dst, from, msg });
-            }
-            Event::Handle { dst, from, msg } => {
-                if !self.is_up(dst, now) {
-                    return;
-                }
-                self.stamp(dst, now);
-                match &mut self.nodes[dst as usize].comms {
-                    Comms::Gossip(g) => {
-                        g.on_receive(NodeId::new(from), msg);
-                    }
-                    Comms::EagerLazy(_) => unreachable!("eager/lazy traffic uses PacketHandle"),
-                    Comms::Direct => {
-                        let group = msg.group;
-                        let out = self.nodes[dst as usize].groups[group as usize]
-                            .paxos
-                            .handle(msg.inner);
-                        self.dispatch_outbound(dst, group, out, now);
-                    }
-                }
-                self.pump_node(dst, now);
-            }
-            Event::PacketArrival { dst, from, pkt } => {
-                if !self.is_up(dst, now) {
-                    return;
-                }
-                let lost_id = match &pkt {
-                    Packet::Payload(_, m) => m.message_id().trace_id(),
-                    _ => 0,
-                };
-                if self.params.partitions.is_blocked(from, dst, now)
-                    || self.params.link_cuts.is_blocked(from, dst, now)
-                {
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(
-                            now,
-                            ObsEvent::MessageLost {
-                                node: dst,
-                                msg: lost_id,
-                                reason: "partition".to_string(),
-                            },
-                        );
-                    }
-                    return;
-                }
-                let node = &mut self.nodes[dst as usize];
-                if node.loss.should_drop() {
-                    if self.tracer.is_enabled() {
-                        self.tracer.record(
-                            now,
-                            ObsEvent::MessageLost {
-                                node: dst,
-                                msg: lost_id,
-                                reason: "injected loss".to_string(),
-                            },
-                        );
-                    }
-                    return;
-                }
-                node.raw_received += 1;
-                let size = pkt.wire_size();
-                let class = match &pkt {
-                    Packet::Payload(_, m) => {
-                        self.received_by_kind[m.inner.kind().index()] += 1;
-                        m.inner.kind().name()
-                    }
-                    other => other.control_class().expect("non-payload packet"),
-                };
-                let work = self.params.cpu.recv.service_time(size);
-                self.ledger.add_in(SUBSYS_TRANSPORT, class, size as u64);
-                self.ledger
-                    .charge_cpu(SUBSYS_TRANSPORT, class, work.as_nanos());
-                let done = node.cpu.admit_work(now, work);
+                let done = node.cpu.admit_work(now, base + extra);
                 self.queue
-                    .schedule(done, Event::PacketHandle { dst, from, pkt });
+                    .schedule(done, Event::Handle { dst, from, frame });
             }
-            Event::PacketHandle { dst, from, pkt } => {
+            Event::Handle { dst, from, frame } => {
                 if !self.is_up(dst, now) {
                     return;
                 }
-                self.stamp(dst, now);
-                match &mut self.nodes[dst as usize].comms {
-                    Comms::EagerLazy(p) => p.on_packet(NodeId::new(from), pkt),
-                    _ => unreachable!("packet for a non-eager/lazy node"),
-                }
-                self.pump_node(dst, now);
+                self.nodes[dst as usize]
+                    .runtime
+                    .on_frame(NodeId::new(from), frame, now.as_nanos());
+                self.settle(dst, now);
             }
             Event::LazyTick => {
                 let tick = self.lazy_tick_interval();
                 self.queue.schedule(now + tick, Event::LazyTick);
                 for i in 0..self.params.n as u32 {
-                    if !self.is_up(i, now) {
-                        continue;
-                    }
-                    let fired = match &mut self.nodes[i as usize].comms {
-                        Comms::EagerLazy(p) => p.next_timer().is_some_and(|d| d <= now.as_nanos()),
-                        _ => false,
-                    };
-                    if fired {
-                        self.stamp(i, now);
-                        if let Comms::EagerLazy(p) = &mut self.nodes[i as usize].comms {
-                            p.on_timer();
-                        }
-                        self.pump_node(i, now);
+                    if self.is_up(i, now)
+                        && self.nodes[i as usize]
+                            .runtime
+                            .poll_substrate(now.as_nanos())
+                    {
+                        self.settle(i, now);
                     }
                 }
             }
@@ -1068,7 +609,7 @@ impl Cluster {
                 // protocol's client-value intake.
                 self.ledger.charge_cpu(
                     SUBSYS_PAXOS,
-                    paxos::message::Kind::ClientValue.name(),
+                    Kind::ClientValue.name(),
                     self.params
                         .cpu
                         .recv
@@ -1087,46 +628,15 @@ impl Cluster {
                 if !self.is_up(node, now) {
                     return;
                 }
-                self.stamp(node, now);
-                // Shard the value to its consensus group by id hash.
-                let group = shard_of(value.id(), self.params.groups);
-                let out = self.nodes[node as usize].groups[group as usize]
-                    .paxos
-                    .submit(value);
-                self.dispatch_outbound(node, group, out, now);
-                self.pump_node(node, now);
+                self.nodes[node as usize]
+                    .runtime
+                    .submit(value, now.as_nanos());
+                self.settle(node, now);
             }
             Event::Flush { node } => {
                 self.nodes[node as usize].flush_scheduled = false;
-                if !self.is_up(node, now) {
-                    return;
-                }
-                self.stamp(node, now);
-                // Temporarily take the scratch so `send_physical` can borrow
-                // `self` while we iterate; the capacity survives the round
-                // trip.
-                match &mut self.nodes[node as usize].comms {
-                    Comms::Gossip(_) => {
-                        let mut outgoing = std::mem::take(&mut self.scratch_outgoing);
-                        if let Comms::Gossip(g) = &mut self.nodes[node as usize].comms {
-                            g.take_outgoing_into(&mut outgoing);
-                        }
-                        for (peer, msg) in outgoing.drain(..) {
-                            self.send_physical(node, peer.as_u32(), msg, now);
-                        }
-                        self.scratch_outgoing = outgoing;
-                    }
-                    Comms::EagerLazy(_) => {
-                        let mut outgoing = std::mem::take(&mut self.scratch_packets);
-                        if let Comms::EagerLazy(p) = &mut self.nodes[node as usize].comms {
-                            p.take_outgoing_into(&mut outgoing);
-                        }
-                        for (peer, pkt) in outgoing.drain(..) {
-                            self.send_packet_physical(node, peer.as_u32(), pkt, now);
-                        }
-                        self.scratch_packets = outgoing;
-                    }
-                    Comms::Direct => {}
+                if self.is_up(node, now) {
+                    self.flush(node, now);
                 }
             }
             Event::Retransmit => {
@@ -1136,12 +646,10 @@ impl Cluster {
                 for g in 0..self.params.groups as u32 {
                     let leader = g % self.params.n as u32;
                     if self.is_up(leader, now) {
-                        self.stamp(leader, now);
-                        let out = self.nodes[leader as usize].groups[g as usize]
-                            .paxos
-                            .retransmit();
-                        self.dispatch_outbound(leader, g, out, now);
-                        self.pump_node(leader, now);
+                        self.nodes[leader as usize]
+                            .runtime
+                            .retransmit(g, now.as_nanos());
+                        self.settle(leader, now);
                     }
                 }
                 if let Some(rt) = self.params.retransmit {
@@ -1162,24 +670,11 @@ impl Cluster {
                     self.queue
                         .schedule(now + poll, Event::FailoverCheck { node });
                 }
-                if !self.is_up(node, now) {
-                    return;
-                }
-                let idx = node as usize;
-                for g in 0..self.nodes[idx].groups.len() {
-                    let current = self.nodes[idx].groups[g].paxos.current_round();
-                    let Some(timer) = self.nodes[idx].groups[g].timer.as_mut() else {
-                        continue;
-                    };
-                    timer.observe_round(current, now.as_nanos());
-                    if let Some(round) = timer.suspect(now.as_nanos()) {
-                        if round > current {
-                            self.stamp(node, now);
-                            let out = self.nodes[idx].groups[g].paxos.start_round(round);
-                            self.dispatch_outbound(node, g as u32, out, now);
-                            self.pump_node(node, now);
-                        }
-                    }
+                if self.is_up(node, now) {
+                    self.nodes[node as usize]
+                        .runtime
+                        .poll_failover(now.as_nanos());
+                    self.settle(node, now);
                 }
             }
         }
@@ -1188,230 +683,114 @@ impl Cluster {
     /// Records a `(time, promised round)` observation of every group's
     /// durable promise at a process, for the promise-monotonicity audit.
     fn snapshot_promise(&mut self, node: u32, now: SimTime) {
-        for (g, rt) in self.nodes[node as usize].groups.iter().enumerate() {
+        for (g, rt) in self.nodes[node as usize]
+            .runtime
+            .groups()
+            .iter()
+            .enumerate()
+        {
             let promised = rt.paxos.promised_round();
             self.promise_log[node as usize][g].push((now.as_nanos(), promised.as_u32()));
         }
     }
 
     /// Rebuilds a recovered process from its acceptors' stable storage:
-    /// learner, coordinator and gossip state are volatile and start fresh.
+    /// learners, coordinators and the substrate (dedup cache, semantic
+    /// summaries, tree state) are volatile and start fresh. An eager/lazy
+    /// node restarts with all links eager: payloads it missed while down
+    /// arrive as duplicates on several links and PRUNE re-converges the
+    /// trees around it.
     fn recover_node(&mut self, node: u32) {
         let now = self.queue.now();
         self.tracer.record(now, ObsEvent::Recovered { node });
-        let idx = node as usize;
-        for g in 0..self.params.groups as u32 {
-            // The crashed incarnation's events survive in the run's trace
-            // even though the process itself is rebuilt from stable
-            // storage.
-            let salvaged = self.nodes[idx].groups[g as usize].recover(
-                NodeId::new(node),
-                self.params.group_config(g),
-                self.params.ring_capacity(),
-            );
-            self.paxos_trace_backlog.extend(salvaged);
-        }
-        self.nodes[idx].flush_scheduled = false;
-        if let Comms::Gossip(old_gossip) = &mut self.nodes[idx].comms {
-            // Like the Paxos observers above, the crashed gossip layer's
-            // events stay in the run's trace.
-            self.paxos_trace_backlog
-                .extend(old_gossip.observer_mut().drain());
-            let overlay = self.overlay.as_ref().expect("gossip setup has overlay");
-            let peers: Vec<NodeId> = overlay
-                .neighbors(idx)
-                .iter()
-                .map(|&p| NodeId::new(p as u32))
-                .collect();
-            let semantics = Cluster::build_semantics(&self.params);
-            let filter = AnyFilter::build(self.params.dedup, self.params.gossip.recent_cache_size);
-            self.nodes[idx].comms = Comms::Gossip(Box::new(GossipNode::with_observer(
-                NodeId::new(node),
-                peers,
-                self.params.gossip,
-                semantics,
-                filter,
-                RingObserver::with_capacity(self.params.ring_capacity()),
-            )));
-        } else if let Comms::EagerLazy(old_pt) = &mut self.nodes[idx].comms {
-            self.paxos_trace_backlog
-                .extend(old_pt.observer_mut().drain());
-            let overlay = self.overlay.as_ref().expect("gossip setup has overlay");
-            let peers: Vec<NodeId> = overlay
-                .neighbors(idx)
-                .iter()
-                .map(|&p| NodeId::new(p as u32))
-                .collect();
-            // The rebuilt node restarts with all links eager (fresh tree
-            // state): payloads it missed while down arrive as duplicates on
-            // several links and PRUNE re-converges the tree around it.
-            let filter = AnyFilter::build(self.params.dedup, self.params.gossip.recent_cache_size);
-            let config = EagerLazyConfig {
-                gossip: self.params.gossip,
-                ..self.params.eager_lazy
-            };
-            self.nodes[idx].comms = Comms::EagerLazy(Box::new(EagerLazyNode::with_observer(
-                NodeId::new(node),
-                peers,
-                config,
-                filter,
-                RingObserver::with_capacity(self.params.ring_capacity()),
-            )));
-        }
+        let fresh = S::build(&self.params, self.overlay.as_ref(), node);
+        let n = &mut self.nodes[node as usize];
+        // The crashed incarnation's events stay in the run's trace.
+        n.runtime
+            .recover(fresh, self.params.ring_capacity(), &mut self.trace_backlog);
+        n.flush_scheduled = false;
         // The rebuilt acceptor's promise must match or exceed what was
         // durable at the crash; snapshot it for the monotonicity audit.
         self.snapshot_promise(node, now);
     }
 
-    /// Routes one group's Paxos outbound messages through the node's
-    /// substrate, tagging each with its group for the shared wire.
-    fn dispatch_outbound(
-        &mut self,
-        node: u32,
-        group: u32,
-        out: Vec<paxos::Outbound>,
-        now: SimTime,
-    ) {
-        for o in out {
-            let msg = Grouped::new(group, o.msg);
-            match &mut self.nodes[node as usize].comms {
-                Comms::Gossip(g) => {
-                    // Under gossip, every message is broadcast (§3.1); the
-                    // route tag is irrelevant.
-                    g.broadcast(msg);
-                }
-                Comms::EagerLazy(p) => {
-                    p.broadcast(msg);
-                }
-                Comms::Direct => match o.route {
-                    paxos::Route::ToCoordinator => {
-                        let coord = self.nodes[node as usize].groups[group as usize]
-                            .paxos
-                            .current_coordinator();
-                        self.send_physical(node, coord.as_u32(), msg, now);
-                    }
-                    paxos::Route::ToAll => {
-                        for dst in 0..self.params.n as u32 {
-                            self.send_physical(node, dst, msg.clone(), now);
-                        }
-                    }
-                },
-            }
-        }
-    }
-
-    /// Drains gossip deliveries into Paxos (which may broadcast more),
-    /// collects ordered decisions, and schedules a send-queue flush.
-    fn pump_node(&mut self, node: u32, now: SimTime) {
-        self.stamp(node, now);
-        let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
-        loop {
-            match &mut self.nodes[node as usize].comms {
-                Comms::Gossip(g) => g.take_deliveries_into(&mut deliveries),
-                Comms::EagerLazy(p) => p.take_deliveries_into(&mut deliveries),
-                Comms::Direct => {}
-            }
-            if deliveries.is_empty() {
-                break;
-            }
-            for msg in deliveries.drain(..) {
-                let group = msg.group;
-                let out = self.nodes[node as usize].groups[group as usize]
-                    .paxos
-                    .handle(msg.inner);
-                self.dispatch_outbound(node, group, out, now);
-            }
-        }
-        self.scratch_deliveries = deliveries;
-        self.harvest_decisions(node, now);
-        // Model the Send routine: the queues flush when the CPU frees up, so
-        // messages accumulate while the node is busy — which is exactly when
-        // semantic aggregation finds multiple pending messages (§3.2).
-        let quantum = self.params.flush_quantum;
+    /// After the process at `node` handled an event: note what it ordered
+    /// and get its frames onto the wire.
+    fn settle(&mut self, node: u32, now: SimTime) {
+        let is_attach = self.clients.iter().any(|c| c.attach == node);
         let n = &mut self.nodes[node as usize];
-        let pending = match &n.comms {
-            Comms::Gossip(g) => g.has_outgoing(),
-            Comms::EagerLazy(p) => p.has_outgoing(),
-            Comms::Direct => false,
-        };
-        if pending && !n.flush_scheduled {
+        for (_, d) in n.runtime.drain_ordered() {
+            // A duplicate slot re-decides an already-applied value (two
+            // rounds' coordinators assigned it two instances): a no-op for
+            // the application. The client of this process measures latency
+            // when its own value is delivered in total order (§4.2).
+            let id = d.value.id();
+            if d.duplicate || !is_attach || id.origin.as_u32() != node {
+                continue;
+            }
+            if let Some(t) = self.tracked.get_mut(&id) {
+                if t.ordered_at.is_none() {
+                    t.ordered_at = Some(now);
+                }
+            }
+        }
+        if !S::SEND_ROUTINE {
+            // No send routine: frames leave in the step that produced them.
+            self.flush(node, now);
+        } else if n.runtime.has_outgoing() && !n.flush_scheduled {
+            // Model the send routine: the queues flush when the CPU frees
+            // up, so messages accumulate while the node is busy — which is
+            // exactly when semantic aggregation finds multiple pending
+            // messages (§3.2).
             n.flush_scheduled = true;
-            let at = n.cpu.busy_until().min(now + quantum).max(now);
+            let at = n
+                .cpu
+                .busy_until()
+                .min(now + self.params.flush_quantum)
+                .max(now);
             self.queue.schedule(at, Event::Flush { node });
         }
     }
 
-    fn harvest_decisions(&mut self, node: u32, now: SimTime) {
-        let idx = node as usize;
-        let is_attach = self.clients.iter().any(|c| c.attach == node);
-        for g in 0..self.nodes[idx].groups.len() {
-            let delivered = self.nodes[idx].groups[g].paxos.take_delivered();
-            if delivered.is_empty() {
-                continue;
-            }
-            if let Some(timer) = self.nodes[idx].groups[g].timer.as_mut() {
-                timer.on_progress(now.as_nanos());
-            }
-            for d in delivered {
-                // A batched instance decides several client values at once:
-                // the audit log and the latency tracker both see one entry
-                // per component, under the batch's instance slot.
-                let ids: Vec<ValueId> = match d.value.components() {
-                    Some(parts) => parts.iter().map(|v| v.id()).collect(),
-                    None => vec![d.value.id()],
-                };
-                for id in ids {
-                    self.nodes[idx].groups[g]
-                        .delivered_log
-                        .push((d.instance, id, d.duplicate));
-                    if d.duplicate {
-                        // The slot re-decides an already-applied value (two
-                        // rounds' coordinators assigned it two instances): a
-                        // no-op for the application, recorded for the audit
-                        // only.
-                        continue;
-                    }
-                    // The client of this process measures latency when its
-                    // own value is delivered in total order (§4.2).
-                    if is_attach && id.origin.as_u32() == node {
-                        if let Some(t) = self.tracked.get_mut(&id) {
-                            if t.ordered_at.is_none() {
-                                t.ordered_at = Some(now);
-                            }
-                        }
-                    }
-                }
-            }
-            // Periodically GC this group's per-peer semantic summaries.
-            let watermark = self.nodes[idx].groups[g].paxos.learner().next_to_deliver();
-            if watermark.as_u64().is_multiple_of(256) {
-                if let Comms::Gossip(gos) = &mut self.nodes[idx].comms {
-                    let keep = InstanceId::new(watermark.as_u64().saturating_sub(1024));
-                    gos.semantics_mut().get_mut(g as u32).gc(keep);
-                }
-            }
+    /// Runs `node`'s send routine: every pending frame goes onto its link.
+    fn flush(&mut self, node: u32, now: SimTime) {
+        // Temporarily take the scratch so `send_physical` can borrow `self`
+        // while we iterate; the capacity survives the round trip.
+        let mut outgoing = std::mem::take(&mut self.scratch_outgoing);
+        self.nodes[node as usize]
+            .runtime
+            .take_outgoing_into(&mut outgoing, now.as_nanos());
+        for (peer, frame) in outgoing.drain(..) {
+            self.send_physical(node, peer.as_u32(), frame, now);
         }
+        self.scratch_outgoing = outgoing;
     }
 
-    fn send_physical(&mut self, from: u32, to: u32, msg: WireMsg, now: SimTime) {
-        let size = msg.wire_size();
+    fn send_physical(&mut self, from: u32, to: u32, frame: S::Frame, now: SimTime) {
         if from == to {
             // Local loop-back (direct mode self-delivery): no link, no send
             // cost — the message is handled as soon as the CPU allows.
-            self.queue
-                .schedule(now, Event::Arrival { dst: to, from, msg });
+            self.queue.schedule(
+                now,
+                Event::Arrival {
+                    dst: to,
+                    from,
+                    frame,
+                },
+            );
             return;
         }
+        let size = frame.wire_size();
         let node = &mut self.nodes[from as usize];
         node.raw_sent += 1;
         let send_cost = self.params.cpu.send.service_time(size);
         let departs = node.cpu.admit_work(now, send_cost);
         // Attribute the wire bytes and the modelled send cost to this
-        // message class, and — when tracing — emit the byte-carrying
+        // frame's class, and — when tracing — emit the byte-carrying
         // `wire_frame` event `tracetool ledger` replays. The class rides
         // inline so attribution survives ring eviction and covers
         // drain-time aggregates whose fresh wire ids are never tagged.
-        let class = msg.inner.kind().name();
+        let class = frame_class(&frame);
         self.ledger.add_out(SUBSYS_TRANSPORT, class, size as u64);
         self.ledger
             .charge_cpu(SUBSYS_TRANSPORT, class, send_cost.as_nanos());
@@ -1421,7 +800,7 @@ impl Cluster {
                 ObsEvent::WireFrame {
                     node: from,
                     peer: to,
-                    msg: msg.message_id().trace_id(),
+                    msg: frame_trace_id(&frame),
                     kind: class.to_string(),
                     bytes: size as u64,
                 },
@@ -1430,46 +809,14 @@ impl Cluster {
         let base = self.regions.one_way(from as usize, to as usize);
         let link = simnet::LinkConfig::reliable(base);
         let delay = link.sample_delay(&mut self.link_rng);
-        self.queue
-            .schedule(departs + delay, Event::Arrival { dst: to, from, msg });
-    }
-
-    /// Eager/lazy counterpart of [`send_physical`]: ships a Plumtree packet
-    /// (full payload or compact control frame) across the modelled link.
-    /// Packets are never self-addressed, so there is no loop-back case.
-    fn send_packet_physical(&mut self, from: u32, to: u32, pkt: Packet<WireMsg>, now: SimTime) {
-        let size = pkt.wire_size();
-        let node = &mut self.nodes[from as usize];
-        node.raw_sent += 1;
-        let send_cost = self.params.cpu.send.service_time(size);
-        let departs = node.cpu.admit_work(now, send_cost);
-        // Payload frames attribute to the inner Paxos class; control frames
-        // get their own IHAVE/IWANT/GRAFT/PRUNE classes so `tracetool ledger`
-        // can split tree maintenance from data bytes.
-        let (class, trace_id) = match &pkt {
-            Packet::Payload(_, m) => (m.inner.kind().name(), m.message_id().trace_id()),
-            _ => (pkt.control_class().expect("non-payload has class"), 0),
-        };
-        self.ledger.add_out(SUBSYS_TRANSPORT, class, size as u64);
-        self.ledger
-            .charge_cpu(SUBSYS_TRANSPORT, class, send_cost.as_nanos());
-        if self.tracer.is_enabled() {
-            self.tracer.record(
-                now,
-                ObsEvent::WireFrame {
-                    node: from,
-                    peer: to,
-                    msg: trace_id,
-                    kind: class.to_string(),
-                    bytes: size as u64,
-                },
-            );
-        }
-        let base = self.regions.one_way(from as usize, to as usize);
-        let link = simnet::LinkConfig::reliable(base);
-        let delay = link.sample_delay(&mut self.link_rng);
-        self.queue
-            .schedule(departs + delay, Event::PacketArrival { dst: to, from, pkt });
+        self.queue.schedule(
+            departs + delay,
+            Event::Arrival {
+                dst: to,
+                from,
+                frame,
+            },
+        );
     }
 
     fn collect(mut self) -> RunMetrics {
@@ -1518,7 +865,7 @@ impl Cluster {
                     .nodes
                     .iter()
                     .map(|n| {
-                        n.groups[g]
+                        n.runtime.groups()[g]
                             .delivered_log
                             .iter()
                             .map(|&(i, v, dup)| (i.as_u64(), v, dup))
@@ -1557,16 +904,12 @@ impl Cluster {
         metrics.audit = audits[0].clone();
         metrics.audits = audits;
 
-        for (i, node) in self.nodes.iter_mut().enumerate() {
+        for (i, node) in self.nodes.iter().enumerate() {
             metrics.record_node(
                 i,
                 node.raw_received,
                 node.raw_sent,
-                match &node.comms {
-                    Comms::Gossip(g) => Some(*g.stats()),
-                    Comms::EagerLazy(p) => Some(*p.stats()),
-                    Comms::Direct => None,
-                },
+                Some(node.runtime.substrate().stats()),
             );
         }
         metrics.received_by_kind = self.received_by_kind;
@@ -1577,27 +920,14 @@ impl Cluster {
         // CPU and bytes were already attributed at the arrival and send
         // points.
         for node in &self.nodes {
-            for rt in &node.groups {
-                for (kind, &count) in paxos::message::Kind::ALL
-                    .iter()
-                    .zip(rt.paxos.handled_by_kind())
-                {
+            for rt in node.runtime.groups() {
+                for (kind, &count) in Kind::ALL.iter().zip(rt.paxos.handled_by_kind()) {
                     if count > 0 {
                         self.ledger.add_messages(SUBSYS_PAXOS, kind.name(), count);
                     }
                 }
             }
-            if let Comms::Gossip(g) = &node.comms {
-                for s in g.semantics().iter().filter_map(|s| s.paxos()) {
-                    for (kind, &count) in paxos::message::Kind::ALL.iter().zip(s.filtered_by_kind())
-                    {
-                        if count > 0 {
-                            self.ledger
-                                .add_messages(SUBSYS_SEMANTICS, kind.name(), count);
-                        }
-                    }
-                }
-            }
+            node.runtime.substrate().fold_filtered(&mut self.ledger);
         }
         if self.tracer.is_enabled() {
             // End-of-run CPU summaries so a replayed trace can attribute
@@ -1622,18 +952,11 @@ impl Cluster {
         let tracing = self.tracer.is_enabled();
         if tracing || self.params.ring_capacity() > 0 {
             // Merge the cluster-level trace (losses, recoveries) with every
-            // process's Paxos observer into one time-ordered stream; stable
-            // sort keeps each process's events in emission order.
-            let mut events = std::mem::take(&mut self.paxos_trace_backlog);
+            // process's observers into one time-ordered stream; stable sort
+            // keeps each process's events in emission order.
+            let mut events = std::mem::take(&mut self.trace_backlog);
             for node in &mut self.nodes {
-                for rt in &mut node.groups {
-                    events.extend(rt.paxos.observer_mut().drain());
-                }
-                match &mut node.comms {
-                    Comms::Gossip(g) => events.extend(g.observer_mut().drain()),
-                    Comms::EagerLazy(p) => events.extend(p.observer_mut().drain()),
-                    Comms::Direct => {}
-                }
+                node.runtime.drain_events_into(&mut events);
             }
             events.extend(self.tracer.events().cloned());
             if !tracing {
@@ -1693,6 +1016,10 @@ impl Cluster {
 
 /// Runs one simulated experiment execution and returns its measurements.
 ///
+/// The setup picks the substrate; from there on every process is the same
+/// [`NodeRuntime`] and the simulator the same host, monomorphised per
+/// substrate.
+///
 /// Deterministic: identical `params` (including seed) produce identical
 /// metrics.
 ///
@@ -1704,7 +1031,15 @@ pub fn run_cluster(params: &ClusterParams) -> RunMetrics {
     if let Some(g) = &params.overlay {
         assert_eq!(g.len(), params.n, "overlay size must match the cluster");
     }
-    Cluster::build(params.clone()).run()
+    let params = params.clone();
+    match params.setup {
+        Setup::Baseline => Cluster::<Direct<WireMsg, RingObserver>>::build(params).run(),
+        Setup::Gossip => Cluster::<Push<NoSemantics>>::build(params).run(),
+        Setup::SemanticGossip | Setup::Custom(_) => {
+            Cluster::<Push<PaxosSemantics>>::build(params).run()
+        }
+        Setup::EagerLazyGossip => Cluster::<Plumtree>::build(params).run(),
+    }
 }
 
 #[cfg(test)]

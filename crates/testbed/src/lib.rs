@@ -3,7 +3,8 @@
 //! This crate wires the substrates together into the paper's testbed:
 //! [`cluster`] builds a full deployment — Paxos processes, the communication
 //! substrate of the chosen [`Setup`], the WAN topology, per-region open-loop
-//! clients — on top of the deterministic simulator, and runs it; [`metrics`]
+//! clients — on top of the deterministic simulator, and runs it, every
+//! process a [`NodeRuntime`] over the substrate under test; [`metrics`]
 //! collects what the paper measures; [`sweep`] finds saturation knees;
 //! [`experiments`] contains one runner per table/figure of the evaluation
 //! section (§4); [`audit`] checks the cross-process safety invariants after
@@ -32,6 +33,8 @@ pub mod experiments;
 pub mod fuzz;
 pub mod group_runtime;
 pub mod metrics;
+pub mod node_runtime;
+pub mod params;
 pub mod report;
 pub mod sweep;
 
@@ -40,4 +43,5 @@ pub use cluster::{run_cluster, ClusterParams, CpuCosts, DedupKind, Setup};
 pub use fuzz::{FaultPlan, FuzzConfig, FuzzOutcome, Fuzzer, TrialVerdict};
 pub use group_runtime::{shard_of, GroupRuntime};
 pub use metrics::RunMetrics;
+pub use node_runtime::{frame_class, NodeRuntime, SemanticPush, Timers, WireMsg};
 pub use sweep::{saturation_point, SweepPoint};

@@ -2,12 +2,13 @@
 //! of nodes, each with its own TCP endpoint on loop-back, a partially
 //! connected overlay, and the full gossip + semantics + Paxos stack.
 //!
-//! This is the workspace's libp2p-substitute demonstration: protocol
-//! messages are encoded with the hand-written wire codec, framed, and
-//! pushed over real sockets by per-peer send threads with bounded queues.
-//! Frames travel in the multi-group wire format (`Grouped<PaxosMessage>`:
-//! a leading group-id byte), so this single-group deployment speaks the
-//! same protocol as a sharded one.
+//! Every node is a `testbed::NodeRuntime` — the same sans-IO runtime the
+//! simulator hosts — driven by `gossip_consensus::live`: frames are encoded
+//! with the hand-written wire codec, each distinct message once per flush,
+//! and pushed over real sockets by per-peer send threads with bounded
+//! queues. Frames travel in the multi-group wire format
+//! (`Grouped<PaxosMessage>`: a leading group-id byte), so this single-group
+//! deployment speaks the same protocol as a sharded one.
 //!
 //! Run with:
 //! ```text
@@ -23,11 +24,12 @@
 //! With `--metrics-addr`, a `/metrics` HTTP endpoint serves live
 //! Prometheus text while the run is in flight: per-peer send-queue depth,
 //! duplicate-cache occupancy, the open Paxos instance window, dropped
-//! frames, an outgoing frame-size histogram, the health engine's
-//! liveness gauges (`health_stalls_detected`, `health_oldest_open_age_ms`,
+//! frames, undecodable frames per peer (`live_decode_errors_total`), an
+//! outgoing frame-size histogram, the health engine's liveness gauges
+//! (`health_stalls_detected`, `health_oldest_open_age_ms`,
 //! `health_open_instances`), and windowed resource rates —
-//! `bytes_per_sec{node,class}` per Paxos message class and
-//! `cpu_ns_per_sec{node,subsystem}` for the transport and Paxos hot
+//! `bytes_per_sec{node,class}` per message class and
+//! `cpu_ns_per_sec{node,subsystem}` for the transport and runtime hot
 //! sections, both smoothed over a 10 s sliding [`Series`] window.
 //! `--linger` keeps the endpoint up for that many seconds after
 //! consensus completes, so the final state can be scraped with `curl`.
@@ -39,20 +41,18 @@
 //! `tracetool` to dissect.
 
 use std::collections::HashMap;
-use std::net::SocketAddr;
-use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use gossip_consensus::gossip::codec::Wire;
-use gossip_consensus::gossip::RecentCache;
+use gossip_consensus::live::{loopback_endpoints, LiveNode};
 use gossip_consensus::obs::{
     Event, FlightRecorder, HealthConfig, HealthTracker, MetricsServer, Registry, Series,
-    SharedGauge, SharedHistogram, SharedRing, SpanTracker, Tee,
+    SharedGauge, SharedRing, SpanTracker, Tee,
 };
-use gossip_consensus::paxos::MemoryStorage;
 use gossip_consensus::prelude::*;
+use gossip_consensus::simnet::trace::render_event;
 use gossip_consensus::testbed::report::span_table;
-use gossip_consensus::transport::{Bytes, Endpoint, EndpointConfig, PeerEvent};
+use gossip_consensus::testbed::SemanticPush;
+use gossip_consensus::transport::Endpoint;
 
 const N: usize = 5;
 
@@ -60,21 +60,13 @@ const N: usize = 5;
 /// short run, bounded on a long one.
 const FLIGHT_CAPACITY: usize = 4096;
 
-/// Every node records into the global trace ring *and* its private flight
-/// ring from a single instrumentation point.
-type NodeObs = Tee<SharedRing, SharedRing>;
+/// How often a node replays its flight ring through the stall detector
+/// and refreshes its trace samples and rate gauges.
+const POLL: Duration = Duration::from_millis(250);
 
-/// The deployment runs one consensus group, but its frames travel in the
-/// multi-group wire format — one group-id byte ahead of the Paxos
-/// encoding — so a sharded peer speaks the same protocol.
-const GROUP: u32 = 0;
-
-/// What actually travels on the wire: a group-tagged Paxos message.
-type WireMsg = Grouped<PaxosMessage>;
-
-/// The fully instrumented node stack used by this example.
-type Gossip = GossipNode<WireMsg, GroupedSemantics<PaxosSemantics>, RecentCache, NodeObs>;
-type Paxos = gossip_consensus::paxos::PaxosProcess<MemoryStorage, NodeObs>;
+/// The fully instrumented node of this example: every observer records
+/// into the global trace ring *and* the node's private flight ring.
+type Node = LiveNode<SemanticPush<Tee<SharedRing, SharedRing>>>;
 
 fn main() {
     let mut trace_path: Option<String> = None;
@@ -117,78 +109,32 @@ fn main() {
         overlay.add_edge(i, (i + 1) % N);
     }
     overlay.add_edge(1, 3);
+    let endpoints = loopback_endpoints(&overlay, Some(&ring)).expect("connect the overlay");
+    let links = overlay.num_edges();
+    println!("overlay connected: {N} nodes, {links} TCP links");
 
-    // Bind all endpoints first so every address is known before dialing.
-    let endpoints: Vec<Endpoint> = (0..N as u32)
-        .map(|i| {
-            let config = EndpointConfig::new(NodeId::new(i)).with_observer(ring.clone());
-            Endpoint::bind(config, "127.0.0.1:0").unwrap()
+    let workers: Vec<_> = endpoints
+        .into_iter()
+        .enumerate()
+        .map(|(i, endpoint)| {
+            let (ring, registry) = (ring.clone(), registry.clone());
+            let neighbors = overlay.neighbors(i).iter().map(|&p| NodeId::new(p as u32));
+            let neighbors: Vec<NodeId> = neighbors.collect();
+            std::thread::spawn(move || node_main(i, endpoint, neighbors, ring, registry))
         })
         .collect();
-    let addrs: HashMap<usize, SocketAddr> = endpoints
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (i, e.local_addr()))
+
+    // Every node returns its delivered sequence; they must all match.
+    let sequences: Vec<Vec<(InstanceId, ValueId)>> = workers
+        .into_iter()
+        .map(|w| w.join().expect("node thread panicked"))
         .collect();
-
-    // Each node dials its higher-numbered overlay neighbors (one TCP
-    // connection per edge, used in both directions).
-    for (a, b) in overlay.edges() {
-        endpoints[a].dial(addrs[&b]).unwrap();
-    }
-
-    // Wait until every endpoint sees all its overlay neighbors.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    for (i, e) in endpoints.iter().enumerate() {
-        while e.peers().len() < overlay.degree(i) {
-            assert!(Instant::now() < deadline, "connection setup timed out");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-    println!(
-        "overlay connected: {} nodes, {} TCP links",
-        N,
-        overlay.num_edges()
-    );
-
-    let (results_tx, results_rx) = mpsc::channel();
-    let mut workers = Vec::new();
-    for (i, endpoint) in endpoints.into_iter().enumerate() {
-        let results = results_tx.clone();
-        let node_ring = ring.clone();
-        let node_registry = registry.clone();
-        let neighbors: Vec<NodeId> = overlay
-            .neighbors(i)
-            .iter()
-            .map(|&p| NodeId::new(p as u32))
-            .collect();
-        workers.push(std::thread::spawn(move || {
-            node_main(i, endpoint, neighbors, node_ring, node_registry, results);
-        }));
-    }
-    drop(results_tx);
-
-    // Every node reports its delivered sequence; they must all match.
-    let mut sequences: Vec<(usize, Vec<(InstanceId, ValueId)>)> = Vec::new();
-    for _ in 0..N {
-        sequences.push(results_rx.recv_timeout(Duration::from_secs(30)).unwrap());
-    }
-    for w in workers {
-        w.join().unwrap();
-    }
-    sequences.sort_by_key(|(id, _)| *id);
-    let reference = &sequences[0].1;
-    assert_eq!(
-        reference.len(),
-        N,
-        "every submitted command must be ordered"
-    );
-    for (id, seq) in &sequences {
+    let reference = &sequences[0];
+    assert_eq!(reference.len(), N, "every submitted command is ordered");
+    for (id, seq) in sequences.iter().enumerate() {
         assert_eq!(seq, reference, "node {id} diverged");
-        println!(
-            "node {id} delivered {} commands in the agreed order ✓",
-            seq.len()
-        );
+        let count = seq.len();
+        println!("node {id} delivered {count} commands in the agreed order ✓");
     }
     println!("\nconsensus over real TCP sockets: all {N} nodes agree.");
 
@@ -205,42 +151,11 @@ fn main() {
         );
     }
 
-    if let Some(server) = server {
-        if !linger.is_zero() {
-            println!(
-                "serving final metrics at http://{}/metrics for {}s",
-                server.local_addr(),
-                linger.as_secs()
-            );
-            std::thread::sleep(linger);
-        }
-        drop(server);
+    if let Some(server) = server.filter(|_| !linger.is_zero()) {
+        let (addr, secs) = (server.local_addr(), linger.as_secs());
+        println!("serving final metrics at http://{addr}/metrics for {secs}s");
+        std::thread::sleep(linger);
     }
-}
-
-/// Per-node live gauges and histograms, registered lazily against the
-/// shared [`Registry`].
-struct NodeMetrics {
-    registry: Registry,
-    node: String,
-    queue_depth: HashMap<NodeId, SharedGauge>,
-    cache_entries: SharedGauge,
-    open_instances: SharedGauge,
-    frames_dropped: SharedGauge,
-    frame_bytes: SharedHistogram,
-    bytes_encoded: SharedGauge,
-    bytes_sent: SharedGauge,
-    clones_avoided: SharedGauge,
-    stalls_detected: SharedGauge,
-    oldest_open_age_ms: SharedGauge,
-    health_open_instances: SharedGauge,
-    last_trace_sample: Option<Instant>,
-    /// Windowed rate series, one per message class / subsystem, created
-    /// lazily the first time a class shows up on this node's wire. Each
-    /// entry pairs the sliding window with the gauge it refreshes.
-    class_rates: HashMap<&'static str, (Series, SharedGauge)>,
-    cpu_rates: HashMap<&'static str, (Series, SharedGauge)>,
-    epoch: Instant,
 }
 
 /// Sliding window the `/metrics` rates are computed over.
@@ -250,340 +165,215 @@ const RATE_WINDOW_NS: u64 = 10_000_000_000;
 /// with slack for jittery ticks.
 const RATE_CAPACITY: usize = 64;
 
+/// Help text of every gauge this example exports.
+fn help(name: &str) -> &'static str {
+    match name {
+        "transport_send_queue_depth" => "Frames queued for a peer's send thread.",
+        "live_decode_errors_total" => "Undecodable frames received from a peer (dropped).",
+        "gossip_seen_cache_entries" => "Entries in the duplicate-suppression cache.",
+        "paxos_open_instances" => "Instances with votes or undelivered decisions.",
+        "transport_frames_dropped_total" => "Frames dropped (unknown peer or full queue).",
+        "transport_bytes_encoded_total" => "Payload bytes serialized (once per broadcast).",
+        "transport_bytes_sent_total" => "Payload bytes enqueued to peers (encoded × fan-out).",
+        "gossip_clones_avoided_total" => "Payload deep-copies saved by shared fan-out.",
+        "health_stalls_detected" => "Progress stalls the node's health tracker has raised.",
+        "health_open_instances" => "Instances the health tracker still sees as open.",
+        "health_oldest_open_age_ms" => "Age of the oldest unresolved instance or value.",
+        "bytes_per_sec" => "Wire bytes per second by message class (10s window).",
+        "cpu_ns_per_sec" => "CPU ns per second in a subsystem's hot section (10s window).",
+        other => unreachable!("gauge {other} has no help text"),
+    }
+}
+
+/// Per-node live gauges, registered lazily against the shared
+/// [`Registry`]: plain and per-peer gauges by `(name, peer)`, windowed
+/// rates by `(name, label value)`.
+struct NodeMetrics {
+    registry: Registry,
+    node: String,
+    gauges: HashMap<(&'static str, Option<NodeId>), SharedGauge>,
+    rates: HashMap<(&'static str, &'static str), (Series, SharedGauge)>,
+}
+
 impl NodeMetrics {
-    fn new(registry: Registry, id: usize) -> Self {
-        let node = id.to_string();
+    fn new(registry: Registry, id: usize, node: &mut Node) -> Self {
+        let label = id.to_string();
+        node.frame_bytes = Some(registry.histogram(
+            "transport_frame_bytes",
+            "Outgoing frame sizes in bytes.",
+            &[("node", &label)],
+            1.0,
+        ));
         NodeMetrics {
-            cache_entries: registry.gauge(
-                "gossip_seen_cache_entries",
-                "Entries in the duplicate-suppression cache.",
-                &[("node", &node)],
-            ),
-            open_instances: registry.gauge(
-                "paxos_open_instances",
-                "Instances with votes or undelivered decisions.",
-                &[("node", &node)],
-            ),
-            frames_dropped: registry.gauge(
-                "transport_frames_dropped_total",
-                "Frames dropped at the transport (unknown peer or full queue).",
-                &[("node", &node)],
-            ),
-            frame_bytes: registry.histogram(
-                "transport_frame_bytes",
-                "Outgoing frame sizes in bytes.",
-                &[("node", &node)],
-                1.0,
-            ),
-            bytes_encoded: registry.gauge(
-                "transport_bytes_encoded_total",
-                "Payload bytes serialized (each broadcast encoded once).",
-                &[("node", &node)],
-            ),
-            bytes_sent: registry.gauge(
-                "transport_bytes_sent_total",
-                "Payload bytes enqueued to peers (encoded bytes times fan-out).",
-                &[("node", &node)],
-            ),
-            clones_avoided: registry.gauge(
-                "gossip_clones_avoided_total",
-                "Payload deep-copies saved by shared fan-out (net of drain clones).",
-                &[("node", &node)],
-            ),
-            stalls_detected: registry.gauge(
-                "health_stalls_detected",
-                "Progress stalls the node's health tracker has raised.",
-                &[("node", &node)],
-            ),
-            oldest_open_age_ms: registry.gauge(
-                "health_oldest_open_age_ms",
-                "Age of the oldest unresolved instance or submitted value.",
-                &[("node", &node)],
-            ),
-            health_open_instances: registry.gauge(
-                "health_open_instances",
-                "Instances the health tracker still sees as open.",
-                &[("node", &node)],
-            ),
-            queue_depth: HashMap::new(),
-            last_trace_sample: None,
-            class_rates: HashMap::new(),
-            cpu_rates: HashMap::new(),
-            epoch: Instant::now(),
             registry,
-            node,
+            node: label,
+            gauges: HashMap::new(),
+            rates: HashMap::new(),
         }
     }
 
-    /// Refreshes every gauge from the live components; immediately on the
-    /// first call and every 250 ms after, the same readings are also
-    /// emitted into the trace ring as `*_sampled` events.
-    fn sample(
-        &mut self,
-        endpoint: &Endpoint,
-        gossip: &mut Gossip,
-        paxos: &Paxos,
-        ring: &SharedRing,
-        wire: &WireCounters,
-    ) {
-        for (peer, depth) in endpoint.queue_depths() {
-            if !self.queue_depth.contains_key(&peer) {
-                let gauge = self.registry.gauge(
-                    "transport_send_queue_depth",
-                    "Frames queued for a peer's send thread.",
-                    &[("node", &self.node), ("peer", &peer.as_u32().to_string())],
-                );
-                self.queue_depth.insert(peer, gauge);
-            }
-            self.queue_depth[&peer].set(depth);
-        }
-        self.cache_entries.set(gossip.cache_occupancy() as u64);
-        self.open_instances.set(paxos.instance_window() as u64);
-        self.frames_dropped.set(endpoint.dropped());
-        self.bytes_encoded.set(wire.encoded);
-        self.bytes_sent.set(wire.sent);
-        self.clones_avoided.set(gossip.stats().clones_avoided());
+    /// Registers gauge `name`, labelled with this node and `extra`.
+    fn register(&self, name: &str, extra: Option<(&str, &str)>) -> SharedGauge {
+        let labels = [("node", self.node.as_str()), extra.unwrap_or_default()];
+        let used = if extra.is_some() { 2 } else { 1 };
+        self.registry.gauge(name, help(name), &labels[..used])
+    }
 
-        let due = self
-            .last_trace_sample
-            .is_none_or(|t| t.elapsed() >= Duration::from_millis(250));
-        if due {
-            self.last_trace_sample = Some(Instant::now());
-            gossip.sample_gauges();
-            ring.record_shared(Event::InstanceWindowSampled {
-                node: self.node.parse().unwrap_or(0),
-                open: paxos.instance_window() as u64,
-            });
-            // Windowed rates: push the cumulative counters into their
-            // sliding series and refresh the per-class / per-subsystem
-            // gauges from the window's delta rate. Same cadence as the
-            // trace samples — the series absorb the tick jitter.
-            let now_ns = self.epoch.elapsed().as_nanos() as u64;
-            let registry = &self.registry;
-            let node = &self.node;
-            for (class, total) in &wire.by_class {
-                let (series, gauge) = self.class_rates.entry(class).or_insert_with(|| {
-                    let gauge = registry.gauge(
-                        "bytes_per_sec",
-                        "Wire bytes per second by message class (10s window).",
-                        &[("node", node), ("class", class)],
-                    );
-                    (Series::new(RATE_CAPACITY, RATE_WINDOW_NS), gauge)
-                });
-                series.push(now_ns, *total);
-                if let Some(rate) = series.delta_rate_per_sec() {
-                    gauge.set(rate.round() as u64);
-                }
-            }
-            for (subsystem, total_ns) in [
-                ("transport", wire.cpu_transport_ns),
-                ("paxos", wire.cpu_paxos_ns),
-            ] {
-                let (series, gauge) = self.cpu_rates.entry(subsystem).or_insert_with(|| {
-                    let gauge = registry.gauge(
-                        "cpu_ns_per_sec",
-                        "CPU nanoseconds per second spent in a subsystem's hot section (10s window).",
-                        &[("node", node), ("subsystem", subsystem)],
-                    );
-                    (Series::new(RATE_CAPACITY, RATE_WINDOW_NS), gauge)
-                });
-                series.push(now_ns, total_ns);
-                if let Some(rate) = series.delta_rate_per_sec() {
-                    gauge.set(rate.round() as u64);
-                }
-            }
+    fn set(&mut self, name: &'static str, peer: Option<NodeId>, value: u64) {
+        if !self.gauges.contains_key(&(name, peer)) {
+            let label = peer.map(|p| p.as_u32().to_string());
+            let gauge = self.register(name, label.as_deref().map(|p| ("peer", p)));
+            self.gauges.insert((name, peer), gauge);
+        }
+        self.gauges[&(name, peer)].set(value);
+    }
+
+    /// Pushes a cumulative counter into its sliding series and refreshes
+    /// the gauge from the window's delta rate.
+    fn rate(&mut self, name: &'static str, label: (&str, &'static str), now_ns: u64, total: u64) {
+        if !self.rates.contains_key(&(name, label.1)) {
+            let series = Series::new(RATE_CAPACITY, RATE_WINDOW_NS);
+            let entry = (series, self.register(name, Some(label)));
+            self.rates.insert((name, label.1), entry);
+        }
+        let (series, gauge) = self.rates.get_mut(&(name, label.1)).expect("just inserted");
+        series.push(now_ns, total);
+        if let Some(rate) = series.delta_rate_per_sec() {
+            gauge.set(rate.round() as u64);
         }
     }
 
-    /// Refreshes the liveness gauges from the node's health tracker.
-    fn sample_health(&self, health: &HealthTracker, now_ns: u64) {
+    /// Refreshes every plain gauge from the live components.
+    fn sample(&mut self, node: &Node) {
+        for (peer, depth) in node.endpoint().queue_depths() {
+            self.set("transport_send_queue_depth", Some(peer), depth);
+        }
+        for (&peer, &count) in node.decode_errors() {
+            self.set("live_decode_errors_total", Some(peer), count);
+        }
+        let gossip = node.runtime().substrate();
+        let (cached, avoided) = (gossip.cache_occupancy(), gossip.stats().clones_avoided());
+        let open = node.runtime().groups()[0].paxos.instance_window();
+        let dropped = node.endpoint().dropped();
+        self.set("gossip_seen_cache_entries", None, cached as u64);
+        self.set("gossip_clones_avoided_total", None, avoided);
+        self.set("paxos_open_instances", None, open as u64);
+        self.set("transport_frames_dropped_total", None, dropped);
+        self.set("transport_bytes_encoded_total", None, node.wire().encoded);
+        self.set("transport_bytes_sent_total", None, node.wire().sent);
+    }
+
+    /// The 250 ms tick: gauge samples into the trace ring, windowed rates,
+    /// and the liveness gauges from the node's health tracker.
+    fn poll(&mut self, node: &mut Node, ring: &SharedRing, health: &HealthTracker, now_ns: u64) {
+        node.runtime_mut().substrate_mut().sample_gauges();
+        ring.record_shared(Event::InstanceWindowSampled {
+            node: self.node.parse().unwrap_or(0),
+            open: node.runtime().groups()[0].paxos.instance_window() as u64,
+        });
+        let wire = node.wire();
+        for (&class, &total) in &wire.by_class {
+            self.rate("bytes_per_sec", ("class", class), now_ns, total);
+        }
+        let cpu = [
+            ("transport", wire.cpu_transport_ns),
+            ("runtime", wire.cpu_runtime_ns),
+        ];
+        for (subsystem, total_ns) in cpu {
+            self.rate("cpu_ns_per_sec", ("subsystem", subsystem), now_ns, total_ns);
+        }
         let s = health.summary();
-        self.stalls_detected.set(s.stalls_detected);
-        self.health_open_instances.set(s.open_instances);
-        self.oldest_open_age_ms
-            .set(health.oldest_open_age(now_ns) / 1_000_000);
+        self.set("health_stalls_detected", None, s.stalls_detected);
+        self.set("health_open_instances", None, s.open_instances);
+        let age_ms = health.oldest_open_age(now_ns) / 1_000_000;
+        self.set("health_oldest_open_age_ms", None, age_ms);
     }
 }
 
-/// Running totals of the encode-once send path: `encoded` counts each
-/// distinct broadcast's payload once, `sent` counts it once per peer it
-/// fanned out to. `sent / encoded` is the copy amplification the shared
-/// frames avoid. `by_class` splits the sent bytes by Paxos message class
-/// (the sender knows the kind at encode time), and the `cpu_*_ns` fields
-/// accumulate wall time spent inside the two hot sections of the event
-/// loop — together they feed the windowed `/metrics` rate gauges.
-#[derive(Default)]
-struct WireCounters {
-    encoded: u64,
-    sent: u64,
-    by_class: HashMap<&'static str, u64>,
-    cpu_transport_ns: u64,
-    cpu_paxos_ns: u64,
-}
-
-/// The event loop of one node: TCP frames in, gossip + Paxos, TCP frames
-/// out.
+/// One node: the shared runtime behind the TCP host, plus this example's
+/// load (node 0 coordinates; every node submits one command), metrics and
+/// health polling.
 fn node_main(
     id: usize,
     endpoint: Endpoint,
     neighbors: Vec<NodeId>,
     ring: SharedRing,
     registry: Option<Registry>,
-    results: mpsc::Sender<(usize, Vec<(InstanceId, ValueId)>)>,
-) {
+) -> Vec<(InstanceId, ValueId)> {
     // The node's private event stream: the tee feeds the global trace ring
-    // and this flight ring from the same instrumentation points. The local
-    // epoch also drives the gossip layer's queue-lag clock.
-    let epoch = Instant::now();
+    // and this flight ring from the same instrumentation points.
     let local = SharedRing::new(FLIGHT_CAPACITY);
-    let config = PaxosConfig::new(N);
-    let gossip_config = GossipConfig::default();
-    let mut gossip: Gossip = GossipNode::with_observer(
-        NodeId::new(id as u32),
+    let me = NodeId::new(id as u32);
+    let runtime = NodeRuntime::semantic_gossip(
+        me,
         neighbors,
-        gossip_config,
-        GroupedSemantics::new(vec![PaxosSemantics::full(config.clone())]),
-        RecentCache::new(gossip_config.recent_cache_size),
-        Tee::new(ring.clone(), local.clone()),
+        vec![PaxosConfig::new(N)],
+        Timers::default(),
+        || Tee::new(ring.clone(), local.clone()),
     );
-    let mut paxos = PaxosProcess::with_observer(
-        NodeId::new(id as u32),
-        config,
-        MemoryStorage::default(),
-        Tee::new(ring.clone(), local.clone()),
-    );
-    let mut metrics = registry.map(|r| NodeMetrics::new(r, id));
+    let mut node: Node = LiveNode::new(runtime, endpoint, ring.clone());
+    let mut metrics = registry.map(|r| NodeMetrics::new(r, id, &mut node));
     let mut delivered: Vec<(InstanceId, ValueId)> = Vec::new();
     let mut health = HealthTracker::new(HealthConfig::default());
     let mut flight = FlightRecorder::with_capacity(FLIGHT_CAPACITY);
     let mut flight_dumped = false;
-    let mut last_health_poll: Option<Instant> = None;
+    let mut last_poll: Option<Instant> = None;
 
-    // Node 0 coordinates; every node submits one client command.
+    let now = node.now_ns();
     if id == 0 {
-        for out in paxos.start_round(Round::ZERO) {
-            gossip.broadcast(Grouped::new(GROUP, out.msg));
-        }
+        node.runtime_mut().start_round(0, Round::ZERO, now);
     }
     let payload = format!("command-from-node-{id}").into_bytes();
-    let (_, out) = paxos.submit_payload(payload);
-    for o in out {
-        gossip.broadcast(Grouped::new(GROUP, o.msg));
-    }
-
-    // Scratch buffers and per-tick frame cache, reused across iterations:
-    // the hot loop allocates only when a *distinct* message is encoded.
-    let mut outgoing: Vec<(NodeId, Arc<WireMsg>)> = Vec::new();
-    let mut deliveries: Vec<WireMsg> = Vec::new();
-    let mut encode_buf: Vec<u8> = Vec::new();
-    let mut frame_cache: HashMap<MessageId, (Bytes, u64)> = HashMap::new();
-    let mut wire = WireCounters::default();
+    node.runtime_mut().submit(Value::new(me, 0, payload), now);
 
     let deadline = Instant::now() + Duration::from_secs(20);
-    while delivered.len() < N && Instant::now() < deadline {
-        // Ship pending gossip to the wire, encode-once: each distinct
-        // message is serialized a single time and the same frame bytes are
-        // shared (by handle) with every peer it fans out to.
-        let tick = Instant::now();
-        gossip.take_outgoing_shared_into(&mut outgoing);
-        for (peer, msg) in outgoing.drain(..) {
-            let (frame, fanout) = frame_cache.entry(msg.message_id()).or_insert_with(|| {
-                let len = msg.encode_into(&mut encode_buf);
-                wire.encoded += len as u64;
-                (Bytes::from(&encode_buf[..]), 0)
-            });
-            *fanout += 1;
-            wire.sent += frame.len() as u64;
-            *wire.by_class.entry(msg.inner.kind().name()).or_insert(0) += frame.len() as u64;
-            if let Some(m) = &metrics {
-                m.frame_bytes.record(frame.len() as u64);
-            }
-            endpoint.send_shared(peer, frame.clone());
-        }
-        for (msg_id, (frame, fanout)) in frame_cache.drain() {
-            ring.record_shared(Event::FrameShared {
-                node: id as u32,
-                msg: msg_id.trace_id(),
-                fanout,
-                bytes: frame.len() as u64,
-            });
-        }
-        wire.cpu_transport_ns += tick.elapsed().as_nanos() as u64;
-        // Pull one network event (with a small timeout so we keep pumping).
-        if let Some(PeerEvent::Frame { from, payload }) =
-            endpoint.recv_timeout(Duration::from_millis(20))
-        {
-            match WireMsg::from_bytes(&payload) {
-                Ok(msg) => gossip.on_receive(from, msg),
-                Err(e) => eprintln!("node {id}: bad frame from {from}: {e}"),
+    loop {
+        // Sleep until a frame, a runtime timer or the next poll is due.
+        let until_poll = last_poll.map_or(Duration::ZERO, |t| POLL.saturating_sub(t.elapsed()));
+        node.step(until_poll);
+        for (_, d) in node.runtime_mut().drain_ordered() {
+            if !d.duplicate {
+                delivered.push((d.instance, d.value.id()));
             }
         }
-        // Drain deliveries into Paxos, broadcasting its responses.
-        let tick = Instant::now();
-        loop {
-            gossip.take_deliveries_into(&mut deliveries);
-            if deliveries.is_empty() {
-                break;
-            }
-            for msg in deliveries.drain(..) {
-                for o in paxos.handle(msg.inner) {
-                    gossip.broadcast(Grouped::new(GROUP, o.msg));
-                }
-            }
-        }
-        for (instance, value) in paxos.take_decisions() {
-            delivered.push((instance, value.id()));
-        }
-        wire.cpu_paxos_ns += tick.elapsed().as_nanos() as u64;
         if let Some(m) = &mut metrics {
-            m.sample(&endpoint, &mut gossip, &paxos, &ring, &wire);
+            m.sample(&node);
         }
-        // Health poll: drain the flight ring through the stall detector
-        // every 250 ms, wall clock. Runs with or without metrics.
-        let now_ns = epoch.elapsed().as_nanos() as u64;
-        gossip.set_clock(now_ns);
-        let due = last_health_poll.is_none_or(|t| t.elapsed() >= Duration::from_millis(250));
-        if due {
-            last_health_poll = Some(Instant::now());
-            let drained = local.drain();
-            health.observe_all(&drained);
-            flight.extend(drained);
-            health.finalize(now_ns);
-            for stall in health.take_events() {
-                match &stall.event {
-                    Event::StallDetected {
-                        instance,
-                        phase,
-                        age_ms,
-                        ..
-                    } => eprintln!(
-                        "node {id}: STALL — instance {instance} ({phase}) stuck for {age_ms} ms"
-                    ),
-                    Event::StallCleared {
-                        instance,
-                        stalled_ms,
-                        ..
-                    } => eprintln!(
-                        "node {id}: stall cleared — instance {instance} after {stalled_ms} ms"
-                    ),
-                    _ => {}
-                }
-                // Stall events are trace events like any other: merge them
-                // into the global stream so `tracetool health` sees them.
-                ring.record_shared(stall.event);
+        // Health poll, with or without metrics: drain the flight ring
+        // through the stall detector. The last turn polls too, so the
+        // gauges served while lingering are final.
+        let done = delivered.len() >= N || Instant::now() >= deadline;
+        if !done && last_poll.is_some_and(|t| t.elapsed() < POLL) {
+            continue;
+        }
+        last_poll = Some(Instant::now());
+        let now_ns = node.now_ns();
+        let drained = local.drain();
+        health.observe_all(&drained);
+        flight.extend(drained);
+        health.finalize(now_ns);
+        for stall in health.take_events() {
+            // Printed the way the simulator's timeline prints them, and
+            // merged into the global stream for `tracetool health`.
+            eprintln!("{}", render_event(&stall));
+            ring.record_shared(stall.event);
+        }
+        if health.is_stalled() && !flight_dumped {
+            flight_dumped = true;
+            let path = format!("live-flight-node{id}.jsonl");
+            match flight.write_dump(&path, &format!("node {id} progress stall")) {
+                Ok(n) => eprintln!("node {id}: flight: {path} ({n} events)"),
+                Err(e) => eprintln!("node {id}: cannot write {path}: {e}"),
             }
-            if health.is_stalled() && !flight_dumped {
-                flight_dumped = true;
-                let path = format!("live-flight-node{id}.jsonl");
-                match flight.write_dump(&path, &format!("node {id} progress stall")) {
-                    Ok(n) => eprintln!("node {id}: flight: {path} ({n} events)"),
-                    Err(e) => eprintln!("node {id}: cannot write {path}: {e}"),
-                }
-            }
-            if let Some(m) = &metrics {
-                m.sample_health(&health, now_ns);
-            }
+        }
+        if let Some(m) = &mut metrics {
+            m.poll(&mut node, &ring, &health, now_ns);
+        }
+        if done {
+            break;
         }
     }
-    results.send((id, delivered)).unwrap();
+    // What the last frame made this node forward still has to leave.
+    node.flush();
+    delivered
 }
