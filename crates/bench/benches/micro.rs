@@ -9,25 +9,30 @@ use paxos::{InstanceId, PaxosMessage, Round, Value};
 use semantic_gossip::codec::Wire;
 use semantic_gossip::{GossipConfig, GossipItem, GossipNode, NoSemantics, NodeId, Semantics};
 
-fn sample_vote(payload: usize) -> PaxosMessage {
-    PaxosMessage::Phase2b {
+/// The message that carries the value: a proposal with `payload` bytes.
+fn sample_proposal(payload: usize) -> PaxosMessage {
+    PaxosMessage::Phase2a {
         instance: InstanceId::new(42),
         round: Round::new(1),
         value: Value::new(NodeId::new(3), 7, vec![0xAB; payload]),
-        voters: vec![NodeId::new(9)],
+        sender: NodeId::new(1),
     }
 }
 
 fn bench_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("codec");
-    for payload in [64usize, 1024] {
-        let msg = sample_vote(payload);
+    let vote = vote_batch(1).pop().expect("one vote");
+    let samples = [64usize, 1024]
+        .map(|payload| (payload.to_string(), sample_proposal(payload)))
+        .into_iter()
+        .chain([("vote".to_string(), vote)]);
+    for (name, msg) in samples {
         let bytes = msg.to_bytes();
         g.throughput(Throughput::Bytes(bytes.len() as u64));
-        g.bench_with_input(BenchmarkId::new("encode", payload), &msg, |b, msg| {
+        g.bench_with_input(BenchmarkId::new("encode", &name), &msg, |b, msg| {
             b.iter(|| black_box(msg.to_bytes()))
         });
-        g.bench_with_input(BenchmarkId::new("decode", payload), &bytes, |b, bytes| {
+        g.bench_with_input(BenchmarkId::new("decode", &name), &bytes, |b, bytes| {
             b.iter(|| black_box(PaxosMessage::from_bytes(bytes).unwrap()))
         });
     }
@@ -84,7 +89,7 @@ fn bench_gossip_node(c: &mut Criterion) {
         let peers: Vec<NodeId> = (1..=7).map(NodeId::new).collect();
         let mut node: GossipNode<PaxosMessage, NoSemantics> =
             GossipNode::classic(NodeId::new(0), peers, GossipConfig::default());
-        let msg = sample_vote(1024);
+        let msg = sample_proposal(1024);
         node.on_receive(NodeId::new(1), msg.clone());
         node.take_outgoing();
         node.take_deliveries();
@@ -96,7 +101,7 @@ fn bench_gossip_node(c: &mut Criterion) {
 }
 
 fn bench_message_id(c: &mut Criterion) {
-    let msg = sample_vote(1024);
+    let msg = sample_proposal(1024);
     c.bench_function("message_id", |b| b.iter(|| black_box(msg.message_id())));
 }
 
@@ -162,18 +167,13 @@ fn bench_fanout(c: &mut Criterion) {
     // setup, outside the timing) and distribute each to the delivery queue
     // plus 7 peer queues, reusing one scratch buffer the way the node
     // reuses its queues — the baseline by deep clone, the shared path by
-    // handle. The message is an aggregated 52-voter Phase2b (the paper's
-    // n = 105 quorum), the dominant broadcast in steady state. A batch of
-    // 16 amortizes timer overhead.
-    let quorum_vote = || PaxosMessage::Phase2b {
-        instance: InstanceId::new(42),
-        round: Round::new(1),
-        value: Value::new(NodeId::new(3), 7, vec![0xAB; 1024]),
-        voters: (0..52).map(NodeId::new).collect(),
-    };
+    // handle. The message is a Phase 2a with a 1 KiB value — with thin
+    // votes, the proposal is the payload-carrying broadcast of steady
+    // state. A batch of 16 amortizes timer overhead.
+    let proposal = || sample_proposal(1024);
 
     g.bench_function("clone_per_peer", |b| {
-        let msg = quorum_vote();
+        let msg = proposal();
         let mut out: Vec<(NodeId, PaxosMessage)> = Vec::with_capacity(peers.len() + 1);
         b.iter_batched(
             || vec![msg.clone(); BATCH],
@@ -192,7 +192,7 @@ fn bench_fanout(c: &mut Criterion) {
     });
 
     g.bench_function("share_handles", |b| {
-        let msg = quorum_vote();
+        let msg = proposal();
         let mut out: Vec<(NodeId, Arc<PaxosMessage>)> = Vec::with_capacity(peers.len() + 1);
         b.iter_batched(
             || vec![msg.clone(); BATCH],
@@ -242,7 +242,7 @@ fn bench_encode_fanout(c: &mut Criterion) {
     use transport::Bytes;
 
     const FANOUT: usize = 7;
-    let msg = sample_vote(1024);
+    let msg = sample_proposal(1024);
     let mut g = c.benchmark_group("encode_fanout");
     g.throughput(Throughput::Elements(FANOUT as u64));
 

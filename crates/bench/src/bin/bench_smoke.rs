@@ -12,15 +12,16 @@
 //!     [--inject-slowdown MULT]
 //! ```
 //!
-//! The workload mirrors `benches/micro.rs`: an aggregated 52-voter Phase2b
-//! carrying a 1 KiB value (the dominant steady-state broadcast at the
-//! paper's n = 105), fanned out to 7 peers plus local delivery.
+//! The workload mirrors `benches/micro.rs`: a Phase 2a carrying a 1 KiB
+//! value (votes are thin, so the proposal is the payload-carrying
+//! steady-state broadcast), fanned out to 7 peers plus local delivery.
 //!
 //! Three more timings cover the semantic vote path at the n = 27 of the
 //! whole-system benchmark: one `PaxosSemantics::validate` (votes of 27
-//! acceptors streamed to 3 peers, with the hosts' GC cadence), one
-//! `aggregate` of 27 single-voter votes into one, and one `RecentCache`
-//! insert at capacity with the mesh's 64% duplicate share.
+//! acceptors streamed to 3 peers whose own votes were observed, with the
+//! hosts' GC cadence), one `aggregate` of 27 single-voter votes into one,
+//! and one `RecentCache` insert at capacity with the mesh's 64% duplicate
+//! share.
 //!
 //! Beyond the hot-path timings, the run also measures **wire redundancy**
 //! per dissemination substrate: a small deterministic WAN sim (13 nodes,
@@ -120,12 +121,12 @@ fn shard_ordered(groups: usize) -> u64 {
     metrics.ordered
 }
 
-fn quorum_vote() -> PaxosMessage {
-    PaxosMessage::Phase2b {
+fn proposal() -> PaxosMessage {
+    PaxosMessage::Phase2a {
         instance: InstanceId::new(42),
         round: Round::new(1),
         value: Value::new(NodeId::new(3), 7, vec![0xAB; 1024]),
-        voters: (0..52).map(NodeId::new).collect(),
+        sender: NodeId::new(1),
     }
 }
 
@@ -202,7 +203,7 @@ fn main() -> ExitCode {
     }
 
     let peers: Vec<NodeId> = (1..=FANOUT as u32).map(NodeId::new).collect();
-    let msg = quorum_vote();
+    let msg = proposal();
 
     // Fan-out: distribute BATCH owned messages to delivery + 7 peer slots,
     // by deep clone (the pre-sharing implementation) vs by Arc handle.
@@ -289,13 +290,16 @@ fn main() -> ExitCode {
     };
 
     // Semantic filtering: every acceptor's vote offered to each of 3 peers,
-    // instance after instance; past the quorum the rule filters. Collected
-    // the way the hosts do (every 256 instances, keeping 1024).
+    // instance after instance; the peers are acceptors 0..3, and their own
+    // votes are observed on arrival as a receiving node would (the evidence
+    // that they hold the proposal); past the quorum the rule filters.
+    // Collected the way the hosts do (every 256 instances, keeping 1024).
     let ns_semantics_validate = {
         const N: u64 = 27;
         const PEERS: u64 = 3;
         let mut sem = bench::semantics(N as usize);
-        let mut vote = bench::vote_batch(1).pop().expect("one vote");
+        // One vote per acceptor, built once: only the instance moves.
+        let mut votes = bench::vote_batch(N as usize);
         let mut calls = 0u64;
         time_ns(move || {
             let (at, peer) = (calls / PEERS, calls % PEERS);
@@ -304,14 +308,14 @@ fn main() -> ExitCode {
                 sem.gc(InstanceId::new(number.saturating_sub(1024)));
             }
             calls += 1;
-            if let PaxosMessage::Phase2b {
-                instance, voters, ..
-            } = &mut vote
-            {
+            let vote = &mut votes[voter as usize];
+            if let PaxosMessage::Phase2b { instance, .. } = vote {
                 *instance = InstanceId::new(number);
-                voters[0] = NodeId::new(voter as u32);
             }
-            black_box(sem.validate(&vote, NodeId::new(peer as u32)));
+            if voter < PEERS && peer == 0 {
+                sem.observe(vote);
+            }
+            black_box(sem.validate(vote, NodeId::new(peer as u32)));
         })
     };
 
@@ -384,7 +388,7 @@ fn main() -> ExitCode {
 
     let json = format!(
         "{{\n  \"bench\": \"gossip_hot_path\",\n  \"fanout\": {FANOUT},\n  \
-         \"payload_bytes\": 1024,\n  \"voters\": 52,\n  \
+         \"payload_bytes\": 1024,\n  \
          \"ns_per_fanout_cloned\": {ns_fanout_cloned:.1},\n  \
          \"ns_per_fanout_shared\": {ns_fanout_shared:.1},\n  \
          \"fanout_speedup\": {fanout_speedup:.2},\n  \

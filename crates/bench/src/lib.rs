@@ -5,7 +5,7 @@
 //! minutes; the `repro` binary (`crates/testbed`) produces the full-scale
 //! reports. Everything here is deterministic per seed.
 
-use paxos::{PaxosConfig, PaxosMessage, Value};
+use paxos::{PaxosConfig, PaxosMessage, ValueId, VoterSet};
 use paxos_semantics::PaxosSemantics;
 use raft_lite::{RaftConfig, RaftMessage, RaftNode, RaftSemantics, Term};
 use rand::rngs::StdRng;
@@ -33,8 +33,8 @@ pub fn dedup_workload<F: DuplicateFilter>(filter: &mut F, count: usize, copies: 
         let msg = PaxosMessage::Phase2b {
             instance: paxos::InstanceId::new((c / 32) as u64),
             round: paxos::Round::ZERO,
-            value: Value::new(NodeId::new(0), (c / 32) as u64, vec![0; 8]),
-            voters: vec![NodeId::new((c % 32) as u32)],
+            value: ValueId::new(NodeId::new(0), (c / 32) as u64),
+            voters: VoterSet::single(NodeId::new((c % 32) as u32)),
         };
         let id = msg.message_id();
         for _ in 0..copies {
@@ -53,8 +53,8 @@ pub fn vote_batch(voters: usize) -> Vec<PaxosMessage> {
         .map(|v| PaxosMessage::Phase2b {
             instance: paxos::InstanceId::ZERO,
             round: paxos::Round::ZERO,
-            value: Value::new(NodeId::new(0), 0, vec![0; 1024]),
-            voters: vec![NodeId::new(v as u32)],
+            value: ValueId::new(NodeId::new(0), 0),
+            voters: VoterSet::single(NodeId::new(v as u32)),
         })
         .collect()
 }

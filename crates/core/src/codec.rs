@@ -318,15 +318,25 @@ pub fn encode_seq<T: Wire>(items: &[T], buf: &mut Vec<u8>) {
 
 /// Decodes a sequence written by [`encode_seq`].
 ///
+/// Nothing is sized from the count alone: an element takes at least one
+/// byte, so a count beyond the bytes left is refused, and the buffer
+/// reserved up front never exceeds those bytes — it grows further only as
+/// elements actually decode.
+///
 /// # Errors
 ///
-/// Returns a [`WireError`] on malformed input or an oversized count.
+/// Returns a [`WireError`] on malformed input or a count the input cannot
+/// hold.
 pub fn decode_seq<T: Wire>(r: &mut Reader<'_>) -> Result<Vec<T>, WireError> {
     let n = r.varint()?;
     if n > MAX_LENGTH {
         return Err(WireError::LengthTooLarge(n));
     }
-    let mut items = Vec::with_capacity((n as usize).min(4096));
+    if n > r.remaining() as u64 {
+        return Err(WireError::UnexpectedEnd);
+    }
+    let reserve = r.remaining() / std::mem::size_of::<T>().max(1);
+    let mut items = Vec::with_capacity((n as usize).min(reserve));
     for _ in 0..n {
         items.push(T::decode(r)?);
     }
@@ -423,6 +433,15 @@ mod tests {
         assert_eq!(buf.len(), seq_len(&items));
         let mut r = Reader::new(&buf);
         assert_eq!(decode_seq::<u64>(&mut r).unwrap(), items);
+    }
+
+    #[test]
+    fn seq_count_beyond_the_input_is_refused_before_allocating() {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, 1 << 20);
+        buf.extend_from_slice(&[1, 2, 3]);
+        let mut r = Reader::new(&buf);
+        assert_eq!(decode_seq::<u64>(&mut r), Err(WireError::UnexpectedEnd));
     }
 
     #[test]

@@ -235,7 +235,13 @@ events! {
     Phase2a = "phase2a" { node: u32, instance: u64, round: u32, origin: u32, seq: u64 },
     /// A learner handled a Phase 2b (vote) carrying `voters` votes.
     Phase2b = "phase2b" { node: u32, instance: u64, round: u32, voters: u64 },
-    /// A majority of acceptors is known to have voted for the value.
+    /// A majority of acceptors is known to have voted for value
+    /// `(origin, seq)` in `round`, but votes carry the value's id only and
+    /// that round's Phase 2a has not arrived here: the decision is held
+    /// until the proposal or a Decision brings the value.
+    ValueAwaited = "value_awaited" { node: u32, instance: u64, round: u32, origin: u32, seq: u64 },
+    /// A majority of acceptors is known to have voted for the value, and
+    /// the value is known here.
     QuorumReached = "quorum_reached" { node: u32, instance: u64, origin: u32, seq: u64 },
     /// The instance's value became decided at this process.
     Decided = "decided" { node: u32, instance: u64, origin: u32, seq: u64 },

@@ -4,7 +4,7 @@
 //! [`HealthTracker`] consumes the flat [`Event`] stream the Paxos and
 //! gossip layers already emit and maintains the cluster's *pipeline
 //! state*: which consensus instances are open, what lifecycle phase each
-//! is in (proposed → voting → decided), and which submitted client values
+//! is in (proposed → voting → awaiting value → decided), and which submitted client values
 //! have not yet been released in order. From that state it derives the
 //! one liveness judgement the raw counters cannot express: **is the log
 //! still advancing?**
@@ -39,6 +39,9 @@ pub enum Phase {
     Proposed,
     /// Phase 2b votes are arriving, no quorum observed yet.
     Voting,
+    /// A learner holds a quorum of votes — which name the value by id —
+    /// but not the proposal that carries the value, and nobody has decided.
+    AwaitingValue,
     /// Decided (quorum or decision observed) but not yet released in
     /// instance order.
     Decided,
@@ -51,6 +54,7 @@ impl Phase {
         match self {
             Phase::Proposed => "proposed",
             Phase::Voting => "voting",
+            Phase::AwaitingValue => "awaiting_value",
             Phase::Decided => "decided",
         }
     }
@@ -195,6 +199,9 @@ impl HealthTracker {
             }
             Event::Phase2b { instance, .. } => {
                 self.open(instance, Phase::Voting, e.at);
+            }
+            Event::ValueAwaited { instance, .. } => {
+                self.open(instance, Phase::AwaitingValue, e.at);
             }
             Event::QuorumReached { instance, .. } | Event::Decided { instance, .. } => {
                 self.open(instance, Phase::Decided, e.at);
@@ -346,22 +353,24 @@ impl HealthTracker {
 
     /// In-flight work per lifecycle phase, as `(phase name, count)` rows:
     /// submitted values awaiting a proposal, then instances in
-    /// proposed / voting / decided.
-    pub fn phase_counts(&self) -> [(&'static str, u64); 4] {
+    /// proposed / voting / awaiting value / decided.
+    pub fn phase_counts(&self) -> [(&'static str, u64); 5] {
         let submitted = self
             .pending
             .keys()
             .filter(|k| !self.proposed.contains(*k))
             .count() as u64;
-        let mut counts = [0u64; 3];
+        let mut counts = [0u64; 4];
         for open in self.instances.values() {
             counts[open.phase as usize] += 1;
         }
+        let row = |phase: Phase| (phase.name(), counts[phase as usize]);
         [
             (PHASE_SUBMITTED, submitted),
-            (Phase::Proposed.name(), counts[Phase::Proposed as usize]),
-            (Phase::Voting.name(), counts[Phase::Voting as usize]),
-            (Phase::Decided.name(), counts[Phase::Decided as usize]),
+            row(Phase::Proposed),
+            row(Phase::Voting),
+            row(Phase::AwaitingValue),
+            row(Phase::Decided),
         ]
     }
 
@@ -693,11 +702,33 @@ mod tests {
                 seq: 9,
             },
         ));
+        // A learner that missed instance 3's proposal holds a quorum of
+        // vote ids; a straggler vote afterwards does not demote the phase.
+        t.observe(&ev(
+            40,
+            Event::ValueAwaited {
+                node: 1,
+                instance: 3,
+                round: 0,
+                origin: 0,
+                seq: 4,
+            },
+        ));
+        t.observe(&ev(
+            45,
+            Event::Phase2b {
+                node: 1,
+                instance: 3,
+                round: 0,
+                voters: 1,
+            },
+        ));
         let counts = t.phase_counts();
         assert_eq!(counts[0], (PHASE_SUBMITTED, 1)); // seq 2 still unproposed
         assert_eq!(counts[1], ("proposed", 1));
         assert_eq!(counts[2], ("voting", 1));
-        assert_eq!(counts[3], ("decided", 1));
+        assert_eq!(counts[3], ("awaiting_value", 1));
+        assert_eq!(counts[4], ("decided", 1));
         assert_eq!(t.oldest_open_age(100 * MS), 100 * MS);
         assert_eq!(HealthTracker::default().oldest_open_age(5), 0);
     }

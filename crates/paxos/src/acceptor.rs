@@ -13,6 +13,7 @@ use semantic_gossip::NodeId;
 use crate::message::{AcceptedEntry, PaxosMessage};
 use crate::storage::{MemoryStorage, StableStorage};
 use crate::types::{InstanceId, Round, Value};
+use crate::voters::VoterSet;
 
 /// The acceptor state machine of one process.
 ///
@@ -117,7 +118,8 @@ impl<S: StableStorage> Acceptor<S> {
     }
 
     /// Handles a Phase 2a message: accepts `value` in `instance` unless a
-    /// higher round was promised, and returns the Phase 2b vote.
+    /// higher round was promised, and returns the Phase 2b vote, which
+    /// names the value by its id.
     pub fn on_phase2a(
         &mut self,
         instance: InstanceId,
@@ -132,13 +134,14 @@ impl<S: StableStorage> Acceptor<S> {
             self.promised = round;
         }
         self.storage.save_accept(instance, round, &value);
-        self.accepted.insert(instance, (round, value.clone()));
-        Some(PaxosMessage::Phase2b {
+        let vote = PaxosMessage::Phase2b {
             instance,
             round,
-            value,
-            voters: vec![self.id],
-        })
+            value: value.id(),
+            voters: VoterSet::single(self.id),
+        };
+        self.accepted.insert(instance, (round, value));
+        Some(vote)
     }
 }
 
@@ -193,7 +196,7 @@ mod tests {
             } => {
                 assert_eq!(instance, InstanceId::new(3));
                 assert_eq!(round, Round::ZERO);
-                assert_eq!(v, value(1));
+                assert_eq!(v, value(1).id());
                 assert_eq!(voters, vec![NodeId::new(2)]);
             }
             other => panic!("unexpected {other:?}"),

@@ -6,11 +6,16 @@
 //! (many-to-one — but visible to everyone under gossip), and Decisions
 //! (one-to-many).
 //!
-//! [`PaxosMessage::Phase2b`] carries a *list* of voters: a single-voter list
-//! is an ordinary Phase 2b; more voters make it a semantically aggregated
+//! [`PaxosMessage::Phase2b`] is a *thin* vote: it names the accepted value
+//! by its [`ValueId`] and never carries the payload, which every process
+//! already holds from the `Phase2a` of the same `(instance, round)` (the
+//! [`Learner`](crate::Learner) joins the two). It carries a *set* of voters:
+//! one voter is an ordinary Phase 2b; more make it a semantically aggregated
 //! Phase 2b ("any of the original Phase 2b messages plus a field to store
 //! the multiple senders", §3.2). Aggregation is reversible via
-//! [`PaxosMessage::disaggregate_votes`].
+//! [`PaxosMessage::disaggregate_votes`]. With the payload gone and the
+//! voters an inline [`VoterSet`], a vote is a plain small value: cloning,
+//! splitting, merging and decoding one allocates nothing.
 //!
 //! Message identifiers are structural, defined by the consensus protocol as
 //! the paper prescribes (§3.3), so the recently-seen cache never suffers
@@ -18,10 +23,10 @@
 
 use semantic_gossip::codec::{decode_seq, encode_seq, seq_len, Reader, Wire, WireError};
 use semantic_gossip::hash::mix_words;
-use semantic_gossip::id::stable_hash64;
 use semantic_gossip::{GossipItem, MessageId, NodeId, TraceTag};
 
-use crate::types::{InstanceId, Round, Value};
+use crate::types::{InstanceId, Round, Value, ValueId};
+use crate::voters::VoterSet;
 
 /// One accepted-value report inside a Phase 1b message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,20 +100,22 @@ pub enum PaxosMessage {
         /// The coordinator.
         sender: NodeId,
     },
-    /// Phase 2b: vote(s) that `value` was accepted in `instance` at `round`.
+    /// Phase 2b: vote(s) that the value named `value` was accepted in
+    /// `instance` at `round`. The value itself travels in the `Phase2a` of
+    /// the same `(instance, round)` and in the `Decision`.
     ///
-    /// `voters.len() == 1` is an ordinary vote; more entries form a
-    /// semantically aggregated vote. Invariant: `voters` is non-empty,
-    /// sorted, and duplicate-free ([`PaxosMessage::validate`]).
+    /// `voters.len() == 1` is an ordinary vote; more members form a
+    /// semantically aggregated vote. Invariant: `voters` is non-empty
+    /// ([`PaxosMessage::validate`]).
     Phase2b {
         /// Target instance.
         instance: InstanceId,
         /// Round the vote belongs to.
         round: Round,
-        /// The accepted value.
-        value: Value,
+        /// Id of the accepted value.
+        value: ValueId,
         /// The acceptors that cast this vote.
-        voters: Vec<NodeId>,
+        voters: VoterSet,
     },
     /// The coordinator announces that `instance` decided `value`.
     Decision {
@@ -200,21 +207,19 @@ impl PaxosMessage {
         }
     }
 
-    /// Checks structural invariants (voter list shape).
+    /// Checks structural invariants (a vote has a voter; a [`VoterSet`]
+    /// cannot be unsorted or hold duplicates).
     ///
     /// # Errors
     ///
     /// Returns a [`WireError::Invalid`] describing the violated invariant.
     pub fn validate(&self) -> Result<(), WireError> {
-        if let PaxosMessage::Phase2b { voters, .. } = self {
-            if voters.is_empty() {
-                return Err(WireError::Invalid("Phase2b without voters"));
+        match self {
+            PaxosMessage::Phase2b { voters, .. } if voters.is_empty() => {
+                Err(WireError::Invalid("Phase2b without voters"))
             }
-            if !voters.windows(2).all(|w| w[0] < w[1]) {
-                return Err(WireError::Invalid("Phase2b voters not sorted/unique"));
-            }
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Splits an aggregated Phase 2b into the original single-voter votes
@@ -228,12 +233,12 @@ impl PaxosMessage {
                 value,
                 voters,
             } if voters.len() > 1 => voters
-                .into_iter()
+                .iter()
                 .map(|voter| PaxosMessage::Phase2b {
                     instance,
                     round,
-                    value: value.clone(),
-                    voters: vec![voter],
+                    value,
+                    voters: VoterSet::single(voter),
                 })
                 .collect(),
             other => vec![other],
@@ -262,7 +267,7 @@ impl GossipItem for PaxosMessage {
     /// * `Phase2b(round₂₄, voter, instance)` — one vote per acceptor, round
     ///   and instance (rounds are truncated to 24 bits in the id; rounds
     ///   beyond 16M would alias, far beyond any practical execution);
-    /// * aggregated `Phase2b` — hashed over `(round, voters)`, but these ids
+    /// * aggregated `Phase2b` — a fold of `(round, voters)`, but these ids
     ///   are only informational: aggregates are disaggregated before
     ///   duplicate-checking;
     /// * `Decision(instance)` — decisions for an instance are identical by
@@ -290,21 +295,18 @@ impl GossipItem for PaxosMessage {
                 round,
                 voters,
                 ..
-            } => {
-                if voters.len() == 1 {
+            } => match voters.first() {
+                Some(voter) if voters.len() == 1 => {
                     let high =
-                        ((voters[0].as_u32() as u64) << 24) | (round.as_u32() as u64 & 0xff_ffff);
+                        ((voter.as_u32() as u64) << 24) | (round.as_u32() as u64 & 0xff_ffff);
                     id(Kind::Phase2b, high, instance.as_u64())
-                } else {
-                    let mut bytes = Vec::with_capacity(8 + voters.len() * 4);
-                    bytes.extend_from_slice(&round.as_u32().to_le_bytes());
-                    for v in voters {
-                        bytes.extend_from_slice(&v.as_u32().to_le_bytes());
-                    }
-                    let h = stable_hash64(&bytes) & ((1 << KIND_SHIFT) - 1);
+                }
+                _ => {
+                    let h = mix_words(&[round.as_u32() as u64, voters.digest()])
+                        & ((1 << KIND_SHIFT) - 1);
                     id(Kind::Phase2bAggregated, h, instance.as_u64())
                 }
-            }
+            },
             PaxosMessage::Decision { instance, .. } => id(Kind::Decision, 0, instance.as_u64()),
         }
     }
@@ -325,8 +327,8 @@ impl GossipItem for PaxosMessage {
         let value_id = match self {
             PaxosMessage::ClientValue { value, .. }
             | PaxosMessage::Phase2a { value, .. }
-            | PaxosMessage::Phase2b { value, .. }
             | PaxosMessage::Decision { value, .. } => Some(value.id()),
+            PaxosMessage::Phase2b { value, .. } => Some(*value),
             PaxosMessage::Phase1a { .. } | PaxosMessage::Phase1b { .. } => None,
         };
         Some(TraceTag {
@@ -349,8 +351,8 @@ impl GossipItem for PaxosMessage {
             } => Some(mix_words(&[
                 instance.as_u64(),
                 round.as_u32() as u64,
-                value.id().origin.as_u32() as u64,
-                value.id().seq,
+                value.origin.as_u32() as u64,
+                value.seq,
             ])),
             _ => None,
         }
@@ -407,7 +409,7 @@ impl Wire for PaxosMessage {
                 instance.encode(buf);
                 round.encode(buf);
                 value.encode(buf);
-                encode_seq(voters, buf);
+                voters.encode(buf);
             }
             PaxosMessage::Decision {
                 instance,
@@ -448,8 +450,8 @@ impl Wire for PaxosMessage {
             t if t == Kind::Phase2b as u8 => PaxosMessage::Phase2b {
                 instance: InstanceId::decode(r)?,
                 round: Round::decode(r)?,
-                value: Value::decode(r)?,
-                voters: decode_seq(r)?,
+                value: ValueId::decode(r)?,
+                voters: VoterSet::decode(r)?,
             },
             t if t == Kind::Decision as u8 => PaxosMessage::Decision {
                 instance: InstanceId::decode(r)?,
@@ -494,7 +496,10 @@ impl Wire for PaxosMessage {
                 value,
                 voters,
             } => {
-                instance.encoded_len() + round.encoded_len() + value.encoded_len() + seq_len(voters)
+                instance.encoded_len()
+                    + round.encoded_len()
+                    + value.encoded_len()
+                    + voters.encoded_len()
             }
             PaxosMessage::Decision {
                 instance,
@@ -543,14 +548,14 @@ mod tests {
             PaxosMessage::Phase2b {
                 instance: InstanceId::new(5),
                 round: Round::new(2),
-                value: value(1),
-                voters: vec![NodeId::new(4)],
+                value: value(1).id(),
+                voters: vec![NodeId::new(4)].into(),
             },
             PaxosMessage::Phase2b {
                 instance: InstanceId::new(5),
                 round: Round::new(2),
-                value: value(1),
-                voters: vec![NodeId::new(2), NodeId::new(4), NodeId::new(7)],
+                value: value(1).id(),
+                voters: vec![NodeId::new(2), NodeId::new(4), NodeId::new(7)].into(),
             },
             PaxosMessage::Decision {
                 instance: InstanceId::new(5),
@@ -581,8 +586,8 @@ mod tests {
             PaxosMessage::Phase2b {
                 instance: InstanceId::new(inst),
                 round: Round::new(round),
-                value: value(0),
-                voters: vec![NodeId::new(voter)],
+                value: value(0).id(),
+                voters: vec![NodeId::new(voter)].into(),
             }
             .message_id()
         };
@@ -626,8 +631,8 @@ mod tests {
         let agg = PaxosMessage::Phase2b {
             instance: InstanceId::new(1),
             round: Round::ZERO,
-            value: value(0),
-            voters: vec![NodeId::new(1), NodeId::new(3)],
+            value: value(0).id(),
+            voters: vec![NodeId::new(1), NodeId::new(3)].into(),
         };
         let parts = agg.disaggregate_votes();
         assert_eq!(parts.len(), 2);
@@ -643,8 +648,8 @@ mod tests {
         let single = PaxosMessage::Phase2b {
             instance: InstanceId::new(1),
             round: Round::ZERO,
-            value: value(0),
-            voters: vec![NodeId::new(1)],
+            value: value(0).id(),
+            voters: vec![NodeId::new(1)].into(),
         };
         assert_eq!(parts[0].message_id(), single.message_id());
     }
@@ -654,8 +659,8 @@ mod tests {
         let single = PaxosMessage::Phase2b {
             instance: InstanceId::new(1),
             round: Round::ZERO,
-            value: value(0),
-            voters: vec![NodeId::new(1)],
+            value: value(0).id(),
+            voters: vec![NodeId::new(1)].into(),
         };
         assert_eq!(single.clone().disaggregate_votes(), vec![single]);
         let dec = PaxosMessage::Decision {
@@ -668,22 +673,30 @@ mod tests {
 
     #[test]
     fn invalid_votes_rejected() {
-        let empty = PaxosMessage::Phase2b {
+        let vote = |voters: Vec<NodeId>| PaxosMessage::Phase2b {
             instance: InstanceId::new(1),
             round: Round::ZERO,
-            value: value(0),
-            voters: vec![],
+            value: value(0).id(),
+            voters: voters.into(),
         };
+        let empty = vote(vec![]);
         assert!(empty.validate().is_err());
-        let unsorted = PaxosMessage::Phase2b {
-            instance: InstanceId::new(1),
-            round: Round::ZERO,
-            value: value(0),
-            voters: vec![NodeId::new(3), NodeId::new(1)],
-        };
-        assert!(unsorted.validate().is_err());
-        // Decoding enforces validation.
-        assert!(PaxosMessage::from_bytes(&unsorted.to_bytes()).is_err());
+        // Decoding enforces validation...
+        assert!(PaxosMessage::from_bytes(&empty.to_bytes()).is_err());
+        // ...and the one canonical voter order: the structural id of a vote
+        // is built from its voters, so [3, 1] must not decode to the same
+        // message as [1, 3] — nor [1, 1] to the same as [1].
+        let sorted = vote(vec![NodeId::new(1), NodeId::new(3)]).to_bytes();
+        assert!(PaxosMessage::from_bytes(&sorted).is_ok());
+        let (head, voters) = sorted.split_at(sorted.len() - 2);
+        assert_eq!(voters, [1, 3]);
+        for bad in [[3, 1], [1, 1]] {
+            let frame = [head, &bad].concat();
+            assert!(matches!(
+                PaxosMessage::from_bytes(&frame),
+                Err(WireError::Invalid(_))
+            ));
+        }
     }
 
     #[test]
@@ -722,18 +735,37 @@ mod tests {
     }
 
     #[test]
-    fn aggregated_size_is_much_smaller_than_parts() {
-        // The paper: an aggregated vote has essentially the same size
-        // regardless of how many votes it replaces.
-        let voters: Vec<NodeId> = (0..50).map(NodeId::new).collect();
+    fn aggregated_size_is_smaller_than_parts() {
+        // The paper: an aggregated vote is "an original Phase 2b plus a
+        // senders field". With thin votes the original is a dozen bytes, so
+        // what aggregation still saves is the repeated header.
         let agg = PaxosMessage::Phase2b {
             instance: InstanceId::new(1),
             round: Round::ZERO,
-            value: Value::new(NodeId::new(0), 0, vec![0; 1024]),
-            voters,
+            value: ValueId::new(NodeId::new(0), 0),
+            voters: (0..50).map(NodeId::new).collect(),
         };
         let agg_size = agg.wire_size();
         let parts_size: usize = agg.disaggregate_votes().iter().map(|p| p.wire_size()).sum();
-        assert!(agg_size < parts_size / 20, "{agg_size} vs {parts_size}");
+        assert!(agg_size < parts_size / 4, "{agg_size} vs {parts_size}");
+    }
+
+    #[test]
+    fn a_vote_is_a_dozen_bytes_whatever_the_value_size() {
+        let big = Value::new(NodeId::new(3), 700, vec![0; 1024]);
+        let vote = PaxosMessage::Phase2b {
+            instance: InstanceId::new(70_000),
+            round: Round::new(2),
+            value: big.id(),
+            voters: VoterSet::single(NodeId::new(26)),
+        };
+        assert!(vote.wire_size() <= 12, "{}", vote.wire_size());
+        let proposal = PaxosMessage::Phase2a {
+            instance: InstanceId::new(70_000),
+            round: Round::new(2),
+            value: big,
+            sender: NodeId::new(2),
+        };
+        assert!(proposal.wire_size() > 1024);
     }
 }

@@ -210,6 +210,13 @@ impl<S: StableStorage, O: Observer> PaxosProcess<S, O> {
         self.learner.open_window()
     }
 
+    /// Instances in which this process held a quorum of votes before the
+    /// value they name ([`Learner::value_waits`]) — the `value_waits`
+    /// counter next to `instance_window`.
+    pub fn value_waits(&self) -> u64 {
+        self.learner.value_waits()
+    }
+
     /// Makes this process the coordinator of `round`, starting Phase 1 over
     /// all instances not yet delivered locally.
     ///
@@ -347,6 +354,11 @@ impl<S: StableStorage, O: Observer> PaxosProcess<S, O> {
                     });
                 }
                 let mut out = self.observe_round(round);
+                // Votes name this value by id only: the learner takes the
+                // proposal whether or not the acceptor goes on to accept it.
+                if let Some(decided) = self.learner.on_phase2a(instance, round, &value) {
+                    out.extend(self.on_quorum(instance, decided));
+                }
                 out.extend(
                     self.acceptor
                         .on_phase2a(instance, round, value)
@@ -368,23 +380,22 @@ impl<S: StableStorage, O: Observer> PaxosProcess<S, O> {
                         voters: voters.len() as u64,
                     });
                 }
-                let mut out = Vec::new();
-                for voter in voters {
-                    if let Some(decided) = self.learner.on_phase2b(instance, round, &value, voter) {
-                        if O::ENABLED {
-                            let id = decided.id();
-                            self.observer.record(Event::QuorumReached {
+                let waits = self.learner.value_waits();
+                match self.learner.on_phase2b(instance, round, value, &voters) {
+                    Some(decided) => self.on_quorum(instance, decided),
+                    None => {
+                        if O::ENABLED && self.learner.value_waits() > waits {
+                            self.observer.record(Event::ValueAwaited {
                                 node: self.id.as_u32(),
                                 instance: self.scoped_instance(instance.as_u64()),
-                                origin: id.origin.as_u32(),
-                                seq: id.seq,
+                                round: round.as_u32(),
+                                origin: value.origin.as_u32(),
+                                seq: value.seq,
                             });
                         }
-                        out.extend(self.on_locally_decided(instance, decided));
-                        break; // instance decided; further voters are moot
+                        Vec::new()
                     }
                 }
-                out
             }
             PaxosMessage::Decision {
                 instance, value, ..
@@ -450,6 +461,21 @@ impl<S: StableStorage, O: Observer> PaxosProcess<S, O> {
     /// Recover with [`PaxosProcess::with_storage`].
     pub fn into_acceptor_storage(self) -> S {
         self.acceptor.into_storage()
+    }
+
+    /// A majority of identical votes met its value: the instance is decided
+    /// here without a Decision message.
+    fn on_quorum(&mut self, instance: InstanceId, value: Value) -> Vec<Outbound> {
+        if O::ENABLED {
+            let id = value.id();
+            self.observer.record(Event::QuorumReached {
+                node: self.id.as_u32(),
+                instance: self.scoped_instance(instance.as_u64()),
+                origin: id.origin.as_u32(),
+                seq: id.seq,
+            });
+        }
+        self.on_locally_decided(instance, value)
     }
 
     fn on_locally_decided(&mut self, instance: InstanceId, value: Value) -> Vec<Outbound> {
@@ -526,6 +552,15 @@ mod tests {
             for p in procs.iter_mut() {
                 inflight.extend(p.handle(out.msg.clone()));
             }
+        }
+    }
+
+    fn proposal(value: &Value, round: Round) -> PaxosMessage {
+        PaxosMessage::Phase2a {
+            instance: InstanceId::ZERO,
+            round,
+            value: value.clone(),
+            sender: NodeId::new(0),
         }
     }
 
@@ -709,18 +744,74 @@ mod tests {
 
     #[test]
     fn learner_decides_from_majority_without_decision_message() {
-        // Feed raw 2b votes to a bystander process: it must decide alone.
+        // Feed the proposal and raw 2b votes to a bystander process: it
+        // must decide alone.
         let mut p = PaxosProcess::new(NodeId::new(2), PaxosConfig::new(3));
         let v = Value::new(NodeId::new(0), 0, vec![5]);
         let vote = |voter: u32| PaxosMessage::Phase2b {
             instance: InstanceId::ZERO,
             round: Round::ZERO,
-            value: v.clone(),
-            voters: vec![NodeId::new(voter)],
+            value: v.id(),
+            voters: vec![NodeId::new(voter)].into(),
         };
+        let own_vote = p.handle(proposal(&v, Round::ZERO));
+        assert_eq!(own_vote.len(), 1);
         assert!(p.handle(vote(0)).is_empty());
         assert!(p.handle(vote(1)).is_empty()); // decided; not coordinator => no Decision emitted
         assert_eq!(p.take_decisions(), vec![(InstanceId::ZERO, v)]);
+        assert_eq!(p.value_waits(), 0);
+    }
+
+    #[test]
+    fn votes_ahead_of_the_proposal_wait_for_it() {
+        use obs::RingObserver;
+        let mut p: PaxosProcess<MemoryStorage, RingObserver> = PaxosProcess::with_observer(
+            NodeId::new(2),
+            PaxosConfig::new(3),
+            MemoryStorage::default(),
+            RingObserver::with_capacity(64),
+        );
+        let v = Value::new(NodeId::new(0), 0, vec![5]);
+        p.handle(PaxosMessage::Phase2b {
+            instance: InstanceId::ZERO,
+            round: Round::ZERO,
+            value: v.id(),
+            voters: vec![NodeId::new(0), NodeId::new(1)].into(),
+        });
+        assert!(p.take_decisions().is_empty(), "a quorum of ids, no value");
+        assert_eq!((p.value_waits(), p.instance_window()), (1, 1));
+        p.handle(proposal(&v, Round::ZERO));
+        assert_eq!(p.take_decisions(), vec![(InstanceId::ZERO, v)]);
+        let kinds: Vec<&str> = p.observer().iter().map(|e| e.event.kind()).collect();
+        let at = |kind: &str| {
+            let found = kinds.iter().position(|k| *k == kind);
+            found.unwrap_or_else(|| panic!("no {kind} in {kinds:?}"))
+        };
+        assert!(at("value_awaited") < at("phase2a"), "{kinds:?}");
+        assert!(at("phase2a") < at("quorum_reached"), "{kinds:?}");
+    }
+
+    #[test]
+    fn a_proposal_the_acceptor_rejects_still_supplies_the_value() {
+        let mut p = PaxosProcess::new(NodeId::new(2), PaxosConfig::new(3));
+        let v = Value::new(NodeId::new(0), 0, vec![5]);
+        // The acceptor has promised round 2...
+        p.handle(PaxosMessage::Phase1a {
+            round: Round::new(2),
+            from_instance: InstanceId::ZERO,
+            sender: NodeId::new(2),
+        });
+        // ...so it stays silent on round 0's proposal, which the other two
+        // acceptors vote for.
+        assert!(p.handle(proposal(&v, Round::ZERO)).is_empty());
+        p.handle(PaxosMessage::Phase2b {
+            instance: InstanceId::ZERO,
+            round: Round::ZERO,
+            value: v.id(),
+            voters: vec![NodeId::new(0), NodeId::new(1)].into(),
+        });
+        assert_eq!(p.take_decisions(), vec![(InstanceId::ZERO, v)]);
+        assert_eq!(p.value_waits(), 0);
     }
 
     #[test]
@@ -730,9 +821,10 @@ mod tests {
         let agg = PaxosMessage::Phase2b {
             instance: InstanceId::ZERO,
             round: Round::ZERO,
-            value: v.clone(),
-            voters: vec![NodeId::new(0), NodeId::new(1)],
+            value: v.id(),
+            voters: vec![NodeId::new(0), NodeId::new(1)].into(),
         };
+        p.handle(proposal(&v, Round::ZERO));
         p.handle(agg);
         assert_eq!(p.take_decisions().len(), 1);
     }

@@ -8,11 +8,20 @@
 //! flowing to a peer once that peer is *expected to already know the
 //! decision from the messages previously sent to it*: either a Decision for
 //! the instance was sent, or identical Phase 2b votes from a majority of
-//! acceptors were sent (a learner decides from those alone). Evaluating the
-//! rules is "a lightweight execution of the consensus protocol on behalf of
-//! a peer": the implementation keeps, per instance, the set of peers that
-//! must know its decision and, per (peer, round, value), the votes already
-//! forwarded.
+//! acceptors were sent *and the peer holds the value they name*. Votes are
+//! thin — they carry the value's id — so a learner decides from a majority
+//! of them only together with the `Phase2a` of the same `(instance, round)`.
+//! A peer is known to hold that proposal when its own vote for the round
+//! was observed: an acceptor votes only on a proposal it handled. (Having
+//! *sent* the peer the proposal is not evidence — a link may drop the frame
+//! after the rule ran, and the filtered Decision would have been the only
+//! other message carrying the value.) Without that evidence a quorum of
+//! votes sent makes further votes redundant for the peer, but not the
+//! Decision. Evaluating the rules
+//! is "a lightweight execution of the consensus protocol on behalf of a
+//! peer": the implementation keeps, per instance, the set of peers that
+//! must know its decision, per round the peers holding its proposal and,
+//! per (peer, round, value), the votes already forwarded.
 //!
 //! **Semantic aggregation** (send path, opportunistic). Pending Phase 2b
 //! messages for the same `(instance, round, value)` — identical except for
@@ -43,8 +52,8 @@
 //! let v = Value::new(NodeId::new(0), 0, vec![1]);
 //! let peer = NodeId::new(1);
 //!
-//! let decision = PaxosMessage::Decision { instance: InstanceId::ZERO, value: v.clone(), sender: NodeId::new(0) };
-//! let vote = PaxosMessage::Phase2b { instance: InstanceId::ZERO, round: Round::ZERO, value: v, voters: vec![NodeId::new(2)] };
+//! let vote = PaxosMessage::Phase2b { instance: InstanceId::ZERO, round: Round::ZERO, value: v.id(), voters: vec![NodeId::new(2)].into() };
+//! let decision = PaxosMessage::Decision { instance: InstanceId::ZERO, value: v, sender: NodeId::new(0) };
 //!
 //! // After the decision is sent to the peer, votes for the instance are filtered.
 //! assert!(sem.validate(&decision, peer));
@@ -105,7 +114,7 @@ struct Tally {
 }
 
 /// Everything the filter knows about one instance.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct InstanceSummary {
     /// This node knows the instance is decided (observed a Decision or a
     /// majority of identical votes).
@@ -115,47 +124,66 @@ struct InstanceSummary {
     tallies: Vec<Tally>,
     /// Peers expected to know the decision from what was sent to them.
     informed: VoterSet,
+    /// Per round, the peers known to hold the value its `Phase2a` proposed:
+    /// they voted in that round.
+    holders: Vec<(Round, VoterSet)>,
     /// Votes forwarded to peers that do not know the decision yet. All of a
     /// peer's entries go once it joins `informed`.
     sent: Vec<(NodeId, Tally)>,
 }
 
 impl InstanceSummary {
-    fn new(n: usize) -> Self {
-        InstanceSummary {
-            decided: false,
-            tallies: Vec::new(),
-            informed: VoterSet::new(n),
-            sent: Vec::new(),
-        }
-    }
-
     fn decide(&mut self) {
         self.decided = true;
         self.tallies = Vec::new();
     }
 
-    /// Accounts for a message about to be forwarded to `peer`: a Decision
-    /// (`vote` is `None`) or votes for one `(round, value)`. Once the peer
-    /// holds the decision or a quorum of identical votes it is `informed`,
-    /// and every vote entry kept for it — winning round or not — is
-    /// dropped: nothing for this instance will be sent to it again.
-    fn record_sent(
+    /// The holders of `round`'s proposal, to add to.
+    fn holders_mut(&mut self, round: Round) -> &mut VoterSet {
+        let at = self
+            .holders
+            .iter()
+            .position(|(r, _)| *r == round)
+            .unwrap_or_else(|| {
+                self.holders.push((round, VoterSet::new()));
+                self.holders.len() - 1
+            });
+        &mut self.holders[at].1
+    }
+
+    /// Accounts for a message about to be forwarded to `peer` — a Decision
+    /// (`vote` is `None`) or votes for one `(round, value)` — and returns
+    /// whether it is still worth sending.
+    ///
+    /// Votes are redundant once a quorum of them was sent. The Decision is
+    /// redundant once such a quorum was sent *and* the peer holds that
+    /// round's proposal: a quorum of ids decides nothing without the value.
+    /// A peer that holds the decision either way is `informed`, and every
+    /// vote entry kept for it — winning round or not — is dropped: nothing
+    /// for this instance will be sent to it again.
+    fn forward(
         &mut self,
         peer: NodeId,
-        vote: Option<(Round, ValueId, &[NodeId])>,
-        n: usize,
+        vote: Option<(Round, ValueId, &VoterSet)>,
         quorum: usize,
-    ) {
-        let knows = match vote {
-            None => true,
+    ) -> bool {
+        let holds = |holders: &[(Round, VoterSet)], round| {
+            holders.iter().any(|(r, h)| *r == round && h.contains(peer))
+        };
+        let (pass, knows) = match vote {
+            None => {
+                let redundant = self.sent.iter().any(|(p, t)| {
+                    *p == peer && t.voters.len() >= quorum && holds(&self.holders, t.round)
+                });
+                (!redundant, true)
+            }
             Some((round, value, voters)) => {
                 let at = self
                     .sent
                     .iter()
                     .position(|(p, t)| *p == peer && t.round == round && t.value == value)
                     .unwrap_or_else(|| {
-                        let voters = VoterSet::new(n);
+                        let voters = VoterSet::new();
                         self.sent.push((
                             peer,
                             Tally {
@@ -167,8 +195,12 @@ impl InstanceSummary {
                         self.sent.len() - 1
                     });
                 let sent = &mut self.sent[at].1.voters;
-                sent.extend(voters.iter().copied());
-                sent.len() >= quorum
+                let redundant = sent.len() >= quorum;
+                if !redundant {
+                    sent.union_with(voters);
+                }
+                let knows = sent.len() >= quorum && holds(&self.holders, round);
+                (!redundant, knows)
             }
         };
         if knows {
@@ -180,10 +212,15 @@ impl InstanceSummary {
                 self.sent = Vec::new();
             }
         }
+        pass
     }
 
     fn occupancy(&self) -> usize {
-        self.decided as usize + self.tallies.len() + self.informed.len() + self.sent.len()
+        self.decided as usize
+            + self.tallies.len()
+            + self.informed.len()
+            + self.holders.len()
+            + self.sent.len()
     }
 }
 
@@ -250,9 +287,9 @@ impl PaxosSemantics {
         self.gc_watermark = watermark;
     }
 
-    /// Entries currently held: decided marks, vote tallies, informed peers
-    /// and per-peer forwarded-vote records, summed over the instance
-    /// window. The occupancy gauge of the semantic summary; with the hosts'
+    /// Entries currently held: decided marks, vote tallies, informed peers,
+    /// per-round holder sets and per-peer forwarded-vote records, summed
+    /// over the instance window. The occupancy gauge of the semantic summary; with the hosts'
     /// GC cadence it stays flat however long the run.
     pub fn occupancy(&self) -> usize {
         self.window.iter().map(InstanceSummary::occupancy).sum()
@@ -273,20 +310,10 @@ impl PaxosSemantics {
         }
         let offset = offset as usize;
         if offset >= self.window.len() {
-            let n = self.config.n;
             self.window
-                .resize_with(offset + 1, || InstanceSummary::new(n));
+                .resize_with(offset + 1, InstanceSummary::default);
         }
         self.window.get_mut(offset)
-    }
-}
-
-/// Adds the members of `from` to the sorted, duplicate-free `into`.
-fn merge_voters(into: &mut Vec<NodeId>, from: &[NodeId]) {
-    for voter in from {
-        if let Err(at) = into.binary_search(voter) {
-            into.insert(at, *voter);
-        }
     }
 }
 
@@ -304,29 +331,29 @@ impl Semantics<PaxosMessage> for PaxosSemantics {
                 value,
                 voters,
             } => {
-                let n = self.config.n;
                 let quorum = self.config.quorum();
                 let Some(slot) = self.slot_mut(*instance) else {
                     return;
                 };
+                // An acceptor votes only on a proposal it handled.
+                slot.holders_mut(*round).union_with(voters);
                 if slot.decided {
                     return;
                 }
-                let value = value.id();
                 let at = slot
                     .tallies
                     .iter()
-                    .position(|t| t.round == *round && t.value == value)
+                    .position(|t| t.round == *round && t.value == *value)
                     .unwrap_or_else(|| {
                         slot.tallies.push(Tally {
                             round: *round,
-                            value,
-                            voters: VoterSet::new(n),
+                            value: *value,
+                            voters: VoterSet::new(),
                         });
                         slot.tallies.len() - 1
                     });
                 let tally = &mut slot.tallies[at].voters;
-                tally.extend(voters.iter().copied());
+                tally.union_with(voters);
                 if tally.len() >= quorum {
                     slot.decide();
                 }
@@ -345,21 +372,19 @@ impl Semantics<PaxosMessage> for PaxosSemantics {
                 round,
                 value,
                 voters,
-            } => (*instance, Some((*round, value.id(), voters.as_slice()))),
+            } => (*instance, Some((*round, *value, voters))),
             PaxosMessage::Decision { instance, .. } => (*instance, None),
             _ => return true,
         };
         // Below the watermark everything is decided everywhere.
         let pass = instance >= self.gc_watermark && {
-            let (n, quorum) = (self.config.n, self.config.quorum());
+            let quorum = self.config.quorum();
             match self.slot_mut(instance) {
                 None => true,
                 Some(slot) if slot.informed.contains(peer) => false,
-                Some(slot) => {
-                    // Forward, and account for what the peer now knows.
-                    slot.record_sent(peer, vote, n, quorum);
-                    true
-                }
+                // Forward unless redundant, and account for what the peer
+                // now knows.
+                Some(slot) => slot.forward(peer, vote, quorum),
             }
         };
         if !pass {
@@ -395,11 +420,11 @@ impl Semantics<PaxosMessage> for PaxosSemantics {
                         round: r,
                         value: v,
                         voters: into,
-                    } if i == instance && r == round && v.id() == value.id() => Some(into),
+                    } if i == instance && r == round && v == value => Some(into),
                     _ => None,
                 });
                 if let Some(into) = first {
-                    merge_voters(into, voters);
+                    into.union_with(voters);
                     continue;
                 }
             }
@@ -433,8 +458,17 @@ mod tests {
         PaxosMessage::Phase2b {
             instance: InstanceId::new(instance),
             round: Round::new(round),
-            value: value(seq),
+            value: value(seq).id(),
             voters: voters.iter().copied().map(NodeId::new).collect(),
+        }
+    }
+
+    fn proposal(instance: u64, round: u32, seq: u64) -> PaxosMessage {
+        PaxosMessage::Phase2a {
+            instance: InstanceId::new(instance),
+            round: Round::new(round),
+            value: value(seq),
+            sender: NodeId::new(0),
         }
     }
 
@@ -493,12 +527,59 @@ mod tests {
     #[test]
     fn quorum_of_sent_votes_makes_further_votes_redundant() {
         let mut s = sem(5); // quorum = 3
+        s.observe(&vote(0, 0, 1, PEER.as_u32()));
         assert!(s.validate(&vote(0, 0, 1, 1), PEER));
         assert!(s.validate(&vote(0, 0, 1, 2), PEER));
         assert!(s.validate(&vote(0, 0, 1, 3), PEER)); // peer reaches quorum
         assert!(!s.validate(&vote(0, 0, 1, 4), PEER));
-        // ... and the decision for that instance is also redundant now.
+        // ... and the decision for that instance is also redundant now: the
+        // peer voted in that round, so it holds the value those votes name.
         assert!(!s.validate(&decision(0, 1), PEER));
+    }
+
+    /// The rule thin votes moved: a quorum of vote *ids* tells the peer
+    /// that a value is chosen, not which. The Decision is redundant only
+    /// when the proposal of the votes' round is known to be at the peer —
+    /// known from the peer's own vote, not from having sent it the proposal.
+    #[test]
+    fn quorum_of_sent_votes_filters_the_decision_only_with_the_proposal() {
+        let quorum_sent = |s: &mut PaxosSemantics| {
+            for voter in 1..=3 {
+                assert!(s.validate(&vote(0, 1, 7, voter), PEER));
+            }
+            assert!(!s.validate(&vote(0, 1, 7, 4), PEER), "votes are redundant");
+        };
+        // No proposal at the peer: the Decision is what brings the value.
+        let mut s = sem(5);
+        quorum_sent(&mut s);
+        assert!(s.validate(&decision(0, 7), PEER));
+        assert!(!s.validate(&decision(0, 7), PEER), "once");
+        // Having sent it the proposal proves nothing: a link may drop the
+        // frame, and the Decision would be the last carrier of the value.
+        let mut s = sem(5);
+        assert!(s.validate(&proposal(0, 1, 7), PEER));
+        quorum_sent(&mut s);
+        assert!(s.validate(&decision(0, 7), PEER));
+        // The peer's vote in another round does not count either.
+        let mut s = sem(5);
+        s.observe(&vote(0, 0, 7, PEER.as_u32()));
+        quorum_sent(&mut s);
+        assert!(s.validate(&decision(0, 7), PEER));
+        // The peer's own vote for the round, seen before or after the
+        // quorum went out: it handled the proposal.
+        let mut s = sem(5);
+        s.observe(&vote(0, 1, 7, PEER.as_u32()));
+        quorum_sent(&mut s);
+        assert!(!s.validate(&decision(0, 7), PEER));
+        let mut s = sem(5);
+        quorum_sent(&mut s);
+        s.observe(&vote(0, 1, 7, PEER.as_u32()));
+        assert!(!s.validate(&decision(0, 7), PEER));
+        // Another peer's vote is not this peer's.
+        let mut s = sem(5);
+        s.observe(&vote(0, 1, 7, 43));
+        quorum_sent(&mut s);
+        assert!(s.validate(&decision(0, 7), PEER));
     }
 
     #[test]
@@ -515,6 +596,7 @@ mod tests {
     #[test]
     fn votes_for_different_values_count_separately() {
         let mut s = sem(3); // quorum = 2
+        s.observe(&vote(0, 0, 1, PEER.as_u32()));
         assert!(s.validate(&vote(0, 0, 1, 1), PEER));
         assert!(s.validate(&vote(0, 0, 2, 2), PEER)); // different value
         assert!(s.validate(&vote(0, 0, 1, 3), PEER)); // value 1 reaches quorum
@@ -541,14 +623,8 @@ mod tests {
     #[test]
     fn non_vote_messages_always_pass() {
         let mut s = sem(3);
-        let p2a = PaxosMessage::Phase2a {
-            instance: InstanceId::ZERO,
-            round: Round::ZERO,
-            value: value(1),
-            sender: NodeId::new(0),
-        };
         s.validate(&decision(0, 1), PEER);
-        assert!(s.validate(&p2a, PEER)); // same instance, still passes
+        assert!(s.validate(&proposal(0, 0, 1), PEER)); // same instance, still passes
     }
 
     #[test]
@@ -765,17 +841,23 @@ mod tests {
         let mut s = sem(5);
         assert!(s.validate(&vote(0, 0, 1, 1), PEER));
         assert!(s.validate(&vote(0, 0, 1, 2), PEER));
+        s.observe(&vote(0, 1, 2, PEER.as_u32()));
         assert!(s.validate(&vote(0, 1, 2, 1), PEER));
-        assert_eq!(s.occupancy(), 2);
-        // Round 1 reaches a quorum at the peer: the losing round's record
-        // goes with the winning one.
+        assert_eq!(
+            s.occupancy(),
+            4,
+            "two vote records; the peer's own vote as a tally and as round 1's holder"
+        );
+        // Round 1 reaches a quorum at the peer, which voted in it and so
+        // holds its proposal: the losing round's record goes with the
+        // winning one.
         assert!(s.validate(&votes(0, 1, 2, &[2, 3]), PEER));
-        assert_eq!(s.occupancy(), 1, "just the informed mark");
+        assert_eq!(s.occupancy(), 3, "the informed mark replaced both records");
         // Same when a Decision, not a quorum, informs the peer.
         assert!(s.validate(&vote(1, 0, 1, 1), PEER));
         assert!(s.validate(&vote(1, 1, 1, 2), PEER));
         assert!(s.validate(&decision(1, 1), PEER));
-        assert_eq!(s.occupancy(), 2);
+        assert_eq!(s.occupancy(), 4, "one informed mark more");
     }
 
     /// Ten times the hosts' retention (`GC_KEEP` = 1024 instances, collected
@@ -790,14 +872,15 @@ mod tests {
         let mut s = sem(5); // quorum = 3
         let mut high_water = Vec::new();
         for i in 0..10 * GC_KEEP {
-            // Round 0 splits between two values and stalls; round 1 decides.
+            // Round 0 splits between two values and stalls; round 1 decides
+            // on the peers' own votes.
             for msg in [vote(i, 0, 1, 0), vote(i, 0, 2, 1), vote(i, 0, 1, 2)] {
                 s.observe(&msg);
                 for peer in peers {
                     s.validate(&msg, peer);
                 }
             }
-            for voter in 0..3 {
+            for voter in 1..=3 {
                 let msg = vote(i, 1, 1, voter);
                 s.observe(&msg);
                 for peer in peers {
@@ -813,9 +896,10 @@ mod tests {
             }
             high_water.push(s.occupancy());
         }
-        // A settled instance holds its decided mark and three informed
-        // peers — no tallies, no per-peer vote records.
-        let per_instance = 1 + peers.len();
+        // A settled instance holds its decided mark, three informed peers
+        // and one holder set per round — no tallies, no per-peer vote
+        // records.
+        let per_instance = 1 + peers.len() + 2;
         let bound = (GC_KEEP + GC_EVERY) as usize * per_instance;
         let first_period = *high_water[..(GC_KEEP + GC_EVERY) as usize]
             .iter()
@@ -858,6 +942,7 @@ mod tests {
             },
             Phase2a {
                 instance: u64,
+                round: u32,
             },
         }
 
@@ -878,12 +963,7 @@ mod tests {
                         votes(*instance, *round, *seq, &ids)
                     }
                     Msg::Decision { instance, seq } => decision(*instance, *seq),
-                    Msg::Phase2a { instance } => PaxosMessage::Phase2a {
-                        instance: InstanceId::new(*instance),
-                        round: Round::ZERO,
-                        value: value(0),
-                        sender: NodeId::new(0),
-                    },
+                    Msg::Phase2a { instance, round } => proposal(*instance, *round, 0),
                 }
             }
         }
@@ -916,7 +996,7 @@ mod tests {
                         voters,
                     }),
                 (0u64..14, 0u64..3).prop_map(|(instance, seq)| Msg::Decision { instance, seq }),
-                (0u64..14).prop_map(|instance| Msg::Phase2a { instance }),
+                (0u64..14, 0u32..3).prop_map(|(instance, round)| Msg::Phase2a { instance, round }),
             ]
         }
 

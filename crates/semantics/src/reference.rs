@@ -1,11 +1,14 @@
 //! Reference model of [`PaxosSemantics`](crate::PaxosSemantics): the
 //! `HashMap`/`BTreeSet` implementation the crate shipped before its state
-//! went dense, kept verbatim (test builds only) so the property tests can
-//! demand identical verdicts, aggregates and counters from the fast one.
+//! went dense, kept in that style (test builds only) so the property tests
+//! can demand identical verdicts, aggregates and counters from the fast one.
+//! It follows the rules, not the layout: when votes went thin it gained the
+//! per-round sets of observed voters the Decision rule now needs, as plain
+//! maps.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use paxos::{InstanceId, Kind, PaxosConfig, PaxosMessage, Round, ValueId};
+use paxos::{InstanceId, Kind, PaxosConfig, PaxosMessage, Round, ValueId, VoterSet};
 use semantic_gossip::{NodeId, Semantics};
 
 use crate::SemanticMode;
@@ -23,6 +26,8 @@ pub struct ReferenceSemantics {
     peers: HashMap<NodeId, PeerState>,
     decided: HashSet<InstanceId>,
     tallies: HashMap<(InstanceId, Round, ValueId), BTreeSet<NodeId>>,
+    /// Processes seen voting in `(instance, round)`: they hold its proposal.
+    holders: HashMap<(InstanceId, Round), BTreeSet<NodeId>>,
     gc_watermark: InstanceId,
     filtered_by_kind: [u64; Kind::COUNT],
 }
@@ -35,6 +40,7 @@ impl ReferenceSemantics {
             peers: HashMap::new(),
             decided: HashSet::new(),
             tallies: HashMap::new(),
+            holders: HashMap::new(),
             gc_watermark: InstanceId::ZERO,
             filtered_by_kind: [0; Kind::COUNT],
         }
@@ -55,6 +61,7 @@ impl ReferenceSemantics {
         self.gc_watermark = watermark;
         self.decided.retain(|&i| i >= watermark);
         self.tallies.retain(|&(i, _, _), _| i >= watermark);
+        self.holders.retain(|&(i, _), _| i >= watermark);
         for peer in self.peers.values_mut() {
             peer.knows_decided.retain(|&i| i >= watermark);
             peer.sent_votes.retain(|&(i, _, _), _| i >= watermark);
@@ -78,28 +85,48 @@ impl ReferenceSemantics {
             .insert(instance);
     }
 
+    fn holds(&self, peer: NodeId, instance: InstanceId, round: Round) -> bool {
+        self.holders
+            .get(&(instance, round))
+            .is_some_and(|h| h.contains(&peer))
+    }
+
+    /// Whether a quorum of identical votes of some round was sent to `peer`
+    /// and the peer holds that round's proposal.
+    fn quorum_and_value_sent(&self, peer: NodeId, instance: InstanceId) -> bool {
+        let quorum = self.config.quorum();
+        self.peers.get(&peer).is_some_and(|state| {
+            state.sent_votes.iter().any(|(&(i, round, _), sent)| {
+                i == instance && sent.len() >= quorum && self.holds(peer, instance, round)
+            })
+        })
+    }
+
+    /// Returns whether the votes are still worth sending.
     fn record_votes_sent(
         &mut self,
         peer: NodeId,
         instance: InstanceId,
         round: Round,
         value: ValueId,
-        voters: &[NodeId],
+        voters: &VoterSet,
     ) -> bool {
         let quorum = self.config.quorum();
-        let state = self.peers.entry(peer).or_default();
-        let sent = state
+        let sent = self
+            .peers
+            .entry(peer)
+            .or_default()
             .sent_votes
             .entry((instance, round, value))
             .or_default();
-        sent.extend(voters.iter().copied());
-        if sent.len() >= quorum {
-            state.knows_decided.insert(instance);
-            state.sent_votes.remove(&(instance, round, value));
-            true
-        } else {
-            false
+        let redundant = sent.len() >= quorum;
+        if !redundant {
+            sent.extend(voters.iter());
         }
+        if self.quorum_and_value_sent(peer, instance) {
+            self.record_decision_sent(peer, instance);
+        }
+        !redundant
     }
 }
 
@@ -116,14 +143,18 @@ impl Semantics<PaxosMessage> for ReferenceSemantics {
                 value,
                 voters,
             } => {
-                if *instance < self.gc_watermark || self.decided.contains(instance) {
+                if *instance < self.gc_watermark {
                     return;
                 }
-                let tally = self
-                    .tallies
-                    .entry((*instance, *round, value.id()))
-                    .or_default();
-                tally.extend(voters.iter().copied());
+                self.holders
+                    .entry((*instance, *round))
+                    .or_default()
+                    .extend(voters.iter());
+                if self.decided.contains(instance) {
+                    return;
+                }
+                let tally = self.tallies.entry((*instance, *round, *value)).or_default();
+                tally.extend(voters.iter());
                 if self.config.is_quorum(tally.len()) {
                     self.decided.insert(*instance);
                     let inst = *instance;
@@ -145,20 +176,23 @@ impl Semantics<PaxosMessage> for ReferenceSemantics {
                 value,
                 voters,
             } => {
-                if self.peer_knows(peer, *instance) {
+                let pass = !self.peer_knows(peer, *instance)
+                    && self.record_votes_sent(peer, *instance, *round, *value, voters);
+                if !pass {
                     self.filtered_by_kind[msg.kind().index()] += 1;
-                    return false;
                 }
-                self.record_votes_sent(peer, *instance, *round, value.id(), voters);
-                true
+                pass
             }
             PaxosMessage::Decision { instance, .. } => {
-                if self.peer_knows(peer, *instance) {
+                let pass = !self.peer_knows(peer, *instance)
+                    && !self.quorum_and_value_sent(peer, *instance);
+                if !pass {
                     self.filtered_by_kind[Kind::Decision.index()] += 1;
-                    return false;
                 }
-                self.record_decision_sent(peer, *instance);
-                true
+                if *instance >= self.gc_watermark {
+                    self.record_decision_sent(peer, *instance);
+                }
+                pass
             }
             _ => true,
         }
@@ -178,9 +212,9 @@ impl Semantics<PaxosMessage> for ReferenceSemantics {
             } = msg
             {
                 merged
-                    .entry((*instance, *round, value.id()))
+                    .entry((*instance, *round, *value))
                     .or_default()
-                    .extend(voters.iter().copied());
+                    .extend(voters.iter());
             }
         }
         let mut emitted: HashSet<(InstanceId, Round, ValueId)> = HashSet::new();
@@ -193,9 +227,9 @@ impl Semantics<PaxosMessage> for ReferenceSemantics {
                     value,
                     ..
                 } => {
-                    let key = (instance, round, value.id());
+                    let key = (instance, round, value);
                     if emitted.insert(key) {
-                        let voters: Vec<NodeId> = merged[&key].iter().copied().collect();
+                        let voters = merged[&key].iter().copied().collect();
                         out.push(PaxosMessage::Phase2b {
                             instance,
                             round,

@@ -82,6 +82,11 @@ pub struct RunMetrics {
     /// Physically received messages by protocol kind (index =
     /// `paxos::message::Kind::index()`), across all processes.
     pub received_by_kind: [u64; paxos::message::Kind::COUNT],
+    /// Instances, summed over processes and groups, in which a learner held
+    /// a quorum of votes before the value they name (votes carry the id
+    /// only): the decision waited for the `Phase2a` or a Decision. The
+    /// simulator's reading of the live `paxos_value_waits_total` counter.
+    pub value_waits: u64,
     /// Per-`(subsystem, class)` byte and CPU attribution for the run:
     /// wire bytes out (transport), bytes in (gossip/paxos receive path),
     /// and modelled CPU nanoseconds, keyed by Paxos message-class names.
@@ -129,6 +134,7 @@ impl RunMetrics {
             node_sent: Vec::new(),
             gossip: MessageStats::default(),
             received_by_kind: [0; paxos::message::Kind::COUNT],
+            value_waits: 0,
             ledger: obs::ResourceLedger::new(),
             trace: None,
             trace_jsonl: None,
@@ -302,6 +308,12 @@ impl RunMetrics {
                 1e9,
             );
         }
+        exp.header(
+            "testbed_value_waits_total",
+            "Instances whose quorum of votes arrived before the value, over all learners",
+            MetricKind::Counter,
+        );
+        exp.sample_u64("testbed_value_waits_total", base, self.value_waits);
         exp.header(
             "testbed_safety_ok",
             "1 when all processes delivered consistent prefixes",
@@ -571,8 +583,10 @@ mod tests {
         let mut m = RunMetrics::new("Semantic Gossip", 13, 26.0, SimDuration::from_secs(2));
         m.record_value(&fate(0, 100, Some(250), true));
         m.gossip.received.add(7);
+        m.value_waits = 2;
         m.trace_kinds = vec![("decided", 3), ("phase2a", 9)];
         let text = m.prometheus();
+        assert!(text.contains("testbed_value_waits_total{setup=\"Semantic Gossip\"} 2"));
         assert!(text.contains("# TYPE testbed_ordered_total counter"));
         assert!(text.contains("testbed_ordered_total{setup=\"Semantic Gossip\"} 1"));
         assert!(text

@@ -172,6 +172,7 @@ fn help(name: &str) -> &'static str {
         "live_decode_errors_total" => "Undecodable frames received from a peer (dropped).",
         "gossip_seen_cache_entries" => "Entries in the duplicate-suppression cache.",
         "paxos_open_instances" => "Instances with votes or undelivered decisions.",
+        "paxos_value_waits_total" => "Instances whose quorum of votes arrived before the value.",
         "transport_frames_dropped_total" => "Frames dropped (unknown peer or full queue).",
         "transport_bytes_encoded_total" => "Payload bytes serialized (once per broadcast).",
         "transport_bytes_sent_total" => "Payload bytes enqueued to peers (encoded × fan-out).",
@@ -253,11 +254,13 @@ impl NodeMetrics {
         }
         let gossip = node.runtime().substrate();
         let (cached, avoided) = (gossip.cache_occupancy(), gossip.stats().clones_avoided());
-        let open = node.runtime().groups()[0].paxos.instance_window();
+        let paxos = &node.runtime().groups()[0].paxos;
+        let (open, value_waits) = (paxos.instance_window(), paxos.value_waits());
         let dropped = node.endpoint().dropped();
         self.set("gossip_seen_cache_entries", None, cached as u64);
         self.set("gossip_clones_avoided_total", None, avoided);
         self.set("paxos_open_instances", None, open as u64);
+        self.set("paxos_value_waits_total", None, value_waits);
         self.set("transport_frames_dropped_total", None, dropped);
         self.set("transport_bytes_encoded_total", None, node.wire().encoded);
         self.set("transport_bytes_sent_total", None, node.wire().sent);

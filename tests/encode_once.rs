@@ -45,8 +45,8 @@ fn arb_message() -> impl Strategy<Value = PaxosMessage> {
             PaxosMessage::Phase2b {
                 instance: InstanceId::new(i),
                 round: Round::new(r),
-                value,
-                voters,
+                value: value.id(),
+                voters: voters.into(),
             }
         }),
         (0u64..1000, arb_value(), 0u32..50).prop_map(|(i, value, s)| PaxosMessage::Decision {
@@ -85,8 +85,8 @@ fn lone_messages_stay_shared_while_votes_beside_them_merge() {
     let vote = |instance: u64, voter: u32| PaxosMessage::Phase2b {
         instance: InstanceId::new(instance),
         round: Round::ZERO,
-        value: value(instance),
-        voters: vec![NodeId::new(voter)],
+        value: value(instance).id(),
+        voters: vec![NodeId::new(voter)].into(),
     };
     let peers = 3usize;
     let mut node = semantic_node(9, peers as u32);
@@ -124,8 +124,8 @@ fn lone_messages_stay_shared_while_votes_beside_them_merge() {
     let merged = PaxosMessage::Phase2b {
         instance: InstanceId::new(4),
         round: Round::ZERO,
-        value: value(4),
-        voters: vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)],
+        value: value(4).id(),
+        voters: vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)].into(),
     };
     let expected = [
         queued[0].clone(),

@@ -58,8 +58,8 @@ fn vote(instance: u64, voter: u32) -> PaxosMessage {
     PaxosMessage::Phase2b {
         instance: InstanceId::new(instance),
         round: Round::ZERO,
-        value: Value::new(NodeId::new(0), instance, vec![1; 64]),
-        voters: vec![NodeId::new(voter)],
+        value: ValueId::new(NodeId::new(0), instance),
+        voters: vec![NodeId::new(voter)].into(),
     }
 }
 
@@ -108,7 +108,7 @@ fn semantic_mesh_delivers_votes_possibly_aggregated() {
         let mut voters: Vec<u32> = msgs
             .iter()
             .filter_map(|m| match m {
-                PaxosMessage::Phase2b { voters, .. } => Some(voters[0].as_u32()),
+                PaxosMessage::Phase2b { voters, .. } => voters.first().map(NodeId::as_u32),
                 _ => None,
             })
             .collect();
@@ -215,4 +215,74 @@ fn partially_connected_topology_still_reaches_everyone() {
     for (i, msgs) in delivered.iter().enumerate() {
         assert_eq!(msgs.len(), 1, "node {i} must receive the decision");
     }
+}
+
+/// Votes carry a value id, so a learner needs the proposal or a Decision
+/// besides a quorum of them. A link can drop every copy of the proposal to
+/// one process after the sender's filter ran (a full send queue); the
+/// filter must then not hold the Decision back from that process on the
+/// strength of "a quorum of votes was sent to it": having sent the
+/// proposal is no evidence that the process holds the value.
+#[test]
+fn a_process_that_lost_every_copy_of_the_proposal_still_learns_from_the_decision() {
+    const N: usize = 5;
+    const VICTIM: usize = 4;
+    let everyone = Graph::from_edges(N, (0..N).flat_map(|a| (a + 1..N).map(move |b| (a, b))));
+    let config = PaxosConfig::new(N);
+    let mut mesh = Mesh::with(&everyone, |id, peers| {
+        GossipNode::new(
+            id,
+            peers,
+            GossipConfig::default(),
+            PaxosSemantics::full(config.clone()),
+        )
+    });
+    let mut processes: Vec<PaxosProcess> = (0..N as u32)
+        .map(|i| PaxosProcess::new(NodeId::new(i), config.clone()))
+        .collect();
+
+    let mut pending: Vec<(usize, PaxosMessage)> = Vec::new();
+    for out in processes[0].start_round(Round::ZERO) {
+        pending.push((0, out.msg));
+    }
+    let (value, out) = processes[0].submit_payload(vec![7; 32]);
+    pending.extend(out.into_iter().map(|o| (0, o.msg)));
+
+    loop {
+        for (at, msg) in pending.drain(..) {
+            mesh.nodes[at].broadcast(msg);
+        }
+        let mut progressed = false;
+        for (i, process) in processes.iter_mut().enumerate() {
+            for msg in mesh.nodes[i].take_deliveries() {
+                let out = process.handle(msg);
+                pending.extend(out.into_iter().map(|o| (i, o.msg)));
+                progressed = true;
+            }
+            for (peer, msg) in mesh.nodes[i].take_outgoing() {
+                let lost = peer.as_index() == VICTIM && matches!(msg, PaxosMessage::Phase2a { .. });
+                if !lost {
+                    mesh.nodes[peer.as_index()].on_receive(NodeId::new(i as u32), msg);
+                }
+                progressed = true;
+            }
+        }
+        if !progressed && pending.is_empty() {
+            break;
+        }
+    }
+
+    for (i, process) in processes.iter_mut().enumerate() {
+        let decided = process.take_decisions();
+        assert_eq!(
+            decided,
+            vec![(InstanceId::ZERO, value.clone())],
+            "process {i}"
+        );
+    }
+    assert_eq!(
+        processes[VICTIM].value_waits(),
+        1,
+        "the quorum of vote ids was held until the Decision brought the value"
+    );
 }

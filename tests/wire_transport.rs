@@ -28,8 +28,8 @@ fn sample_messages() -> Vec<PaxosMessage> {
         PaxosMessage::Phase2b {
             instance: InstanceId::new(5),
             round: Round::new(1),
-            value: value.clone(),
-            voters: vec![NodeId::new(2), NodeId::new(4), NodeId::new(6)],
+            value: value.id(),
+            voters: vec![NodeId::new(2), NodeId::new(4), NodeId::new(6)].into(),
         },
         PaxosMessage::Decision {
             instance: InstanceId::new(5),
