@@ -27,7 +27,7 @@
 //! sees the timestamps carried by the events themselves, so it works
 //! identically over simulated traces, live runs, and recorded files.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use crate::event::{Event, TimedEvent};
 
@@ -144,14 +144,15 @@ pub struct HealthTracker {
     cfg: HealthConfig,
     /// Submitted-but-not-yet-ordered values, keyed `(origin, seq)`.
     pending: BTreeMap<(u32, u64), u64>,
-    /// Values for which a Phase 2a has been seen (no longer "submitted").
-    proposed: HashSet<(u32, u64)>,
     /// Open instances, oldest first.
     instances: BTreeMap<u64, OpenInstance>,
-    /// Instances already released in order. Guards against reopening an
-    /// instance when another node's phase events arrive (in merged-trace
-    /// time order) after the first node delivered it.
-    closed: HashSet<u64>,
+    /// Instances already released in order, as disjoint inclusive ranges
+    /// `first → last`. Guards against reopening an instance when another
+    /// node's phase events arrive (in merged-trace time order) after the
+    /// first node delivered it. A log delivered in order keeps one range
+    /// per consensus group (group-scoped instance ids are far apart), so
+    /// this does not grow with the work done.
+    closed: BTreeMap<u64, u64>,
     highest_instance: Option<u64>,
     /// Time of the last in-order delivery anywhere.
     last_progress: Option<u64>,
@@ -188,13 +189,7 @@ impl HealthTracker {
                 self.pending.entry((origin, seq)).or_insert(e.at);
                 self.baseline.get_or_insert(e.at);
             }
-            Event::Phase2a {
-                instance,
-                origin,
-                seq,
-                ..
-            } => {
-                self.proposed.insert((origin, seq));
+            Event::Phase2a { instance, .. } => {
                 self.open(instance, Phase::Proposed, e.at);
             }
             Event::Phase2b { instance, .. } => {
@@ -244,7 +239,7 @@ impl HealthTracker {
 
     fn open(&mut self, instance: u64, phase: Phase, at: u64) {
         self.highest_instance = Some(self.highest_instance.map_or(instance, |h| h.max(instance)));
-        if self.closed.contains(&instance) {
+        if self.is_closed(instance) {
             return;
         }
         self.baseline.get_or_insert(at);
@@ -257,10 +252,25 @@ impl HealthTracker {
         entry.phase = entry.phase.max(phase);
     }
 
+    fn is_closed(&self, instance: u64) -> bool {
+        let below = self.closed.range(..=instance).next_back();
+        below.is_some_and(|(_, &last)| instance <= last)
+    }
+
     fn close(&mut self, instance: u64) {
         self.highest_instance = Some(self.highest_instance.map_or(instance, |h| h.max(instance)));
         self.instances.remove(&instance);
-        self.closed.insert(instance);
+        if self.is_closed(instance) {
+            return;
+        }
+        // Grow the range that ends just below, swallow the one that starts
+        // just above.
+        let first = match self.closed.range(..instance).next_back() {
+            Some((&first, &last)) if last + 1 == instance => first,
+            _ => instance,
+        };
+        let above = instance.checked_add(1).and_then(|n| self.closed.remove(&n));
+        self.closed.insert(first, above.unwrap_or(instance));
     }
 
     fn progress(&mut self, at: u64, node: u32) {
@@ -349,29 +359,6 @@ impl HealthTracker {
             (None, None) => 0,
             (a, b) => now.saturating_sub(a.unwrap_or(u64::MAX).min(b.unwrap_or(u64::MAX))),
         }
-    }
-
-    /// In-flight work per lifecycle phase, as `(phase name, count)` rows:
-    /// submitted values awaiting a proposal, then instances in
-    /// proposed / voting / awaiting value / decided.
-    pub fn phase_counts(&self) -> [(&'static str, u64); 5] {
-        let submitted = self
-            .pending
-            .keys()
-            .filter(|k| !self.proposed.contains(*k))
-            .count() as u64;
-        let mut counts = [0u64; 4];
-        for open in self.instances.values() {
-            counts[open.phase as usize] += 1;
-        }
-        let row = |phase: Phase| (phase.name(), counts[phase as usize]);
-        [
-            (PHASE_SUBMITTED, submitted),
-            row(Phase::Proposed),
-            row(Phase::Voting),
-            row(Phase::AwaitingValue),
-            row(Phase::Decided),
-        ]
     }
 
     /// The aggregated liveness verdict so far. An active stall contributes
@@ -657,49 +644,13 @@ mod tests {
 
     #[test]
     fn gauges_track_phases_and_age() {
-        let mut t = tracker(10_000);
+        let mut t = tracker(1_000);
         t.observe(&ev(
             0,
             Event::ValueSubmitted {
                 node: 0,
                 origin: 0,
                 seq: 1,
-            },
-        ));
-        t.observe(&ev(
-            0,
-            Event::ValueSubmitted {
-                node: 0,
-                origin: 0,
-                seq: 2,
-            },
-        ));
-        t.observe(&ev(
-            10,
-            Event::Phase2a {
-                node: 0,
-                instance: 0,
-                round: 0,
-                origin: 0,
-                seq: 1,
-            },
-        ));
-        t.observe(&ev(
-            20,
-            Event::Phase2b {
-                node: 1,
-                instance: 1,
-                round: 0,
-                voters: 1,
-            },
-        ));
-        t.observe(&ev(
-            30,
-            Event::Decided {
-                node: 0,
-                instance: 2,
-                origin: 0,
-                seq: 9,
             },
         ));
         // A learner that missed instance 3's proposal holds a quorum of
@@ -723,13 +674,64 @@ mod tests {
                 voters: 1,
             },
         ));
-        let counts = t.phase_counts();
-        assert_eq!(counts[0], (PHASE_SUBMITTED, 1)); // seq 2 still unproposed
-        assert_eq!(counts[1], ("proposed", 1));
-        assert_eq!(counts[2], ("voting", 1));
-        assert_eq!(counts[3], ("awaiting_value", 1));
-        assert_eq!(counts[4], ("decided", 1));
         assert_eq!(t.oldest_open_age(100 * MS), 100 * MS);
         assert_eq!(HealthTracker::default().oldest_open_age(5), 0);
+        t.finalize(2_000 * MS);
+        match &t.events()[0].event {
+            Event::StallDetected {
+                instance, phase, ..
+            } => assert_eq!((*instance, phase.as_str()), (3, "awaiting_value")),
+            other => panic!("expected stall_detected, got {other:?}"),
+        }
+    }
+
+    /// Closed instances are remembered as ranges: whatever order the log
+    /// closes in, membership answers stay exact, and a long in-order life
+    /// retains no more than its first retention period did.
+    #[test]
+    fn closed_instances_coalesce_and_long_runs_stay_flat() {
+        let mut t = tracker(1_000);
+        for i in [5, 3, 4, 9, u64::MAX, 1 << 56, (1 << 56) + 1] {
+            t.close(i);
+        }
+        let ranges: Vec<_> = t.closed.iter().map(|(&a, &b)| (a, b)).collect();
+        let group1 = 1u64 << 56;
+        assert_eq!(
+            ranges,
+            vec![(3, 5), (9, 9), (group1, group1 + 1), (u64::MAX, u64::MAX)]
+        );
+        for (i, closed) in [(2, false), (3, true), (5, true), (6, false), (9, true)] {
+            assert_eq!(t.is_closed(i), closed, "instance {i}");
+        }
+
+        let retained = |t: &HealthTracker| {
+            t.pending.len() + t.instances.len() + t.closed.len() + t.emitted.len()
+        };
+        let mut t = tracker(1_000);
+        let mut high_water = 0;
+        for period in 0..10u64 {
+            for i in period * 1024..(period + 1) * 1024 {
+                t.observe_all(&lifecycle(i, 1, i, i * 30));
+                // Another node's events for the instance just released.
+                t.observe(&ev(
+                    i * 30 + 25,
+                    Event::Phase2b {
+                        node: 4,
+                        instance: i,
+                        round: 0,
+                        voters: 1,
+                    },
+                ));
+                if period == 0 {
+                    high_water = high_water.max(retained(&t));
+                }
+                assert!(retained(&t) <= high_water, "instance {i}");
+            }
+        }
+        let s = t.summary();
+        assert_eq!(
+            (s.stalls_detected, s.open_instances, s.pending_values),
+            (0, 0, 0)
+        );
     }
 }

@@ -8,13 +8,11 @@
 //! `(subsystem, class)` cells, each accumulating message counts, bytes in
 //! and out, and scoped CPU nanoseconds.
 //!
-//! Clock discipline: the ledger never reads a clock. CPU time enters either
-//! as an explicit nanosecond charge (`charge_cpu` — what the simulator
-//! does, feeding its modelled service times) or through a [`CpuScope`]
-//! drop-guard driven by a caller-supplied [`LedgerClock`] (what live
-//! runtimes do, handing in monotonic nanoseconds). Library code therefore
-//! stays `Instant`-free and the identical ledger works on simulated and
-//! wall-clock time.
+//! Clock discipline: the ledger never reads a clock. CPU time enters as an
+//! explicit nanosecond charge (`charge_cpu`): the simulator feeds its
+//! modelled service times, a live host would hand in measured ones. Library
+//! code therefore stays `Instant`-free and the identical ledger works on
+//! simulated and wall-clock time.
 //!
 //! Keys are plain strings: `obs` sits below every protocol crate and cannot
 //! name `paxos::Kind`, and string keys let the same ledger attribute Raft
@@ -23,15 +21,10 @@
 //! linear-scanned `Vec` — no hashing on the hot path, deterministic report
 //! order via a sort at read time.
 //!
-//! [`TraceLedger`] is the post-hoc twin: it replays a recorded JSONL trace,
-//! joins byte-carrying wire events to the classes declared by `wire_tagged`
-//! events, and reports how much of the wire it could attribute — the
-//! `tracetool ledger` command and the ≥95%-attribution CI gate are built on
-//! it.
+//! The post-hoc twin lives with the trace replay (`testbed::ledger`): it
+//! rebuilds the same table from a recorded JSONL trace and reports how much
+//! of the wire it could attribute.
 
-use std::collections::HashMap;
-
-use crate::event::{Event, TimedEvent};
 use crate::json::JsonValue;
 
 /// Subsystem name for the gossip receive/dissemination path.
@@ -47,38 +40,6 @@ pub const SUBSYS_TRANSPORT: &str = "transport";
 /// message class (e.g. a wire message whose `wire_tagged` declaration was
 /// evicted from a bounded trace ring).
 pub const CLASS_UNCLASSIFIED: &str = "unclassified";
-
-/// A monotonic nanosecond clock the ledger's [`CpuScope`] reads.
-///
-/// `obs` never owns a clock: the simulator implements this over virtual
-/// time, live runtimes over `Instant`-derived nanoseconds, and tests over
-/// a [`ManualClock`].
-pub trait LedgerClock {
-    /// Current time in nanoseconds on an arbitrary, monotone epoch.
-    fn now_nanos(&self) -> u64;
-}
-
-/// A hand-advanced [`LedgerClock`] for tests and simulated drivers.
-#[derive(Debug, Default)]
-pub struct ManualClock(std::cell::Cell<u64>);
-
-impl ManualClock {
-    /// A clock starting at `now` nanoseconds.
-    pub fn new(now: u64) -> Self {
-        ManualClock(std::cell::Cell::new(now))
-    }
-
-    /// Advances the clock by `ns` nanoseconds.
-    pub fn advance(&self, ns: u64) {
-        self.0.set(self.0.get().saturating_add(ns));
-    }
-}
-
-impl LedgerClock for ManualClock {
-    fn now_nanos(&self) -> u64 {
-        self.0.get()
-    }
-}
 
 /// One `(subsystem, class)` attribution cell.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -133,9 +94,15 @@ impl ResourceLedger {
 
     /// Attributes one outgoing message of `bytes` to `(subsystem, class)`.
     pub fn add_out(&mut self, subsystem: &str, class: &str, bytes: u64) {
+        self.add_out_shared(subsystem, class, 1, bytes);
+    }
+
+    /// Attributes one frame of `bytes`, encoded once and sent to `fanout`
+    /// peers, to `(subsystem, class)`: `fanout` messages, `fanout × bytes`.
+    pub fn add_out_shared(&mut self, subsystem: &str, class: &str, fanout: u64, bytes: u64) {
         let cell = self.cell_mut(subsystem, class);
-        cell.messages += 1;
-        cell.bytes_out += bytes;
+        cell.messages += fanout;
+        cell.bytes_out += fanout.saturating_mul(bytes);
     }
 
     /// Attributes one incoming message of `bytes` to `(subsystem, class)`.
@@ -157,23 +124,6 @@ impl ResourceLedger {
     /// work not tied to one message).
     pub fn charge_cpu(&mut self, subsystem: &str, class: &str, ns: u64) {
         self.cell_mut(subsystem, class).cpu_ns += ns;
-    }
-
-    /// Opens a scoped CPU measurement against `(subsystem, class)`; the
-    /// elapsed time on `clock` is charged when the returned guard drops.
-    pub fn cpu_scope<'a, C: LedgerClock>(
-        &'a mut self,
-        clock: &'a C,
-        subsystem: &'a str,
-        class: &'a str,
-    ) -> CpuScope<'a, C> {
-        CpuScope {
-            started: clock.now_nanos(),
-            clock,
-            ledger: self,
-            subsystem,
-            class,
-        }
     }
 
     /// Merges another ledger cell-wise (cluster-wide and cross-run
@@ -203,11 +153,6 @@ impl ResourceLedger {
     /// Total bytes out across all cells.
     pub fn total_bytes_out(&self) -> u64 {
         self.cells.iter().map(|c| c.bytes_out).sum()
-    }
-
-    /// Total bytes in across all cells.
-    pub fn total_bytes_in(&self) -> u64 {
-        self.cells.iter().map(|c| c.bytes_in).sum()
     }
 
     /// Total CPU nanoseconds across all cells.
@@ -257,7 +202,7 @@ impl ResourceLedger {
             "",
             self.cells.iter().map(|c| c.messages).sum::<u64>(),
             self.total_bytes_out(),
-            self.total_bytes_in(),
+            self.cells.iter().map(|c| c.bytes_in).sum::<u64>(),
             self.total_cpu_ns() as f64 / 1e6,
         ));
         out
@@ -295,206 +240,6 @@ impl ResourceLedger {
     }
 }
 
-/// Drop-guard that charges elapsed [`LedgerClock`] time to a ledger cell.
-///
-/// Obtained from [`ResourceLedger::cpu_scope`]; the charge happens on drop,
-/// so early returns and `?` propagation inside the scope stay accounted.
-pub struct CpuScope<'a, C: LedgerClock> {
-    started: u64,
-    clock: &'a C,
-    ledger: &'a mut ResourceLedger,
-    subsystem: &'a str,
-    class: &'a str,
-}
-
-impl<C: LedgerClock> Drop for CpuScope<'_, C> {
-    fn drop(&mut self) {
-        let elapsed = self.clock.now_nanos().saturating_sub(self.started);
-        self.ledger.charge_cpu(self.subsystem, self.class, elapsed);
-    }
-}
-
-/// Post-hoc byte/CPU attribution replayed from a recorded trace.
-///
-/// Folds a JSONL event stream: `wire_tagged` declares the message class of
-/// each locally-broadcast wire id; `wire_frame` (simulated sends) and
-/// `frame_shared` (live encode-once broadcasts, `fanout × bytes`) carry the
-/// bytes; `cpu_charged` summaries carry modelled CPU. Bytes whose wire id
-/// has no surviving tag land in [`CLASS_UNCLASSIFIED`] and count against
-/// [`TraceLedger::attribution_ratio`] — the CI gate requires ≥95%.
-///
-/// Transport-level `frame_sent` / `frames_coalesced` events describe the
-/// *same* frames the classifiable events already account (a frame shared to
-/// k peers is later sent k times), so they are tallied separately as a
-/// cross-check, never added into the ledger — adding both would double
-/// count.
-#[derive(Debug, Clone, Default)]
-pub struct TraceLedger {
-    /// Wire message id → declared class (from `wire_tagged`).
-    tags: HashMap<u64, String>,
-    /// The attribution table being built.
-    pub ledger: ResourceLedger,
-    /// Bytes from byte-carrying wire events joined to a class.
-    pub attributed_bytes: u64,
-    /// Bytes from byte-carrying wire events with no surviving tag.
-    pub unattributed_bytes: u64,
-    /// Cross-check only: bytes seen by transport `frame_sent` events.
-    pub transport_frame_bytes: u64,
-    /// Cross-check only: frames seen by transport `frame_sent` events.
-    pub transport_frames: u64,
-    /// Per-class outgoing wire messages suppressed by the semantic filter.
-    filtered_by_class: HashMap<String, u64>,
-    /// Per-class gossip sends (queued toward peers).
-    sent_by_class: HashMap<String, u64>,
-}
-
-impl TraceLedger {
-    /// An empty replay ledger.
-    pub fn new() -> Self {
-        TraceLedger::default()
-    }
-
-    fn class_of(&self, msg: u64) -> String {
-        self.tags
-            .get(&msg)
-            .cloned()
-            .unwrap_or_else(|| CLASS_UNCLASSIFIED.to_string())
-    }
-
-    /// Pre-learns wire-id → class joins from `wire_tagged` declarations
-    /// and inline `wire_frame` kinds, without tallying anything. Replays
-    /// that see a whole run at once (not a live stream) should run this
-    /// first: a `gossip_sent` for a drain-time aggregate precedes the
-    /// `wire_frame` that declares its class, and without the pre-pass its
-    /// count would land in [`CLASS_UNCLASSIFIED`].
-    pub fn seed_tags<'a>(&mut self, events: impl IntoIterator<Item = &'a TimedEvent>) {
-        for ev in events {
-            match &ev.event {
-                Event::WireTagged { msg, kind, .. } => {
-                    self.tags.insert(*msg, kind.clone());
-                }
-                Event::WireFrame { msg, kind, .. } if !kind.is_empty() => {
-                    self.tags.insert(*msg, kind.clone());
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Folds one trace event into the attribution table.
-    pub fn observe(&mut self, ev: &TimedEvent) {
-        match &ev.event {
-            Event::WireTagged { msg, kind, .. } => {
-                self.tags.insert(*msg, kind.clone());
-            }
-            Event::WireFrame {
-                msg, kind, bytes, ..
-            } => {
-                // Prefer the sender's inline class declaration; an empty
-                // `kind` (hand-written or older traces) falls back to the
-                // `wire_tagged` join.
-                let class = if kind.is_empty() {
-                    self.class_of(*msg)
-                } else {
-                    kind.clone()
-                };
-                if class == CLASS_UNCLASSIFIED {
-                    self.unattributed_bytes += *bytes;
-                } else {
-                    self.attributed_bytes += *bytes;
-                }
-                self.ledger.add_out(SUBSYS_TRANSPORT, &class, *bytes);
-            }
-            Event::FrameShared {
-                msg, fanout, bytes, ..
-            } => {
-                let class = self.class_of(*msg);
-                let total = fanout.saturating_mul(*bytes);
-                if class == CLASS_UNCLASSIFIED {
-                    self.unattributed_bytes += total;
-                } else {
-                    self.attributed_bytes += total;
-                }
-                let cell = self.ledger.cell_mut(SUBSYS_TRANSPORT, &class);
-                cell.messages += *fanout;
-                cell.bytes_out += total;
-            }
-            Event::FrameSent { bytes, .. } => {
-                self.transport_frame_bytes += *bytes;
-                self.transport_frames += 1;
-            }
-            Event::CpuCharged {
-                subsystem,
-                class,
-                ns,
-                ..
-            } => {
-                self.ledger.charge_cpu(subsystem, class, *ns);
-            }
-            Event::SemanticFiltered { msg, .. } => {
-                let class = self.class_of(*msg);
-                *self.filtered_by_class.entry(class).or_insert(0) += 1;
-            }
-            Event::GossipSent { msg, .. } => {
-                let class = self.class_of(*msg);
-                *self.sent_by_class.entry(class).or_insert(0) += 1;
-            }
-            _ => {}
-        }
-    }
-
-    /// Merges another replay ledger's totals into this one (multi-run
-    /// traces: one `TraceLedger` per run, merged after). Tag tables are
-    /// deliberately *not* merged — wire ids are reused across runs, so
-    /// class joins must never cross a run boundary.
-    pub fn merge(&mut self, other: &TraceLedger) {
-        self.ledger.merge(&other.ledger);
-        self.attributed_bytes += other.attributed_bytes;
-        self.unattributed_bytes += other.unattributed_bytes;
-        self.transport_frame_bytes += other.transport_frame_bytes;
-        self.transport_frames += other.transport_frames;
-        for (k, v) in &other.filtered_by_class {
-            *self.filtered_by_class.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.sent_by_class {
-            *self.sent_by_class.entry(k.clone()).or_insert(0) += v;
-        }
-    }
-
-    /// Share of byte-carrying wire bytes that joined to a concrete class,
-    /// in `[0, 1]`; `1.0` when the trace carried no byte events.
-    pub fn attribution_ratio(&self) -> f64 {
-        let total = self.attributed_bytes + self.unattributed_bytes;
-        if total == 0 {
-            1.0
-        } else {
-            self.attributed_bytes as f64 / total as f64
-        }
-    }
-
-    /// Per-class `(sent, filtered)` counts, sorted by class — the paper's
-    /// filtering savings broken down by message class.
-    pub fn send_filter_by_class(&self) -> Vec<(String, u64, u64)> {
-        let mut classes: Vec<&String> = self
-            .sent_by_class
-            .keys()
-            .chain(self.filtered_by_class.keys())
-            .collect();
-        classes.sort();
-        classes.dedup();
-        classes
-            .into_iter()
-            .map(|c| {
-                (
-                    c.clone(),
-                    self.sent_by_class.get(c).copied().unwrap_or(0),
-                    self.filtered_by_class.get(c).copied().unwrap_or(0),
-                )
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,7 +262,6 @@ mod tests {
         assert_eq!(cells[0].bytes_in, 30);
         assert_eq!(cells[1].cpu_ns, 1_000);
         assert_eq!(l.total_bytes_out(), 150);
-        assert_eq!(l.total_bytes_in(), 30);
         assert_eq!(l.total_cpu_ns(), 1_000);
     }
 
@@ -543,24 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn cpu_scope_charges_elapsed_on_drop() {
-        let clock = ManualClock::new(1_000);
-        let mut l = ResourceLedger::new();
-        {
-            let _scope = l.cpu_scope(&clock, SUBSYS_SEMANTICS, "phase2b");
-            clock.advance(250);
-        }
-        assert_eq!(l.cells()[0].cpu_ns, 250);
-        // A second scope accumulates into the same cell.
-        {
-            let _scope = l.cpu_scope(&clock, SUBSYS_SEMANTICS, "phase2b");
-            clock.advance(50);
-        }
-        assert_eq!(l.cells()[0].cpu_ns, 300);
-        assert_eq!(l.cells().len(), 1);
-    }
-
-    #[test]
     fn report_and_csv_cover_all_cells() {
         let mut l = ResourceLedger::new();
         l.add_out(SUBSYS_TRANSPORT, "client_value", 1024);
@@ -575,126 +301,5 @@ mod tests {
         assert!(csv.contains("transport,client_value,1,1024,0,0"));
         let json = l.to_json().render();
         assert!(json.contains("\"bytes_out\":1024"));
-    }
-
-    fn te(event: Event) -> TimedEvent {
-        TimedEvent { at: 0, event }
-    }
-
-    #[test]
-    fn trace_ledger_joins_bytes_to_tags() {
-        let mut t = TraceLedger::new();
-        t.observe(&te(Event::WireTagged {
-            node: 0,
-            msg: 42,
-            kind: "phase2b".into(),
-            instance: 1,
-            origin: 0,
-            seq: 0,
-        }));
-        t.observe(&te(Event::WireFrame {
-            node: 0,
-            peer: 1,
-            msg: 42,
-            kind: String::new(), // no inline class: joins via the tag
-            bytes: 100,
-        }));
-        t.observe(&te(Event::WireFrame {
-            node: 0,
-            peer: 2,
-            msg: 999, // never tagged, no inline class
-            kind: String::new(),
-            bytes: 40,
-        }));
-        assert_eq!(t.attributed_bytes, 100);
-        assert_eq!(t.unattributed_bytes, 40);
-        assert!((t.attribution_ratio() - 100.0 / 140.0).abs() < 1e-12);
-        let cells = t.ledger.cells();
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].class, "phase2b");
-        assert_eq!(cells[0].bytes_out, 100);
-        assert_eq!(cells[1].class, CLASS_UNCLASSIFIED);
-    }
-
-    #[test]
-    fn trace_ledger_prefers_inline_kind_over_tag_join() {
-        let mut t = TraceLedger::new();
-        // No wire_tagged event exists for msg 7 (e.g. a drain-time
-        // aggregate with a fresh wire id, or a direct-mode send) — the
-        // inline declaration still classifies it.
-        t.observe(&te(Event::WireFrame {
-            node: 0,
-            peer: 1,
-            msg: 7,
-            kind: "Phase2b(agg)".into(),
-            bytes: 64,
-        }));
-        assert_eq!(t.attributed_bytes, 64);
-        assert_eq!(t.unattributed_bytes, 0);
-        assert_eq!(t.ledger.cells()[0].class, "Phase2b(agg)");
-    }
-
-    #[test]
-    fn trace_ledger_expands_shared_frames_by_fanout() {
-        let mut t = TraceLedger::new();
-        t.observe(&te(Event::WireTagged {
-            node: 3,
-            msg: 7,
-            kind: "decision".into(),
-            instance: 9,
-            origin: 3,
-            seq: 1,
-        }));
-        t.observe(&te(Event::FrameShared {
-            node: 3,
-            msg: 7,
-            fanout: 4,
-            bytes: 250,
-        }));
-        assert_eq!(t.attributed_bytes, 1_000);
-        let cells = t.ledger.cells();
-        assert_eq!(cells[0].messages, 4);
-        assert_eq!(cells[0].bytes_out, 1_000);
-        // frame_sent is a cross-check, never double-added to the ledger.
-        t.observe(&te(Event::FrameSent {
-            node: 3,
-            peer: 1,
-            bytes: 250,
-        }));
-        assert_eq!(t.transport_frame_bytes, 250);
-        assert_eq!(t.ledger.total_bytes_out(), 1_000);
-    }
-
-    #[test]
-    fn trace_ledger_folds_cpu_and_filter_counts() {
-        let mut t = TraceLedger::new();
-        t.observe(&te(Event::WireTagged {
-            node: 0,
-            msg: 1,
-            kind: "phase2b".into(),
-            instance: 0,
-            origin: 0,
-            seq: 0,
-        }));
-        t.observe(&te(Event::CpuCharged {
-            node: 0,
-            subsystem: SUBSYS_PAXOS.into(),
-            class: "phase2b".into(),
-            ns: 5_000,
-        }));
-        t.observe(&te(Event::GossipSent {
-            node: 0,
-            to: 1,
-            msg: 1,
-        }));
-        t.observe(&te(Event::SemanticFiltered { node: 0, msg: 1 }));
-        assert_eq!(t.ledger.total_cpu_ns(), 5_000);
-        let rows = t.send_filter_by_class();
-        assert_eq!(rows, vec![("phase2b".to_string(), 1, 1)]);
-    }
-
-    #[test]
-    fn attribution_ratio_empty_trace_is_one() {
-        assert_eq!(TraceLedger::new().attribution_ratio(), 1.0);
     }
 }

@@ -23,9 +23,9 @@
 //! - [`LogHistogram`]: a mergeable, log-bucketed, bounded-memory latency
 //!   histogram with quantile estimation — the hot-path alternative to the
 //!   exact sample-keeping `simnet::Histogram`.
-//! - [`ResourceLedger`] / [`TraceLedger`]: per-`(subsystem, message_class)`
-//!   byte and scoped-CPU attribution — live (fed by instrumentation) and
-//!   post-hoc (replayed from a recorded trace).
+//! - [`ResourceLedger`]: per-`(subsystem, message_class)` byte and CPU
+//!   attribution, fed by instrumentation (its post-hoc twin, replayed from
+//!   a recorded trace, is `testbed::ledger::TraceLedger`).
 //! - [`Series`]: fixed-capacity windowed time-series (`(t, value)` ring
 //!   with windowed rate/mean/max and histogram-backed quantiles) turning
 //!   raw counters into `/metrics` rates.
@@ -58,7 +58,7 @@ pub use event::{Event, TimedEvent, TraceParseError};
 pub use flight::FlightRecorder;
 pub use health::{HealthConfig, HealthSummary, HealthTracker};
 pub use hist::LogHistogram;
-pub use ledger::{CpuScope, LedgerCell, LedgerClock, ManualClock, ResourceLedger, TraceLedger};
+pub use ledger::{LedgerCell, ResourceLedger};
 pub use observer::{NoopObserver, Observer, RingObserver, SharedRing, Tee};
 pub use series::Series;
 pub use serve::{MetricsServer, Registry, SharedGauge, SharedHistogram};

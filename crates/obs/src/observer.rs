@@ -223,10 +223,13 @@ impl SharedRing {
 
     /// Records on a shared handle (usable behind `&self`, unlike the
     /// `Observer` entry point).
+    ///
+    /// The stamp is taken under the ring lock, so ring order is stamp
+    /// order: a snapshot is non-decreasing in `at`, which is what trace
+    /// replay takes a run to be.
     pub fn record_shared(&self, event: Event) {
-        let at = self.epoch.elapsed().as_nanos() as u64;
         let mut ring = self.lock();
-        ring.set_now(at);
+        ring.set_now(self.epoch.elapsed().as_nanos() as u64);
         ring.record(event);
     }
 }
@@ -343,5 +346,28 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(ring.snapshot().len(), 32);
+    }
+
+    #[test]
+    fn shared_ring_order_is_stamp_order() {
+        const THREADS: usize = 4;
+        const EACH: usize = 10_000;
+        let ring = SharedRing::new(THREADS * EACH);
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS as u32 {
+                let (ring, start) = (&ring, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..EACH {
+                        ring.record_shared(Event::Crashed { node: t });
+                    }
+                });
+            }
+        });
+        let events = ring.snapshot();
+        assert_eq!(events.len(), THREADS * EACH);
+        let backwards = events.windows(2).filter(|w| w[1].at < w[0].at).count();
+        assert_eq!(backwards, 0, "stamps stepped back between neighbours");
     }
 }

@@ -3,8 +3,7 @@
 //! Distributed-protocol debugging lives and dies by message timelines:
 //! *where did this Phase 2b go, who dropped it, when did the decision reach
 //! region X?* [`Tracer`] records bounded, structured [`obs::Event`]s —
-//! stamped with virtual time — and can reconstruct the timeline of a single
-//! message across all processes. Tracing is opt-in and the disabled tracer
+//! stamped with virtual time. Tracing is opt-in and the disabled tracer
 //! compiles down to a branch per call.
 //!
 //! The event vocabulary is the workspace-wide [`obs::Event`] enum (this
@@ -17,26 +16,6 @@ pub use obs::{Event, TimedEvent};
 use obs::{Observer, RingObserver};
 
 use crate::time::SimTime;
-
-/// The message identifier an event refers to, if any.
-///
-/// Used by [`Tracer::message_timeline`] to follow one message across
-/// processes; events that are not about a particular message (deliveries,
-/// crash marks, aggregate counts) return `None`.
-pub fn event_message(event: &Event) -> Option<u64> {
-    match event {
-        Event::GossipReceived { msg, .. }
-        | Event::GossipDisaggregated { msg, .. }
-        | Event::DuplicateDropped { msg, .. }
-        | Event::SemanticFiltered { msg, .. }
-        | Event::GossipDelivered { msg, .. }
-        | Event::GossipSent { msg, .. }
-        | Event::SendQueueOverflow { msg, .. }
-        | Event::DeliveryQueueOverflow { msg, .. }
-        | Event::MessageLost { msg, .. } => Some(*msg),
-        _ => None,
-    }
-}
 
 /// Renders one timed event as a human-readable log line
 /// (`[virtual-time] pN what-happened`).
@@ -99,7 +78,7 @@ pub fn render_event(timed: &TimedEvent) -> String {
 ///     SimTime::from_nanos(5),
 ///     Event::GossipReceived { node: 1, from: 0, msg: 42 },
 /// );
-/// assert_eq!(t.message_timeline(42).len(), 2);
+/// assert_eq!(t.events().count(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tracer {
@@ -148,59 +127,6 @@ impl Tracer {
     pub fn events(&self) -> impl Iterator<Item = &TimedEvent> {
         self.ring.iter()
     }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether nothing was retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Events discarded due to the capacity bound.
-    pub fn discarded(&self) -> u64 {
-        self.ring.discarded()
-    }
-
-    /// The timeline of one message across all processes: every retained
-    /// event naming `msg`, in time order.
-    pub fn message_timeline(&self, msg: u64) -> Vec<&TimedEvent> {
-        self.ring
-            .iter()
-            .filter(|e| event_message(&e.event) == Some(msg))
-            .collect()
-    }
-
-    /// Events at one process, in time order.
-    pub fn node_timeline(&self, node: u32) -> Vec<&TimedEvent> {
-        self.ring
-            .iter()
-            .filter(|e| e.event.node() == node)
-            .collect()
-    }
-
-    /// Serializes the retained events as JSONL, one event per line.
-    pub fn to_jsonl(&self) -> String {
-        self.ring.to_jsonl()
-    }
-
-    /// Renders the retained events as a readable log.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        if self.discarded() > 0 {
-            out.push_str(&format!(
-                "... {} earlier events discarded ...\n",
-                self.discarded()
-            ));
-        }
-        for e in self.ring.iter() {
-            out.push_str(&render_event(e));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -240,7 +166,6 @@ mod tests {
             },
         );
         tr.record(t(3), delivered(1, 0));
-        assert_eq!(tr.len(), 3);
         let times: Vec<u64> = tr.events().map(|e| e.at).collect();
         assert_eq!(times, vec![1, 2, 3]);
     }
@@ -255,8 +180,7 @@ mod tests {
                 label: "x".to_string(),
             },
         );
-        assert!(tr.is_empty());
-        assert_eq!(tr.discarded(), 0);
+        assert_eq!(tr.events().count(), 0);
         assert!(!tr.is_enabled());
     }
 
@@ -266,8 +190,6 @@ mod tests {
         for i in 0..5u64 {
             tr.record(t(i), delivered(0, i));
         }
-        assert_eq!(tr.len(), 2);
-        assert_eq!(tr.discarded(), 3);
         let items: Vec<u64> = tr
             .events()
             .map(|e| match e.event {
@@ -276,63 +198,6 @@ mod tests {
             })
             .collect();
         assert_eq!(items, vec![3, 4]);
-        assert!(tr.render().contains("3 earlier events discarded"));
-        assert!(tr.render().contains("delivered #3"));
-    }
-
-    #[test]
-    fn message_timeline_follows_one_message() {
-        let mut tr = Tracer::enabled(16);
-        tr.record(
-            t(1),
-            Event::GossipSent {
-                node: 0,
-                to: 1,
-                msg: 7,
-            },
-        );
-        tr.record(
-            t(2),
-            Event::GossipSent {
-                node: 0,
-                to: 2,
-                msg: 8,
-            },
-        );
-        tr.record(
-            t(3),
-            Event::GossipReceived {
-                node: 1,
-                from: 0,
-                msg: 7,
-            },
-        );
-        tr.record(
-            t(4),
-            Event::MessageLost {
-                node: 2,
-                msg: 7,
-                reason: "loss".to_string(),
-            },
-        );
-        tr.record(t(5), delivered(1, 9));
-        let timeline = tr.message_timeline(7);
-        assert_eq!(timeline.len(), 3);
-        assert!(matches!(timeline[2].event, Event::MessageLost { .. }));
-    }
-
-    #[test]
-    fn node_timeline_filters_by_process() {
-        let mark = |node, label: &str| Event::Mark {
-            node,
-            label: label.to_string(),
-        };
-        let mut tr = Tracer::enabled(16);
-        tr.record(t(1), mark(0, "a"));
-        tr.record(t(2), mark(1, "b"));
-        tr.record(t(3), mark(0, "c"));
-        assert_eq!(tr.node_timeline(0).len(), 2);
-        assert_eq!(tr.node_timeline(1).len(), 1);
     }
 
     #[test]
@@ -356,15 +221,6 @@ mod tests {
         };
         assert!(render_event(&generic).contains("dialed"));
         assert!(render_event(&generic).contains("\"peer\":2"));
-    }
-
-    #[test]
-    fn jsonl_round_trips() {
-        let mut tr = Tracer::enabled(8);
-        tr.record(t(9), delivered(2, 4));
-        let jsonl = tr.to_jsonl();
-        let parsed = TimedEvent::from_json(jsonl.trim()).unwrap();
-        assert_eq!(&parsed, tr.events().next().unwrap());
     }
 
     #[test]

@@ -19,30 +19,15 @@
 //! The text report and CSV are deterministic byte-for-byte for a given
 //! trace, so they can be golden-tested and diffed across runs.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use obs::span::SEGMENTS;
-use obs::{Event, LogHistogram, SpanTracker, TimedEvent, TraceLedger, TraceParseError};
-use semantic_gossip::plumtree::CONTROL_CLASSES;
+use obs::{Event, LogHistogram, TimedEvent};
 
+use crate::ledger::TraceLedger;
+pub use crate::replay::AnalyzeError;
+use crate::replay::{control_class, parse_jsonl, runs, RunIndex};
 use crate::report::Table;
-
-/// A malformed trace line: where and why.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnalyzeError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// What was wrong with it.
-    pub error: TraceParseError,
-}
-
-impl std::fmt::Display for AnalyzeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.error)
-    }
-}
-
-impl std::error::Error for AnalyzeError {}
 
 /// Wire-byte redundancy breakdown of one run: where every sent byte went,
 /// split into fresh payload traffic, dissemination-control overhead
@@ -119,8 +104,7 @@ pub struct TraceAnalysis {
     pub events: usize,
     /// Distinct node ids appearing in the trace.
     pub nodes: usize,
-    /// Concatenated runs detected in the trace (a timestamp going
-    /// backwards marks a run boundary).
+    /// Concatenated runs detected in the trace (see [`crate::replay::runs`]).
     pub runs: usize,
     /// Traced time summed over runs, in nanoseconds.
     pub duration_ns: u64,
@@ -181,22 +165,12 @@ pub struct TraceAnalysis {
 /// Returns the first malformed line (blank lines are not tolerated:
 /// a trace is exactly one event per line).
 pub fn analyze_str(input: &str) -> Result<TraceAnalysis, AnalyzeError> {
-    let mut events = Vec::new();
-    for (i, line) in input.lines().enumerate() {
-        let timed =
-            TimedEvent::from_json(line).map_err(|error| AnalyzeError { line: i + 1, error })?;
-        events.push(timed);
-    }
-    Ok(analyze(&events))
+    Ok(analyze(&parse_jsonl(input)?))
 }
 
-/// Analyzes an already-decoded event stream.
-///
-/// A trace file may concatenate several runs (`wan_paxos --trace` writes
-/// all three setups into one file); each run restarts its clock at zero
-/// and reuses message ids and `(origin, seq)` pairs, so hop chains and
-/// value spans must not cross run boundaries. A timestamp going backwards
-/// marks the next run; per-run results are merged into one analysis.
+/// Analyzes an already-decoded event stream, run by run (see
+/// [`crate::replay`]): hop chains, value spans and class joins never cross
+/// a run boundary; per-run results are merged into one analysis.
 pub fn analyze(events: &[TimedEvent]) -> TraceAnalysis {
     let mut analysis = TraceAnalysis {
         events: events.len(),
@@ -227,57 +201,33 @@ pub fn analyze(events: &[TimedEvent]) -> TraceAnalysis {
     };
 
     let mut nodes = BTreeSet::new();
-    let mut start = 0usize;
-    for end in 1..=events.len() {
-        if end < events.len() && events[end].at >= events[end - 1].at {
-            continue;
-        }
-        analyze_run(&events[start..end], &mut analysis, &mut nodes);
-        start = end;
+    for run in runs(events) {
+        let ix = RunIndex::build(run);
+        analyze_run(run, &ix, &mut analysis);
+        nodes.extend(ix.nodes);
     }
     analysis.nodes = nodes.len();
     analysis
 }
 
 /// Folds one run's events into the analysis.
-fn analyze_run(events: &[TimedEvent], out: &mut TraceAnalysis, nodes: &mut BTreeSet<u32>) {
+fn analyze_run(run: &[TimedEvent], ix: &RunIndex, out: &mut TraceAnalysis) {
     out.runs += 1;
-    let mut first_ts = u64::MAX;
-    let mut last_ts = 0u64;
-
-    // First reception of each message id per node: `(msg, node) → from`.
-    // The first reception is what causes the local delivery and the
-    // forwarding, so following `from` pointers reconstructs the causal
-    // delivery path.
-    let mut first_recv: HashMap<(u64, u32), u32> = HashMap::new();
-    let mut delivered_at: Vec<(u64, u32)> = Vec::new();
-
-    // Wire-byte redundancy: frame size per message id (first byte-carrying
-    // send wins) and the duplicate drops to price afterwards.
+    out.duration_ns += ix.duration_ns;
     let mut wire = WireRedundancy::default();
-    let mut frame_size: HashMap<u64, u64> = HashMap::new();
-    let mut dup_msgs: Vec<u64> = Vec::new();
-
-    let mut spans = SpanTracker::new();
     let mut ledger = TraceLedger::new();
-    ledger.seed_tags(events);
 
-    for timed in events {
-        nodes.insert(timed.event.node());
-        first_ts = first_ts.min(timed.at);
-        last_ts = last_ts.max(timed.at);
-        spans.observe(timed);
-        ledger.observe(timed);
+    for timed in run {
+        ledger.observe(timed, ix);
         match &timed.event {
             Event::GossipSent { .. } => out.sent += 1,
             Event::SemanticFiltered { .. } => out.filtered += 1,
             Event::VotesAggregated { before, after, .. } => {
                 out.merged += before.saturating_sub(*after);
             }
-            Event::GossipReceived { node, from, msg } => {
+            Event::GossipReceived { .. } => {
                 out.receptions += 1;
                 out.parts += 1;
-                first_recv.entry((*msg, *node)).or_insert(*from);
             }
             Event::GossipDisaggregated { parts: p, .. } => {
                 // The reception itself already counted one part.
@@ -285,115 +235,53 @@ fn analyze_run(events: &[TimedEvent], out: &mut TraceAnalysis, nodes: &mut BTree
             }
             Event::DuplicateDropped { msg, .. } => {
                 out.duplicates += 1;
-                dup_msgs.push(*msg);
+                wire.duplicate_bytes += ix.frame_size(*msg);
             }
             Event::GossipDelivered { node, msg } => {
                 out.deliveries += 1;
-                delivered_at.push((*msg, *node));
-            }
-            Event::WireFrame {
-                msg, kind, bytes, ..
-            } => {
-                if let Some(i) = CONTROL_CLASSES.iter().position(|c| c == kind) {
-                    wire.control_bytes[i] += bytes;
-                } else {
-                    wire.payload_bytes += bytes;
-                    if *msg != 0 {
-                        frame_size.entry(*msg).or_insert(*bytes);
-                    }
+                wire.encoded_bytes += ix.frame_size(*msg);
+                // Hop count: the delivery's first-reception chain back to
+                // a node with no recorded reception of the id (its origin).
+                match ix.chain(*msg, None, *node) {
+                    Some(hops) => *out.hops.entry(hops.len() as u32).or_insert(0) += 1,
+                    None => out.unresolved_hops += 1,
                 }
             }
-            Event::FrameShared {
-                msg, fanout, bytes, ..
-            } => {
+            Event::WireFrame { kind, bytes, .. } => match control_class(kind) {
+                Some(i) => wire.control_bytes[i] += bytes,
+                None => wire.payload_bytes += bytes,
+            },
+            Event::FrameShared { fanout, bytes, .. } => {
                 // One encode, `fanout` transmissions of the same frame.
                 wire.payload_bytes += bytes * fanout;
-                if *msg != 0 {
-                    frame_size.entry(*msg).or_insert(*bytes);
-                }
             }
             _ => {}
         }
     }
-    if first_ts != u64::MAX {
-        out.duration_ns += last_ts.saturating_sub(first_ts);
-    }
-
-    // Hop counts: walk each delivery's first-reception chain back to a
-    // node with no recorded reception of the id (its origin). Aggregated
-    // messages travel under fresh ids, so their parts resolve to the
-    // aggregation point rather than the original proposer — chains are
-    // causal per wire id.
-    let max_hops = nodes.len() as u32 + 1;
-    for &(msg, node) in &delivered_at {
-        let mut cur = node;
-        let mut count = 0u32;
-        let resolved = loop {
-            match first_recv.get(&(msg, cur)) {
-                None => break true,
-                Some(&from) => {
-                    count += 1;
-                    if count > max_hops {
-                        break false; // inconsistent trace (cycle)
-                    }
-                    cur = from;
-                }
-            }
-        };
-        if resolved {
-            *out.hops.entry(count).or_insert(0) += 1;
-        } else {
-            out.unresolved_hops += 1;
-        }
-    }
+    out.wire.push(wire);
+    out.ledger.merge(&ledger);
 
     // Per-phase latency distributions from the stitched value spans.
-    for (_, span) in spans.iter() {
+    for (_, span) in ix.spans.iter() {
         for (phase, &(_, measure)) in out.phases.iter_mut().zip(SEGMENTS.iter()) {
             if let Some(ns) = measure(span) {
                 phase.hist.record(ns);
             }
         }
     }
-    let summary = spans.summary();
+    let summary = ix.spans.summary();
     out.values_tracked += summary.tracked;
     out.values_complete += summary.complete;
-    out.ledger.merge(&ledger);
-
-    // Price duplicates and deliveries now that every frame size is known
-    // (a dup can precede the message's first traced send when per-node
-    // rings are drained out of order).
-    for msg in dup_msgs {
-        wire.duplicate_bytes += frame_size.get(&msg).copied().unwrap_or(0);
-    }
-    for &(msg, _) in &delivered_at {
-        wire.encoded_bytes += frame_size.get(&msg).copied().unwrap_or(0);
-    }
-    out.wire.push(wire);
 }
 
-/// One replay ledger per run in a (possibly concatenated) trace, using
-/// the same run segmentation as [`analyze`]: a timestamp going backwards
-/// marks the next run. Per-run ledgers are what expose the paper's
-/// Gossip-vs-SemanticGossip per-class savings — `wan_paxos --trace`
-/// writes all setups into one file, and merging them would blur exactly
-/// the contrast being measured.
+/// One replay ledger per run in a (possibly concatenated) trace. Per-run
+/// ledgers are what expose the paper's Gossip-vs-SemanticGossip per-class
+/// savings — `wan_paxos --trace` writes all setups into one file, and
+/// merging them would blur exactly the contrast being measured.
 pub fn ledgers(events: &[TimedEvent]) -> Vec<TraceLedger> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    for end in 1..=events.len() {
-        if end < events.len() && events[end].at >= events[end - 1].at {
-            continue;
-        }
-        let mut ledger = TraceLedger::new();
-        ledger.seed_tags(&events[start..end]);
-        for timed in &events[start..end] {
-            ledger.observe(timed);
-        }
-        out.push(ledger);
-        start = end;
-    }
-    out
+    runs(events)
+        .map(|run| TraceLedger::replay(run, &RunIndex::build(run)))
+        .collect()
 }
 
 impl TraceAnalysis {
@@ -767,18 +655,7 @@ impl TraceAnalysis {
         // Byte attribution appears only when the trace carried byte
         // events, so pre-ledger traces keep their exact JSON.
         if self.ledger.attributed_bytes + self.ledger.unattributed_bytes > 0 {
-            root.push((
-                "ledger",
-                obj(vec![
-                    ("bytes_attributed", int(self.ledger.attributed_bytes)),
-                    ("bytes_unattributed", int(self.ledger.unattributed_bytes)),
-                    (
-                        "attribution_ratio",
-                        J::Float(self.ledger.attribution_ratio()),
-                    ),
-                    ("cells", self.ledger.ledger.to_json()),
-                ]),
-            ));
+            root.push(("ledger", self.ledger.to_json()));
         }
         obj(root).render()
     }
@@ -1254,11 +1131,7 @@ mod tests {
         // Same run twice: wire ids repeat, so class joins must not cross
         // the boundary — each run gets its own ledger.
         let trace = format!("{}{}", wire_trace(), wire_trace());
-        let events: Vec<TimedEvent> = trace
-            .lines()
-            .map(|l| TimedEvent::from_json(l).unwrap())
-            .collect();
-        let runs = ledgers(&events);
+        let runs = ledgers(&parse_jsonl(&trace).unwrap());
         assert_eq!(runs.len(), 2);
         for run in &runs {
             assert_eq!(run.attributed_bytes, 240);

@@ -20,10 +20,11 @@
 //!   run's wire-byte redundancy (bytes sent per byte encoded) exceeds
 //!   N — the CI gate that eager/lazy dissemination actually holds its
 //!   byte budget.
-//! * `ledger` replays the trace through the [`obs::TraceLedger`] and
-//!   prints one per-`(subsystem, class)` byte/CPU attribution table per
-//!   run (a timestamp going backwards marks a run boundary — the same
-//!   segmentation as `report`). `--min-attribution PCT` exits non-zero
+//! * `ledger` replays the trace through the
+//!   [`TraceLedger`] and prints one
+//!   per-`(subsystem, class)` byte/CPU attribution table per run (every
+//!   subcommand splits a file into runs the same way:
+//!   [`testbed::replay::runs`]). `--min-attribution PCT` exits non-zero
 //!   when less than PCT percent of wire bytes joined to a concrete
 //!   class, which is the CI gate against unclassified byte leakage.
 //! * `critical-path` stitches the causal message chain gating each
@@ -42,12 +43,14 @@
 //! Exits non-zero on malformed traces, naming the offending line.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use obs::{HealthConfig, HealthTracker, TimedEvent};
-use testbed::analysis::{analyze_str, ledgers};
+use obs::{HealthConfig, HealthTracker, ResourceLedger, TimedEvent};
+use testbed::analysis::{analyze, ledgers};
 use testbed::critical_path::{critical_paths, report as critical_report};
+use testbed::ledger::TraceLedger;
+use testbed::replay::{parse_jsonl, runs};
 
 fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
@@ -67,68 +70,81 @@ fn usage(err: &str) -> ExitCode {
     }
 }
 
-/// Parses every line of a trace file, exiting with the offending line on
-/// malformed input.
-fn read_events(path: &PathBuf) -> Result<Vec<TimedEvent>, ExitCode> {
-    let input = match fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", path.display());
-            return Err(ExitCode::FAILURE);
-        }
-    };
-    let mut events = Vec::new();
-    for (i, line) in input.lines().enumerate() {
-        match TimedEvent::from_json(line) {
-            Ok(t) => events.push(t),
-            Err(e) => {
-                eprintln!("error: {}: line {}: {e}", path.display(), i + 1);
-                return Err(ExitCode::FAILURE);
-            }
+/// Walks a subcommand's arguments left to right and returns its one
+/// positional (complaining with `missing` when absent). `flag` is offered
+/// every argument along with a source for its value: it answers whether
+/// the argument was one of its flags, or what was wrong with the value.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+    missing: &str,
+    mut flag: impl FnMut(&str, &mut dyn FnMut() -> Option<String>) -> Result<bool, &'static str>,
+) -> Result<String, ExitCode> {
+    let mut positional = None;
+    while let Some(arg) = args.next() {
+        match flag(&arg, &mut || args.next()) {
+            Err(complaint) => return Err(usage(complaint)),
+            Ok(true) => {}
+            Ok(false) if arg == "--help" || arg == "-h" => return Err(usage("")),
+            Ok(false) if positional.is_none() => positional = Some(arg),
+            Ok(false) => return Err(usage(&format!("unexpected argument: {arg}"))),
         }
     }
-    Ok(events)
+    positional.ok_or_else(|| usage(missing))
 }
 
-fn cmd_report(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut trace: Option<PathBuf> = None;
+/// A flag's value parsed as `T`, or the flag's complaint.
+fn value<T: std::str::FromStr>(
+    next: &mut dyn FnMut() -> Option<String>,
+    complaint: &'static str,
+) -> Result<T, &'static str> {
+    next().and_then(|v| v.parse().ok()).ok_or(complaint)
+}
+
+/// Reads and parses a trace file, naming the offending line on malformed
+/// input.
+fn read_trace(path: &str) -> Result<Vec<TimedEvent>, ExitCode> {
+    let input = fs::read_to_string(path).map_err(|e| {
+        eprintln!("error: cannot read {path}: {e}");
+        ExitCode::FAILURE
+    })?;
+    parse_jsonl(&input).map_err(|e| {
+        eprintln!("error: {path}: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn write_csv(path: &Path, csv: String) -> Result<(), ExitCode> {
+    fs::write(path, csv).map_err(|e| {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        ExitCode::FAILURE
+    })?;
+    eprintln!("wrote {}", path.display());
+    Ok(())
+}
+
+fn cmd_report(args: impl Iterator<Item = String>) -> Result<(), ExitCode> {
     let mut csv_out: Option<PathBuf> = None;
     let mut json = false;
     let mut max_redundancy: Option<f64> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--csv" => match args.next() {
-                Some(path) => csv_out = Some(PathBuf::from(path)),
-                None => return usage("--csv needs a file"),
-            },
+    let trace = parse_args(args, "missing trace file", |arg, next| {
+        match arg {
+            "--csv" => csv_out = Some(value(next, "--csv needs a file")?),
             "--json" => json = true,
-            "--max-redundancy" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(n) if n > 0.0 => max_redundancy = Some(n),
-                _ => return usage("--max-redundancy needs a positive number"),
-            },
-            "--help" | "-h" => return usage(""),
-            other if trace.is_none() => trace = Some(PathBuf::from(other)),
-            other => return usage(&format!("unexpected argument: {other}")),
+            "--max-redundancy" => {
+                let complaint = "--max-redundancy needs a positive number";
+                max_redundancy = Some(value(next, complaint).and_then(|n: f64| {
+                    if n > 0.0 {
+                        Ok(n)
+                    } else {
+                        Err(complaint)
+                    }
+                })?);
+            }
+            _ => return Ok(false),
         }
-    }
-    let Some(trace) = trace else {
-        return usage("missing trace file");
-    };
-
-    let input = match fs::read_to_string(&trace) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", trace.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let analysis = match analyze_str(&input) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {}: {e}", trace.display());
-            return ExitCode::FAILURE;
-        }
-    };
+        Ok(true)
+    })?;
+    let analysis = analyze(&read_trace(&trace)?);
 
     if json {
         println!("{}", analysis.to_json());
@@ -136,11 +152,7 @@ fn cmd_report(mut args: impl Iterator<Item = String>) -> ExitCode {
         print!("{}", analysis.report());
     }
     if let Some(path) = csv_out {
-        if let Err(e) = fs::write(&path, analysis.csv()) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
+        write_csv(&path, analysis.csv())?;
     }
     if let Some(limit) = max_redundancy {
         if analysis.wire.iter().all(|w| w.wire_bytes() == 0) {
@@ -148,7 +160,7 @@ fn cmd_report(mut args: impl Iterator<Item = String>) -> ExitCode {
                 "error: --max-redundancy given but the trace carries no wire-byte \
                  events (record it with byte instrumentation enabled)"
             );
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
         for (i, w) in analysis.wire.iter().enumerate() {
             let ratio = w.bytes_sent_per_byte_encoded();
@@ -158,74 +170,51 @@ fn cmd_report(mut args: impl Iterator<Item = String>) -> ExitCode {
                      (gate: {limit}) — dissemination redundancy too high",
                     i + 1
                 );
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_ledger(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut trace: Option<PathBuf> = None;
+fn cmd_ledger(args: impl Iterator<Item = String>) -> Result<(), ExitCode> {
     let mut csv_out: Option<PathBuf> = None;
     let mut json = false;
     let mut min_attribution: Option<f64> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--csv" => match args.next() {
-                Some(path) => csv_out = Some(PathBuf::from(path)),
-                None => return usage("--csv needs a file"),
-            },
+    let trace = parse_args(args, "missing trace file", |arg, next| {
+        match arg {
+            "--csv" => csv_out = Some(value(next, "--csv needs a file")?),
             "--json" => json = true,
-            "--min-attribution" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(pct) if (0.0..=100.0).contains(&pct) => min_attribution = Some(pct),
-                _ => return usage("--min-attribution needs a percentage in 0..=100"),
-            },
-            "--help" | "-h" => return usage(""),
-            other if trace.is_none() => trace = Some(PathBuf::from(other)),
-            other => return usage(&format!("unexpected argument: {other}")),
+            "--min-attribution" => {
+                let complaint = "--min-attribution needs a percentage in 0..=100";
+                min_attribution = Some(value(next, complaint).and_then(|pct: f64| {
+                    if (0.0..=100.0).contains(&pct) {
+                        Ok(pct)
+                    } else {
+                        Err(complaint)
+                    }
+                })?);
+            }
+            _ => return Ok(false),
         }
-    }
-    let Some(trace) = trace else {
-        return usage("missing trace file");
-    };
-    let events = match read_events(&trace) {
-        Ok(e) => e,
-        Err(code) => return code,
-    };
-
-    let runs = ledgers(&events);
-    let mut merged = obs::TraceLedger::new();
+        Ok(true)
+    })?;
+    let runs = ledgers(&read_trace(&trace)?);
+    let mut merged = TraceLedger::new();
     for run in &runs {
         merged.merge(run);
     }
 
     if json {
         use obs::json::JsonValue as J;
-        let run_json = |l: &obs::TraceLedger| {
-            let mut map = std::collections::BTreeMap::new();
-            map.insert(
-                "bytes_attributed".to_string(),
-                J::Int(l.attributed_bytes as i128),
-            );
-            map.insert(
-                "bytes_unattributed".to_string(),
-                J::Int(l.unattributed_bytes as i128),
-            );
-            map.insert(
-                "attribution_ratio".to_string(),
-                J::Float(l.attribution_ratio()),
-            );
-            map.insert("cells".to_string(), l.ledger.to_json());
-            J::Obj(map)
-        };
-        let mut root = std::collections::BTreeMap::new();
-        root.insert(
-            "runs".to_string(),
-            J::Arr(runs.iter().map(&run_json).collect()),
-        );
-        root.insert("merged".to_string(), run_json(&merged));
-        println!("{}", J::Obj(root).render());
+        let root = [
+            (
+                "runs".to_string(),
+                J::Arr(runs.iter().map(TraceLedger::to_json).collect()),
+            ),
+            ("merged".to_string(), merged.to_json()),
+        ];
+        println!("{}", J::Obj(root.into()).render());
     } else {
         println!("runs             {}", runs.len());
         for (i, run) in runs.iter().enumerate() {
@@ -260,26 +249,13 @@ fn cmd_ledger(mut args: impl Iterator<Item = String>) -> ExitCode {
     if let Some(path) = csv_out {
         // One row per (run, cell): the per-run contrast (Gossip vs
         // Semantic Gossip savings) is the point of the export.
-        let mut csv = String::from("run,subsystem,class,messages,bytes_out,bytes_in,cpu_ns\n");
+        let mut csv = format!("run,{}", ResourceLedger::new().csv());
         for (i, run) in runs.iter().enumerate() {
-            for c in run.ledger.cells() {
-                csv.push_str(&format!(
-                    "{},{},{},{},{},{},{}\n",
-                    i + 1,
-                    c.subsystem,
-                    c.class,
-                    c.messages,
-                    c.bytes_out,
-                    c.bytes_in,
-                    c.cpu_ns
-                ));
+            for row in run.ledger.csv().lines().skip(1) {
+                csv.push_str(&format!("{},{row}\n", i + 1));
             }
         }
-        if let Err(e) = fs::write(&path, csv) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {}", path.display());
+        write_csv(&path, csv)?;
     }
 
     if let Some(pct) = min_attribution {
@@ -289,75 +265,46 @@ fn cmd_ledger(mut args: impl Iterator<Item = String>) -> ExitCode {
                 "error: only {ratio:.1}% of wire bytes attributed to a class \
                  (gate: {pct}%) — unclassified byte leakage"
             );
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_critical_path(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut trace: Option<PathBuf> = None;
+fn cmd_critical_path(args: impl Iterator<Item = String>) -> Result<(), ExitCode> {
     let mut instance: Option<u64> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--instance" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(i) => instance = Some(i),
-                None => return usage("--instance needs a number"),
-            },
-            "--help" | "-h" => return usage(""),
-            other if trace.is_none() => trace = Some(PathBuf::from(other)),
-            other => return usage(&format!("unexpected argument: {other}")),
+    let trace = parse_args(args, "missing trace file", |arg, next| {
+        if arg != "--instance" {
+            return Ok(false);
         }
-    }
-    let Some(trace) = trace else {
-        return usage("missing trace file");
-    };
-    let events = match read_events(&trace) {
-        Ok(e) => e,
-        Err(code) => return code,
-    };
-    let paths = critical_paths(&events);
+        instance = Some(value(next, "--instance needs a number")?);
+        Ok(true)
+    })?;
+    let paths = critical_paths(&read_trace(&trace)?);
     print!("{}", critical_report(&paths, instance));
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_health(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut trace: Option<PathBuf> = None;
+fn cmd_health(args: impl Iterator<Item = String>) -> Result<(), ExitCode> {
     let mut stall_after_ms: u64 = 2_000;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--stall-after-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => stall_after_ms = ms,
-                None => return usage("--stall-after-ms needs a number"),
-            },
-            "--help" | "-h" => return usage(""),
-            other if trace.is_none() => trace = Some(PathBuf::from(other)),
-            other => return usage(&format!("unexpected argument: {other}")),
+    let trace = parse_args(args, "missing trace file", |arg, next| {
+        if arg != "--stall-after-ms" {
+            return Ok(false);
         }
-    }
-    let Some(trace) = trace else {
-        return usage("missing trace file");
-    };
-    let events = match read_events(&trace) {
-        Ok(e) => e,
-        Err(code) => return code,
-    };
+        stall_after_ms = value(next, "--stall-after-ms needs a number")?;
+        Ok(true)
+    })?;
+    let events = read_trace(&trace)?;
 
-    // A trace file may concatenate runs (timestamps reset); the progress
-    // gap between a run's last event and the next run's first is an
-    // artifact, so each run gets its own tracker.
+    // The progress gap between a run's last event and the next run's
+    // first is an artifact, so each run gets its own tracker.
     let mut detected = 0u64;
     let mut cleared = 0u64;
     let mut max_stall_ms = 0u64;
     let mut stalled: Vec<u64> = Vec::new();
-    let mut runs = 0usize;
-    let mut start = 0usize;
-    for end in 1..=events.len() {
-        if end < events.len() && events[end].at >= events[end - 1].at {
-            continue;
-        }
-        runs += 1;
-        let run = &events[start..end];
+    let mut run_count = 0usize;
+    for run in runs(&events) {
+        run_count += 1;
         let mut tracker = HealthTracker::new(HealthConfig {
             stall_after: stall_after_ms.saturating_mul(1_000_000),
         });
@@ -370,10 +317,9 @@ fn cmd_health(mut args: impl Iterator<Item = String>) -> ExitCode {
         cleared += s.stalls_cleared;
         max_stall_ms = max_stall_ms.max(s.max_stall_ms);
         stalled.extend(s.stalled_instance);
-        start = end;
     }
 
-    println!("runs             {runs}");
+    println!("runs             {run_count}");
     println!("stall threshold  {stall_after_ms} ms");
     println!("stalls detected  {detected}");
     println!("stalls cleared   {cleared}");
@@ -388,9 +334,9 @@ fn cmd_health(mut args: impl Iterator<Item = String>) -> ExitCode {
         );
     }
     if detected == 0 {
-        ExitCode::SUCCESS
+        Ok(())
     } else {
-        ExitCode::FAILURE
+        Err(ExitCode::FAILURE)
     }
 }
 
@@ -422,36 +368,28 @@ fn scrape(addr: &str) -> Result<String, String> {
         .to_string())
 }
 
-fn cmd_watch(mut args: impl Iterator<Item = String>) -> ExitCode {
+fn cmd_watch(args: impl Iterator<Item = String>) -> Result<(), ExitCode> {
     use std::collections::HashMap;
     use std::io::IsTerminal;
 
-    let mut addr: Option<String> = None;
     let mut interval_ms: u64 = 2_000;
     let mut count: u64 = 0; // 0 = poll forever
     let mut family = String::new();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--interval-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(ms) if ms > 0 => interval_ms = ms,
-                _ => return usage("--interval-ms needs a positive number"),
-            },
-            "--count" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => count = n,
-                None => return usage("--count needs a number"),
-            },
-            "--family" => match args.next() {
-                Some(f) => family = f,
-                None => return usage("--family needs a metric-name prefix"),
-            },
-            "--help" | "-h" => return usage(""),
-            other if addr.is_none() => addr = Some(other.to_string()),
-            other => return usage(&format!("unexpected argument: {other}")),
+    let addr = parse_args(args, "missing <host:port>", |arg, next| {
+        match arg {
+            "--interval-ms" => {
+                let complaint = "--interval-ms needs a positive number";
+                interval_ms = value(next, complaint)?;
+                if interval_ms == 0 {
+                    return Err(complaint);
+                }
+            }
+            "--count" => count = value(next, "--count needs a number")?,
+            "--family" => family = next().ok_or("--family needs a metric-name prefix")?,
+            _ => return Ok(false),
         }
-    }
-    let Some(addr) = addr else {
-        return usage("missing <host:port>");
-    };
+        Ok(true)
+    })?;
 
     // Previous poll's values keyed by `name{labels}`, for Δ/s columns.
     let mut prev: HashMap<String, f64> = HashMap::new();
@@ -463,7 +401,7 @@ fn cmd_watch(mut args: impl Iterator<Item = String>) -> ExitCode {
             Ok(b) => b,
             Err(e) if polls == 0 => {
                 eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
             Err(e) => {
                 // Transient mid-watch failure (e.g. the run restarting):
@@ -523,7 +461,7 @@ fn cmd_watch(mut args: impl Iterator<Item = String>) -> ExitCode {
         prev_at = Some(now);
         polls += 1;
         if count > 0 && polls >= count {
-            return ExitCode::SUCCESS;
+            return Ok(());
         }
         std::thread::sleep(std::time::Duration::from_millis(interval_ms));
     }
@@ -531,14 +469,15 @@ fn cmd_watch(mut args: impl Iterator<Item = String>) -> ExitCode {
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
+    let done = match args.next().as_deref() {
         Some("report") => cmd_report(args),
         Some("ledger") => cmd_ledger(args),
         Some("critical-path") => cmd_critical_path(args),
         Some("health") => cmd_health(args),
         Some("watch") => cmd_watch(args),
-        Some("--help") | Some("-h") => usage(""),
-        Some(other) => usage(&format!("unknown command: {other}")),
-        None => usage("missing command"),
-    }
+        Some("--help") | Some("-h") => Err(usage("")),
+        Some(other) => Err(usage(&format!("unknown command: {other}"))),
+        None => Err(usage("missing command")),
+    };
+    done.err().unwrap_or(ExitCode::SUCCESS)
 }

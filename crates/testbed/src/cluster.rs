@@ -37,7 +37,7 @@ use semantic_gossip::{
     SlidingBloom, Substrate, MAX_GROUPS,
 };
 use simnet::fault::CrashSchedule;
-use simnet::trace::{render_event, Tracer};
+use simnet::trace::Tracer;
 use simnet::{EventQueue, LossInjector, NodeCpu, RegionMap, SeedSplitter, SimDuration, SimTime};
 use std::collections::HashMap;
 
@@ -1003,8 +1003,13 @@ impl<S: SimSubstrate> Cluster<S> {
                 health.observe_all(&events);
                 health.finalize(end.as_nanos());
                 metrics.health = Some(health.summary());
-                events.extend(health.take_events());
-                events.sort_by_key(|e| e.at);
+                // Stall events come out in time order: each goes behind
+                // everything stamped up to its instant, as a stable sort
+                // of the appended stream would place it.
+                for stall in health.take_events() {
+                    let behind = events.partition_point(|e| e.at <= stall.at);
+                    events.insert(behind, stall);
+                }
 
                 let mut spans = SpanTracker::new();
                 spans.observe_all(&events);
@@ -1012,15 +1017,11 @@ impl<S: SimSubstrate> Cluster<S> {
                 metrics.trace_kinds = obs::prom::event_kind_counts(&events).into_iter().collect();
 
                 let mut jsonl = String::new();
-                let mut rendered = String::new();
                 for e in &events {
                     jsonl.push_str(&e.to_json());
                     jsonl.push('\n');
-                    rendered.push_str(&render_event(e));
-                    rendered.push('\n');
                 }
                 metrics.trace_jsonl = Some(jsonl);
-                metrics.trace = Some(rendered);
             }
 
             if self.params.flight_capacity > 0 {
@@ -1317,8 +1318,11 @@ mod tests {
             );
         params.trace_capacity = 1 << 16;
         let m = run_cluster(&params);
-        let trace = m.trace.expect("tracing enabled");
-        assert!(trace.contains("(partition)"), "no partition drops traced");
+        let trace = m.trace_jsonl.expect("tracing enabled");
+        assert!(
+            trace.contains("\"reason\":\"partition\""),
+            "no partition drops traced"
+        );
     }
 
     #[test]
@@ -1349,9 +1353,15 @@ mod tests {
             .with_loss(0.1);
         params.trace_capacity = 1 << 16;
         let m = run_cluster(&params);
-        let trace = m.trace.expect("tracing enabled");
-        assert!(trace.contains("delivered #"), "no deliveries traced");
-        assert!(trace.contains("injected loss"), "no drops traced");
+        let trace = m.trace_jsonl.expect("tracing enabled");
+        assert!(
+            trace.contains("\"type\":\"ordered_delivered\""),
+            "no deliveries traced"
+        );
+        assert!(
+            trace.contains("\"reason\":\"injected loss\""),
+            "no drops traced"
+        );
         // Tracing must not perturb the run.
         let mut without = ClusterParams::paper(13, Setup::Gossip)
             .with_rate(13.0)
@@ -1360,7 +1370,6 @@ mod tests {
         without.trace_capacity = 0;
         let w = run_cluster(&without);
         assert_eq!(w.ordered, m.ordered);
-        assert!(w.trace.is_none());
         assert!(w.trace_jsonl.is_none());
         assert!(w.span_summary.is_none());
     }
@@ -1375,7 +1384,6 @@ mod tests {
         let m = run_cluster(&params);
         // Trace artifacts stay off, but the flight tail is populated and
         // bounded by its capacity.
-        assert!(m.trace.is_none());
         assert!(m.trace_jsonl.is_none());
         assert!(m.health.is_none());
         assert_eq!(m.flight.len(), 256);

@@ -10,20 +10,19 @@
 //! 3. that vote's `Phase2b` chain back to the deciding node, and
 //! 4. the decide → in-order-delivery tail.
 //!
-//! Chains are joined through `wire_tagged` records (broadcast origin, wire
-//! message id, protocol kind, instance and value identity) and walked
-//! along each node's *first* reception, like the hop analysis in
-//! [`crate::analysis`]. Each hop splits into **queue wait** (message
+//! Chains are joined through the run's [`RunIndex`]: `wire_tagged` records
+//! (broadcast origin, wire message id, protocol kind, instance and value
+//! identity) name the messages, [`RunIndex::chain`] walks them along each
+//! node's *first* reception. Each hop splits into **queue wait** (message
 //! registered at the relay → handed to the wire) and **transit** (wire →
 //! reception); whatever a leg's milestones span beyond its resolved hops
 //! is relay processing. Aggregated votes travel under fresh wire ids that
 //! carry no tag, so their chains may be unresolvable — such legs fall
 //! back to milestone-only attribution and are flagged, never guessed.
 
-use std::collections::{BTreeMap, HashMap};
+use obs::TimedEvent;
 
-use obs::{Event, TimedEvent};
-
+use crate::replay::{runs, Decision, RunIndex, Tag};
 use crate::report::Table;
 
 /// One resolved gossip hop of a leg.
@@ -103,8 +102,7 @@ pub struct Attribution {
 /// The critical path of one decided instance.
 #[derive(Debug, Clone)]
 pub struct CriticalPath {
-    /// 1-based run index within the trace file (files may concatenate
-    /// runs; a timestamp going backwards starts the next run).
+    /// 1-based run index within the trace file.
     pub run: usize,
     /// The instance.
     pub instance: u64,
@@ -183,220 +181,74 @@ impl CriticalPath {
     }
 }
 
-/// Wire-tag index entry.
-struct Tag {
-    at: u64,
-    node: u32,
-    msg: u64,
-    instance: u64,
-    origin: u32,
-    seq: u64,
-}
-
-/// Per-run event indexes the path stitcher joins across.
-#[derive(Default)]
-struct RunIndex {
-    /// First `ValueSubmitted` per value id → `(node, at)`.
-    submitted: HashMap<(u32, u64), (u32, u64)>,
-    /// First delivery per `(wire msg, node)`.
-    delivered: HashMap<(u64, u32), u64>,
-    /// First reception per `(wire msg, node)` → `(from, at)`.
-    received: HashMap<(u64, u32), (u32, u64)>,
-    /// First send per `(wire msg, from, to)`.
-    sent: HashMap<(u64, u32, u32), u64>,
-    /// `wire_tagged` records per kind.
-    client_values: Vec<Tag>,
-    phase2a: Vec<Tag>,
-    phase2b: Vec<Tag>,
-    /// First `Decided` per instance → `(node, at)`.
-    decided: BTreeMap<u64, (u32, u64)>,
-    /// First `QuorumReached` per `(instance, node)`.
-    quorum: HashMap<(u64, u32), u64>,
-    /// First `OrderedDelivered` per `(instance, node)`.
-    ordered: HashMap<(u64, u32), u64>,
-    node_count: usize,
-}
-
-impl RunIndex {
-    fn build(events: &[TimedEvent]) -> RunIndex {
-        let mut ix = RunIndex::default();
-        let mut nodes = std::collections::BTreeSet::new();
-        for timed in events {
-            let at = timed.at;
-            nodes.insert(timed.event.node());
-            match &timed.event {
-                Event::ValueSubmitted { node, origin, seq } => {
-                    ix.submitted.entry((*origin, *seq)).or_insert((*node, at));
-                }
-                Event::GossipDelivered { node, msg } => {
-                    ix.delivered.entry((*msg, *node)).or_insert(at);
-                }
-                Event::GossipReceived { node, from, msg } => {
-                    ix.received.entry((*msg, *node)).or_insert((*from, at));
-                }
-                Event::GossipSent { node, to, msg } => {
-                    ix.sent.entry((*msg, *node, *to)).or_insert(at);
-                }
-                Event::WireTagged {
-                    node,
-                    msg,
-                    kind,
-                    instance,
-                    origin,
-                    seq,
-                } => {
-                    let tag = Tag {
-                        at,
-                        node: *node,
-                        msg: *msg,
-                        instance: *instance,
-                        origin: *origin,
-                        seq: *seq,
-                    };
-                    match kind.as_str() {
-                        "ClientValue" => ix.client_values.push(tag),
-                        "Phase2a" => ix.phase2a.push(tag),
-                        "Phase2b" => ix.phase2b.push(tag),
-                        _ => {}
-                    }
-                }
-                Event::Decided {
-                    node,
-                    instance,
-                    origin,
-                    seq,
-                } => {
-                    ix.decided.entry(*instance).or_insert_with(|| (*node, at));
-                    let _ = (origin, seq);
-                }
-                Event::QuorumReached { node, instance, .. } => {
-                    ix.quorum.entry((*instance, *node)).or_insert(at);
-                }
-                Event::OrderedDelivered { node, instance, .. } => {
-                    ix.ordered.entry((*instance, *node)).or_insert(at);
-                }
-                _ => {}
+/// Builds the leg of tagged broadcast `tag` from its origin to `dest`.
+/// `None` when origin and destination coincide (local delivery).
+fn leg(ix: &RunIndex, kind: &str, tag: &Tag, dest: u32) -> Option<Leg> {
+    let (msg, origin) = (tag.msg, tag.node);
+    if origin == dest {
+        return None;
+    }
+    // The broadcast instant: the first tag of this wire id at its origin.
+    let tagged_at = ix.tagged_at.get(&(msg, origin)).copied();
+    let span_ns = match (tagged_at, ix.delivered.get(&(msg, dest))) {
+        (Some(start), Some(&end)) => Some(end.saturating_sub(start)),
+        _ => None,
+    };
+    let chain = ix.chain(msg, Some(origin), dest);
+    let resolved = chain.is_some() && span_ns.is_some();
+    let hops = chain.unwrap_or_default().into_iter().map(|r| {
+        // Registered at `from`: its own reception, or (at the origin) the
+        // tagged broadcast itself.
+        let reg_at = ix
+            .received
+            .get(&(msg, r.from))
+            .map(|&(_, at)| at)
+            .or(tagged_at.filter(|_| r.from == origin));
+        let sent_at = ix.sent.get(&(msg, r.from, r.to)).copied();
+        let (queue_ns, transit_ns) = match (reg_at, sent_at) {
+            (Some(reg), Some(sent)) => {
+                (sent.saturating_sub(reg), r.at.saturating_sub(sent.max(reg)))
             }
-        }
-        ix.node_count = nodes.len();
-        ix
-    }
-
-    /// The decided value identity of an instance, from its first
-    /// `Decided` event.
-    fn decided_value(&self, events: &[TimedEvent], instance: u64) -> Option<(u32, u64)> {
-        events.iter().find_map(|t| match &t.event {
-            Event::Decided {
-                instance: i,
-                origin,
-                seq,
-                ..
-            } if *i == instance => Some((*origin, *seq)),
-            _ => None,
-        })
-    }
-
-    /// Walks the first-reception chain of wire message `msg` from `dest`
-    /// back toward `origin`, returning the hops origin-first and whether
-    /// the walk reached the origin.
-    fn walk(&self, msg: u64, origin: u32, dest: u32) -> (Vec<Hop>, bool) {
-        let mut hops = Vec::new();
-        let mut cur = dest;
-        let max = self.node_count as u32 + 1;
-        loop {
-            if cur == origin {
-                hops.reverse();
-                return (hops, true);
-            }
-            let Some(&(from, recv_at)) = self.received.get(&(msg, cur)) else {
-                return (Vec::new(), false); // chain broken before the origin
-            };
-            // Registered at `from`: its own reception, or (at the origin)
-            // the tagged broadcast itself.
-            let reg_at = self
-                .received
-                .get(&(msg, from))
-                .map(|&(_, at)| at)
-                .or_else(|| (from == origin).then(|| self.tag_at(msg, origin)).flatten());
-            let sent_at = self.sent.get(&(msg, from, cur)).copied();
-            let (queue_ns, transit_ns) = match (reg_at, sent_at) {
-                (Some(reg), Some(sent)) => (
-                    sent.saturating_sub(reg),
-                    recv_at.saturating_sub(sent.max(reg)),
-                ),
-                (Some(reg), None) => (0, recv_at.saturating_sub(reg)),
-                (None, Some(sent)) => (0, recv_at.saturating_sub(sent)),
-                (None, None) => (0, 0),
-            };
-            hops.push(Hop {
-                from,
-                to: cur,
-                queue_ns,
-                transit_ns,
-            });
-            if hops.len() as u32 > max {
-                return (Vec::new(), false); // inconsistent trace (cycle)
-            }
-            cur = from;
-        }
-    }
-
-    /// The broadcast instant of a tagged wire message at its origin.
-    fn tag_at(&self, msg: u64, origin: u32) -> Option<u64> {
-        [&self.client_values, &self.phase2a, &self.phase2b]
-            .into_iter()
-            .flatten()
-            .find(|t| t.msg == msg && t.node == origin)
-            .map(|t| t.at)
-    }
-
-    /// Builds a leg for tagged message `msg` from `origin` to `dest`.
-    /// `None` when origin and destination coincide (local delivery).
-    fn leg(&self, kind: &str, msg: u64, origin: u32, dest: u32) -> Option<Leg> {
-        if origin == dest {
-            return None;
-        }
-        let span_ns = match (self.tag_at(msg, origin), self.delivered.get(&(msg, dest))) {
-            (Some(start), Some(&end)) => Some(end.saturating_sub(start)),
-            _ => None,
+            (Some(reg), None) => (0, r.at.saturating_sub(reg)),
+            (None, Some(sent)) => (0, r.at.saturating_sub(sent)),
+            (None, None) => (0, 0),
         };
-        let (hops, resolved) = self.walk(msg, origin, dest);
-        Some(Leg {
-            kind: kind.to_string(),
-            from: origin,
-            to: dest,
-            msg,
-            span_ns,
-            hops,
-            resolved: resolved && span_ns.is_some(),
-        })
-    }
+        Hop {
+            from: r.from,
+            to: r.to,
+            queue_ns,
+            transit_ns,
+        }
+    });
+    Some(Leg {
+        kind: kind.to_string(),
+        from: origin,
+        to: dest,
+        msg,
+        span_ns,
+        hops: hops.collect(),
+        resolved,
+    })
 }
 
 /// Stitches the critical path of every decided instance in the trace.
-/// Files may concatenate runs (a timestamp going backwards starts the
-/// next one); instances are reported per run, in instance order.
+/// Files may concatenate runs (see [`crate::replay`]); instances are
+/// reported per run, in instance order.
 pub fn critical_paths(events: &[TimedEvent]) -> Vec<CriticalPath> {
     let mut out = Vec::new();
-    let mut start = 0usize;
-    let mut run = 0usize;
-    for end in 1..=events.len() {
-        if end < events.len() && events[end].at >= events[end - 1].at {
-            continue;
-        }
-        run += 1;
-        run_paths(run, &events[start..end], &mut out);
-        start = end;
+    for (i, run) in runs(events).enumerate() {
+        run_paths(i + 1, &RunIndex::build(run), &mut out);
     }
     out
 }
 
-fn run_paths(run: usize, events: &[TimedEvent], out: &mut Vec<CriticalPath>) {
-    let ix = RunIndex::build(events);
-    for (&instance, &(decider, decided_at)) in &ix.decided {
-        let Some(value) = ix.decided_value(events, instance) else {
-            continue;
-        };
+fn run_paths(run: usize, ix: &RunIndex, out: &mut Vec<CriticalPath>) {
+    for (&instance, decision) in &ix.decided {
+        let Decision {
+            node: decider,
+            at: decided_at,
+            value,
+        } = *decision;
         let (submit_node, submitted_at) = match ix.submitted.get(&value) {
             Some(&(node, at)) => (Some(node), Some(at)),
             None => (None, None),
@@ -406,22 +258,16 @@ fn run_paths(run: usize, events: &[TimedEvent], out: &mut Vec<CriticalPath>) {
 
         // The proposal: the first Phase2a broadcast carrying this value
         // in this instance's decision. Its origin is the coordinator.
-        let proposal = ix
-            .phase2a
-            .iter()
-            .find(|t| t.instance == instance && (t.origin, t.seq) == value);
+        let proposal = ix.proposals.get(&(instance, value));
         let coordinator = proposal.map(|t| t.node);
         let proposed_at = proposal.map(|t| t.at);
 
         // The forward leg: the ClientValue chain to the coordinator.
         // Absent when the submitter coordinates (proposed directly).
         let mut forwarded_at = None;
-        if let (Some(coord), Some(cv)) = (
-            coordinator,
-            ix.client_values.iter().find(|t| (t.origin, t.seq) == value),
-        ) {
+        if let (Some(coord), Some(cv)) = (coordinator, ix.forwards.get(&value)) {
             forwarded_at = ix.delivered.get(&(cv.msg, coord)).copied();
-            legs.extend(ix.leg("ClientValue", cv.msg, cv.node, coord));
+            legs.extend(leg(ix, "ClientValue", cv, coord));
         }
         if forwarded_at.is_none() && submit_node == coordinator {
             forwarded_at = submitted_at;
@@ -433,9 +279,10 @@ fn run_paths(run: usize, events: &[TimedEvent], out: &mut Vec<CriticalPath>) {
         let quorum_at = ix.quorum.get(&(instance, decider)).copied();
         let vote_cutoff = quorum_at.unwrap_or(decided_at);
         let critical = ix
-            .phase2b
-            .iter()
-            .filter(|t| t.instance == instance)
+            .votes
+            .get(&instance)
+            .into_iter()
+            .flatten()
             .filter_map(|t| {
                 let arrival = if t.node == decider {
                     t.at // the decider's own vote: counted as it is cast
@@ -461,10 +308,10 @@ fn run_paths(run: usize, events: &[TimedEvent], out: &mut Vec<CriticalPath>) {
                 } else {
                     ix.delivered.get(&(p.msg, vote.node)).copied()
                 };
-                legs.extend(ix.leg("Phase2a", p.msg, p.node, vote.node));
+                legs.extend(leg(ix, "Phase2a", p, vote.node));
             }
             // The vote's chain back to the decider.
-            legs.extend(ix.leg("Phase2b", vote.msg, vote.node, decider));
+            legs.extend(leg(ix, "Phase2b", vote, decider));
         }
 
         out.push(CriticalPath {
@@ -739,7 +586,7 @@ mod tests {
 
     #[test]
     fn local_decision_has_no_legs() {
-        use Event::*;
+        use obs::Event::*;
         // Node 0 submits at itself while coordinating and votes alone:
         // everything is local, no gossip legs.
         let events: Vec<TimedEvent> = [
@@ -810,7 +657,7 @@ mod tests {
 
     #[test]
     fn aggregated_vote_chain_falls_back_to_unresolved() {
-        use Event::*;
+        use obs::Event::*;
         // Voter 1's vote (msg 20) is absorbed into an untagged aggregate
         // mid-path: the decider 0 delivers part 20 without ever receiving
         // wire id 20, so the 2b leg cannot resolve into hops.

@@ -32,9 +32,11 @@ pub mod critical_path;
 pub mod experiments;
 pub mod fuzz;
 pub mod group_runtime;
+pub mod ledger;
 pub mod metrics;
 pub mod node_runtime;
 pub mod params;
+pub mod replay;
 pub mod report;
 pub mod sweep;
 

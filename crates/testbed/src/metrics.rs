@@ -91,8 +91,6 @@ pub struct RunMetrics {
     /// wire bytes out (transport), bytes in (gossip/paxos receive path),
     /// and modelled CPU nanoseconds, keyed by Paxos message-class names.
     pub ledger: obs::ResourceLedger,
-    /// Rendered execution trace, when tracing was enabled for the run.
-    pub trace: Option<String>,
     /// Machine-readable JSONL trace (one [`obs::TimedEvent`] per line),
     /// when tracing was enabled.
     pub trace_jsonl: Option<String>,
@@ -136,7 +134,6 @@ impl RunMetrics {
             received_by_kind: [0; paxos::message::Kind::COUNT],
             value_waits: 0,
             ledger: obs::ResourceLedger::new(),
-            trace: None,
             trace_jsonl: None,
             trace_kinds: Vec::new(),
             span_summary: None,

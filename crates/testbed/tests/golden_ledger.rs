@@ -20,8 +20,8 @@
 use std::process::Command;
 
 use obs::event::TimedEvent;
-use obs::ledger::TraceLedger;
 use testbed::analysis::ledgers;
+use testbed::ledger::TraceLedger;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),

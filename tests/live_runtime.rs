@@ -14,6 +14,8 @@ use gossip_consensus::gossip::{Direct, EagerLazyConfig, EagerLazyNode, Substrate
 use gossip_consensus::live::{loopback_endpoints, LiveNode};
 use gossip_consensus::obs::{NoopObserver, SharedRing};
 use gossip_consensus::prelude::*;
+use gossip_consensus::testbed::analysis::analyze;
+use gossip_consensus::testbed::critical_path::critical_paths;
 use gossip_consensus::testbed::{shard_of, RunAudit, SafetyAuditor, WireMsg};
 use gossip_consensus::transport::Endpoint;
 
@@ -75,10 +77,12 @@ fn logs_of<S: Substrate<WireMsg>>(runtime: &NodeRuntime<S>) -> Logs {
 /// Runs one node per endpoint, each on its own thread: every group's
 /// round-0 leader starts its round, every node submits [`PER_NODE`] values,
 /// and all keep relaying until every node has ordered everything. Returns
-/// each node's per-group delivery logs.
+/// each node's per-group delivery logs. Endpoints and hosts record into
+/// `trace` when one is given.
 fn run_cluster_over_tcp<S>(
     overlay: &Graph,
     groups: u32,
+    trace: Option<&SharedRing>,
     build: impl Fn(usize, Vec<NodeId>) -> NodeRuntime<S>,
 ) -> Vec<Logs>
 where
@@ -86,7 +90,7 @@ where
     S::Frame: Wire + Send,
     S::Observer: Send,
 {
-    let endpoints = loopback_endpoints(overlay, None).expect("connect the overlay");
+    let endpoints = loopback_endpoints(overlay, trace).expect("connect the overlay");
     let finished = Arc::new(AtomicUsize::new(0));
     let workers: Vec<_> = endpoints
         .into_iter()
@@ -94,8 +98,9 @@ where
         .map(|(i, endpoint)| {
             let runtime = build(i, neighbors(overlay, i));
             let finished = Arc::clone(&finished);
+            let trace = trace.cloned().unwrap_or_else(|| SharedRing::new(0));
             std::thread::spawn(move || {
-                let mut node = LiveNode::new(runtime, endpoint, SharedRing::new(0));
+                let mut node = LiveNode::new(runtime, endpoint, trace);
                 let now = node.now_ns();
                 for g in (0..groups).filter(|g| *g as usize % N == i) {
                     node.runtime_mut().start_round(g, Round::ZERO, now);
@@ -167,7 +172,7 @@ fn all_submitted() -> BTreeSet<ValueId> {
 #[test]
 fn semantic_push_orders_everything_over_tcp() {
     for groups in [1, 2] {
-        let logs = run_cluster_over_tcp(&ring_and_chord(), groups, |i, peers| {
+        let logs = run_cluster_over_tcp(&ring_and_chord(), groups, None, |i, peers| {
             NodeRuntime::semantic_gossip(
                 NodeId::new(i as u32),
                 peers,
@@ -180,10 +185,45 @@ fn semantic_push_orders_everything_over_tcp() {
     }
 }
 
+/// A live trace goes through the same replay as a simulated one: every
+/// thread stamps into one ring under its lock, so the file is one run, its
+/// wire bytes join to their classes and the value-carrying legs of every
+/// decision resolve hop by hop (a vote may arrive aggregated, under a
+/// fresh wire id).
+#[test]
+fn a_traced_run_replays_like_a_simulated_one() {
+    let ring = SharedRing::new(1 << 18);
+    let logs = run_cluster_over_tcp(&ring_and_chord(), 1, Some(&ring), |i, peers| {
+        NodeRuntime::semantic_gossip(
+            NodeId::new(i as u32),
+            peers,
+            configs(1),
+            Timers::default(),
+            || ring.clone(),
+        )
+    });
+    assert_consistent(&logs, 1, &all_submitted());
+
+    let events = ring.snapshot();
+    assert_eq!(ring.discarded(), 0);
+    let analysis = analyze(&events);
+    assert_eq!(analysis.runs, 1, "a live trace is non-decreasing in ts");
+    let attributed = analysis.ledger.attribution_ratio();
+    assert!(attributed >= 0.95, "only {attributed:.3} of wire bytes");
+    let paths = critical_paths(&events);
+    assert_eq!(paths.len(), all_submitted().len());
+    for p in &paths {
+        assert!(p.submit_node.is_some() && p.coordinator.is_some(), "{p:?}");
+        for leg in p.legs.iter().filter(|l| l.kind != "Phase2b") {
+            assert!(leg.resolved, "instance {}: {leg:?}", p.instance);
+        }
+    }
+}
+
 #[test]
 fn eager_lazy_orders_everything_over_tcp() {
     for groups in [1, 2] {
-        let logs = run_cluster_over_tcp(&ring_and_chord(), groups, |i, peers| {
+        let logs = run_cluster_over_tcp(&ring_and_chord(), groups, None, |i, peers| {
             let id = NodeId::new(i as u32);
             let substrate: EagerLazyNode<WireMsg> =
                 EagerLazyNode::new(id, peers, EagerLazyConfig::default());
@@ -198,7 +238,7 @@ fn eager_lazy_orders_everything_over_tcp() {
 #[test]
 fn direct_channels_order_everything_over_tcp() {
     for groups in [1, 2] {
-        let logs = run_cluster_over_tcp(&full_mesh(), groups, |i, _peers| {
+        let logs = run_cluster_over_tcp(&full_mesh(), groups, None, |i, _peers| {
             let id = NodeId::new(i as u32);
             let substrate: Direct<WireMsg> = Direct::new(N, NoopObserver);
             NodeRuntime::new(id, substrate, configs(groups), Timers::default(), || {
