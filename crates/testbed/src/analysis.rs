@@ -98,7 +98,7 @@ pub struct PhaseLatency {
 }
 
 /// Everything the analyzer extracts from one trace.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceAnalysis {
     /// Total events in the trace.
     pub events: usize,
@@ -174,21 +174,7 @@ pub fn analyze_str(input: &str) -> Result<TraceAnalysis, AnalyzeError> {
 pub fn analyze(events: &[TimedEvent]) -> TraceAnalysis {
     let mut analysis = TraceAnalysis {
         events: events.len(),
-        nodes: 0,
-        runs: 0,
-        duration_ns: 0,
         kind_counts: obs::prom::event_kind_counts(events),
-        sent: 0,
-        filtered: 0,
-        merged: 0,
-        receptions: 0,
-        parts: 0,
-        duplicates: 0,
-        deliveries: 0,
-        hops: BTreeMap::new(),
-        unresolved_hops: 0,
-        ledger: TraceLedger::new(),
-        wire: Vec::new(),
         phases: SEGMENTS
             .iter()
             .map(|&(name, _)| PhaseLatency {
@@ -196,8 +182,7 @@ pub fn analyze(events: &[TimedEvent]) -> TraceAnalysis {
                 hist: LogHistogram::new(),
             })
             .collect(),
-        values_tracked: 0,
-        values_complete: 0,
+        ..TraceAnalysis::default()
     };
 
     let mut nodes = BTreeSet::new();

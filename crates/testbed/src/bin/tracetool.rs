@@ -92,12 +92,15 @@ fn parse_args(
     positional.ok_or_else(|| usage(missing))
 }
 
-/// A flag's value parsed as `T`, or the flag's complaint.
+/// A flag's value parsed as `T` and accepted by `valid`, or the flag's
+/// complaint.
 fn value<T: std::str::FromStr>(
     next: &mut dyn FnMut() -> Option<String>,
+    valid: impl Fn(&T) -> bool,
     complaint: &'static str,
 ) -> Result<T, &'static str> {
-    next().and_then(|v| v.parse().ok()).ok_or(complaint)
+    let parsed = next().and_then(|v| v.parse().ok());
+    parsed.filter(valid).ok_or(complaint)
 }
 
 /// Reads and parses a trace file, naming the offending line on malformed
@@ -128,17 +131,11 @@ fn cmd_report(args: impl Iterator<Item = String>) -> Result<(), ExitCode> {
     let mut max_redundancy: Option<f64> = None;
     let trace = parse_args(args, "missing trace file", |arg, next| {
         match arg {
-            "--csv" => csv_out = Some(value(next, "--csv needs a file")?),
+            "--csv" => csv_out = Some(value(next, |_| true, "--csv needs a file")?),
             "--json" => json = true,
             "--max-redundancy" => {
                 let complaint = "--max-redundancy needs a positive number";
-                max_redundancy = Some(value(next, complaint).and_then(|n: f64| {
-                    if n > 0.0 {
-                        Ok(n)
-                    } else {
-                        Err(complaint)
-                    }
-                })?);
+                max_redundancy = Some(value(next, |n| *n > 0.0, complaint)?);
             }
             _ => return Ok(false),
         }
@@ -183,17 +180,11 @@ fn cmd_ledger(args: impl Iterator<Item = String>) -> Result<(), ExitCode> {
     let mut min_attribution: Option<f64> = None;
     let trace = parse_args(args, "missing trace file", |arg, next| {
         match arg {
-            "--csv" => csv_out = Some(value(next, "--csv needs a file")?),
+            "--csv" => csv_out = Some(value(next, |_| true, "--csv needs a file")?),
             "--json" => json = true,
             "--min-attribution" => {
                 let complaint = "--min-attribution needs a percentage in 0..=100";
-                min_attribution = Some(value(next, complaint).and_then(|pct: f64| {
-                    if (0.0..=100.0).contains(&pct) {
-                        Ok(pct)
-                    } else {
-                        Err(complaint)
-                    }
-                })?);
+                min_attribution = Some(value(next, |p| (0.0..=100.0).contains(p), complaint)?);
             }
             _ => return Ok(false),
         }
@@ -277,7 +268,7 @@ fn cmd_critical_path(args: impl Iterator<Item = String>) -> Result<(), ExitCode>
         if arg != "--instance" {
             return Ok(false);
         }
-        instance = Some(value(next, "--instance needs a number")?);
+        instance = Some(value(next, |_| true, "--instance needs a number")?);
         Ok(true)
     })?;
     let paths = critical_paths(&read_trace(&trace)?);
@@ -291,7 +282,7 @@ fn cmd_health(args: impl Iterator<Item = String>) -> Result<(), ExitCode> {
         if arg != "--stall-after-ms" {
             return Ok(false);
         }
-        stall_after_ms = value(next, "--stall-after-ms needs a number")?;
+        stall_after_ms = value(next, |_| true, "--stall-after-ms needs a number")?;
         Ok(true)
     })?;
     let events = read_trace(&trace)?;
@@ -378,13 +369,9 @@ fn cmd_watch(args: impl Iterator<Item = String>) -> Result<(), ExitCode> {
     let addr = parse_args(args, "missing <host:port>", |arg, next| {
         match arg {
             "--interval-ms" => {
-                let complaint = "--interval-ms needs a positive number";
-                interval_ms = value(next, complaint)?;
-                if interval_ms == 0 {
-                    return Err(complaint);
-                }
+                interval_ms = value(next, |ms| *ms > 0, "--interval-ms needs a positive number")?;
             }
-            "--count" => count = value(next, "--count needs a number")?,
+            "--count" => count = value(next, |_| true, "--count needs a number")?,
             "--family" => family = next().ok_or("--family needs a metric-name prefix")?,
             _ => return Ok(false),
         }
