@@ -247,16 +247,15 @@ fn analyze_run(run: &[TimedEvent], ix: &RunIndex, out: &mut TraceAnalysis) {
     out.ledger.merge(&ledger);
 
     // Per-phase latency distributions from the stitched value spans.
+    out.values_tracked += ix.spans.len();
     for (_, span) in ix.spans.iter() {
+        out.values_complete += usize::from(span.complete());
         for (phase, &(_, measure)) in out.phases.iter_mut().zip(SEGMENTS.iter()) {
             if let Some(ns) = measure(span) {
                 phase.hist.record(ns);
             }
         }
     }
-    let summary = ix.spans.summary();
-    out.values_tracked += summary.tracked;
-    out.values_complete += summary.complete;
 }
 
 /// One replay ledger per run in a (possibly concatenated) trace. Per-run

@@ -92,15 +92,9 @@ fn parse_args(
     positional.ok_or_else(|| usage(missing))
 }
 
-/// A flag's value parsed as `T` and accepted by `valid`, or the flag's
-/// complaint.
-fn value<T: std::str::FromStr>(
-    next: &mut dyn FnMut() -> Option<String>,
-    valid: impl Fn(&T) -> bool,
-    complaint: &'static str,
-) -> Result<T, &'static str> {
-    let parsed = next().and_then(|v| v.parse().ok());
-    parsed.filter(valid).ok_or(complaint)
+/// A flag's value, if there is one and it parses as `T`.
+fn value<T: std::str::FromStr>(next: &mut dyn FnMut() -> Option<String>) -> Option<T> {
+    next().and_then(|v| v.parse().ok())
 }
 
 /// Reads and parses a trace file, naming the offending line on malformed
@@ -131,11 +125,11 @@ fn cmd_report(args: impl Iterator<Item = String>) -> Result<(), ExitCode> {
     let mut max_redundancy: Option<f64> = None;
     let trace = parse_args(args, "missing trace file", |arg, next| {
         match arg {
-            "--csv" => csv_out = Some(value(next, |_| true, "--csv needs a file")?),
+            "--csv" => csv_out = Some(value(next).ok_or("--csv needs a file")?),
             "--json" => json = true,
             "--max-redundancy" => {
-                let complaint = "--max-redundancy needs a positive number";
-                max_redundancy = Some(value(next, |n| *n > 0.0, complaint)?);
+                let positive = value(next).filter(|n| *n > 0.0);
+                max_redundancy = Some(positive.ok_or("--max-redundancy needs a positive number")?);
             }
             _ => return Ok(false),
         }
@@ -180,11 +174,12 @@ fn cmd_ledger(args: impl Iterator<Item = String>) -> Result<(), ExitCode> {
     let mut min_attribution: Option<f64> = None;
     let trace = parse_args(args, "missing trace file", |arg, next| {
         match arg {
-            "--csv" => csv_out = Some(value(next, |_| true, "--csv needs a file")?),
+            "--csv" => csv_out = Some(value(next).ok_or("--csv needs a file")?),
             "--json" => json = true,
             "--min-attribution" => {
-                let complaint = "--min-attribution needs a percentage in 0..=100";
-                min_attribution = Some(value(next, |p| (0.0..=100.0).contains(p), complaint)?);
+                let pct = value(next).filter(|p| (0.0..=100.0).contains(p));
+                min_attribution =
+                    Some(pct.ok_or("--min-attribution needs a percentage in 0..=100")?);
             }
             _ => return Ok(false),
         }
@@ -268,7 +263,7 @@ fn cmd_critical_path(args: impl Iterator<Item = String>) -> Result<(), ExitCode>
         if arg != "--instance" {
             return Ok(false);
         }
-        instance = Some(value(next, |_| true, "--instance needs a number")?);
+        instance = Some(value(next).ok_or("--instance needs a number")?);
         Ok(true)
     })?;
     let paths = critical_paths(&read_trace(&trace)?);
@@ -282,7 +277,7 @@ fn cmd_health(args: impl Iterator<Item = String>) -> Result<(), ExitCode> {
         if arg != "--stall-after-ms" {
             return Ok(false);
         }
-        stall_after_ms = value(next, |_| true, "--stall-after-ms needs a number")?;
+        stall_after_ms = value(next).ok_or("--stall-after-ms needs a number")?;
         Ok(true)
     })?;
     let events = read_trace(&trace)?;
@@ -369,9 +364,10 @@ fn cmd_watch(args: impl Iterator<Item = String>) -> Result<(), ExitCode> {
     let addr = parse_args(args, "missing <host:port>", |arg, next| {
         match arg {
             "--interval-ms" => {
-                interval_ms = value(next, |ms| *ms > 0, "--interval-ms needs a positive number")?;
+                let positive = value(next).filter(|ms| *ms > 0);
+                interval_ms = positive.ok_or("--interval-ms needs a positive number")?;
             }
-            "--count" => count = value(next, |_| true, "--count needs a number")?,
+            "--count" => count = value(next).ok_or("--count needs a number")?,
             "--family" => family = next().ok_or("--family needs a metric-name prefix")?,
             _ => return Ok(false),
         }

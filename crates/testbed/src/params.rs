@@ -173,9 +173,9 @@ pub struct ClusterParams {
     /// over after this much silence (coordinator failover).
     pub failover: Option<SimDuration>,
     /// Capacity of the execution tracer; 0 disables tracing. When enabled,
-    /// injected-loss drops, ordered deliveries and crash/recovery marks are
-    /// recorded and the rendered log is returned in
-    /// [`RunMetrics::trace`](crate::RunMetrics).
+    /// every layer's events — injected-loss drops, ordered deliveries and
+    /// crash/recovery marks among them — are merged into
+    /// [`RunMetrics::trace_jsonl`](crate::RunMetrics).
     pub trace_capacity: usize,
     /// Capacity of the always-on flight recorder: the most recent events
     /// of the merged stream are kept and returned in

@@ -18,7 +18,7 @@
 //! plain functions over `(run, &RunIndex)`; each field documents whether
 //! its first or its last record wins.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use obs::ledger::CLASS_UNCLASSIFIED;
 use obs::{Event, SpanTracker, TimedEvent, TraceParseError};
@@ -28,7 +28,7 @@ use semantic_gossip::plumtree::CONTROL_CLASSES;
 /// The index's tables: millions of small integer keys per run, so the
 /// workspace's seeded multiply hasher instead of SipHash (a third off the
 /// index build on a 6.6 M-event trace).
-type HashMap<K, V> = std::collections::HashMap<K, V, MixState>;
+type Map<K, V> = HashMap<K, V, MixState>;
 
 /// A malformed trace line: where and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,37 +122,37 @@ pub struct RunIndex<'a> {
     /// following `from` pointers reconstructs the causal path ([`chain`]).
     ///
     /// [`chain`]: RunIndex::chain
-    pub received: HashMap<(u64, u32), (u32, u64)>,
+    pub received: Map<(u64, u32), (u32, u64)>,
     /// First delivery per `(wire msg, node)`.
-    pub delivered: HashMap<(u64, u32), u64>,
+    pub delivered: Map<(u64, u32), u64>,
     /// First send per `(wire msg, from, to)`.
-    pub sent: HashMap<(u64, u32, u32), u64>,
+    pub sent: Map<(u64, u32, u32), u64>,
     /// Message class per wire id, from `wire_tagged` declarations and
     /// non-empty inline `wire_frame` kinds; the last record wins (all
     /// records of one id agree, so which one wins is immaterial).
-    class: HashMap<u64, &'a str>,
+    class: Map<u64, &'a str>,
     /// First `ClientValue`/`Phase2a`/`Phase2b` tag per `(wire msg, origin)`
     /// → broadcast instant.
-    pub tagged_at: HashMap<(u64, u32), u64>,
+    pub tagged_at: Map<(u64, u32), u64>,
     /// First `ClientValue` tag per value.
-    pub forwards: HashMap<(u32, u64), Tag>,
+    pub forwards: Map<(u32, u64), Tag>,
     /// First `Phase2a` tag per `(instance, value)`.
-    pub proposals: HashMap<(u64, (u32, u64)), Tag>,
+    pub proposals: Map<(u64, (u32, u64)), Tag>,
     /// Every `Phase2b` tag per instance, in trace order.
-    pub votes: HashMap<u64, Vec<Tag>>,
+    pub votes: Map<u64, Vec<Tag>>,
     /// Frame size per wire id: the first byte-carrying payload send.
-    frame_size: HashMap<u64, u64>,
+    frame_size: Map<u64, u64>,
     /// First milestone of each value (submit, 2a, quorum, decided,
     /// ordered), on whichever node it happened.
     pub spans: SpanTracker,
     /// First `value_submitted` per value → `(node, at)`.
-    pub submitted: HashMap<(u32, u64), (u32, u64)>,
+    pub submitted: Map<(u32, u64), (u32, u64)>,
     /// First `decided` per instance, in instance order.
     pub decided: BTreeMap<u64, Decision>,
     /// First `quorum_reached` per `(instance, node)`.
-    pub quorum: HashMap<(u64, u32), u64>,
+    pub quorum: Map<(u64, u32), u64>,
     /// First `ordered_delivered` per `(instance, node)`.
-    pub ordered: HashMap<(u64, u32), u64>,
+    pub ordered: Map<(u64, u32), u64>,
     /// Time between the run's first and last event.
     pub duration_ns: u64,
 }
@@ -162,7 +162,7 @@ impl<'a> RunIndex<'a> {
     pub fn build(run: &'a [TimedEvent]) -> Self {
         let mut ix = RunIndex::default();
         if let (Some(first), Some(last)) = (run.first(), run.last()) {
-            ix.duration_ns = last.at - first.at;
+            ix.duration_ns = last.at.saturating_sub(first.at);
         }
         for timed in run {
             let at = timed.at;
