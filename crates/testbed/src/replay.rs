@@ -25,11 +25,6 @@ use obs::{Event, SpanTracker, TimedEvent, TraceParseError};
 use semantic_gossip::hash::MixState;
 use semantic_gossip::plumtree::CONTROL_CLASSES;
 
-/// The index's tables: millions of small integer keys per run, so the
-/// workspace's seeded multiply hasher instead of SipHash (a third off the
-/// index build on a 6.6 M-event trace).
-type Map<K, V> = HashMap<K, V, MixState>;
-
 /// A malformed trace line: where and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzeError {
@@ -113,6 +108,10 @@ pub struct Decision {
 }
 
 /// Everything a run's consumers join across, built in one walk.
+///
+/// The tables take millions of small integer keys per run, so they use the
+/// workspace's seeded multiply hasher instead of SipHash (a third off the
+/// build on a 6.6 M-event trace).
 #[derive(Debug, Default)]
 pub struct RunIndex<'a> {
     /// Distinct nodes appearing in the run.
@@ -122,37 +121,37 @@ pub struct RunIndex<'a> {
     /// following `from` pointers reconstructs the causal path ([`chain`]).
     ///
     /// [`chain`]: RunIndex::chain
-    pub received: Map<(u64, u32), (u32, u64)>,
+    pub received: HashMap<(u64, u32), (u32, u64), MixState>,
     /// First delivery per `(wire msg, node)`.
-    pub delivered: Map<(u64, u32), u64>,
+    pub delivered: HashMap<(u64, u32), u64, MixState>,
     /// First send per `(wire msg, from, to)`.
-    pub sent: Map<(u64, u32, u32), u64>,
+    pub sent: HashMap<(u64, u32, u32), u64, MixState>,
     /// Message class per wire id, from `wire_tagged` declarations and
     /// non-empty inline `wire_frame` kinds; the last record wins (all
     /// records of one id agree, so which one wins is immaterial).
-    class: Map<u64, &'a str>,
+    class: HashMap<u64, &'a str, MixState>,
     /// First `ClientValue`/`Phase2a`/`Phase2b` tag per `(wire msg, origin)`
     /// → broadcast instant.
-    pub tagged_at: Map<(u64, u32), u64>,
+    pub tagged_at: HashMap<(u64, u32), u64, MixState>,
     /// First `ClientValue` tag per value.
-    pub forwards: Map<(u32, u64), Tag>,
+    pub forwards: HashMap<(u32, u64), Tag, MixState>,
     /// First `Phase2a` tag per `(instance, value)`.
-    pub proposals: Map<(u64, (u32, u64)), Tag>,
+    pub proposals: HashMap<(u64, (u32, u64)), Tag, MixState>,
     /// Every `Phase2b` tag per instance, in trace order.
-    pub votes: Map<u64, Vec<Tag>>,
+    pub votes: HashMap<u64, Vec<Tag>, MixState>,
     /// Frame size per wire id: the first byte-carrying payload send.
-    frame_size: Map<u64, u64>,
+    frame_size: HashMap<u64, u64, MixState>,
     /// First milestone of each value (submit, 2a, quorum, decided,
     /// ordered), on whichever node it happened.
     pub spans: SpanTracker,
     /// First `value_submitted` per value → `(node, at)`.
-    pub submitted: Map<(u32, u64), (u32, u64)>,
+    pub submitted: HashMap<(u32, u64), (u32, u64), MixState>,
     /// First `decided` per instance, in instance order.
     pub decided: BTreeMap<u64, Decision>,
     /// First `quorum_reached` per `(instance, node)`.
-    pub quorum: Map<(u64, u32), u64>,
+    pub quorum: HashMap<(u64, u32), u64, MixState>,
     /// First `ordered_delivered` per `(instance, node)`.
-    pub ordered: Map<(u64, u32), u64>,
+    pub ordered: HashMap<(u64, u32), u64, MixState>,
     /// Time between the run's first and last event.
     pub duration_ns: u64,
 }
