@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use bench::{dedup_workload, mini_cluster, raft_mesh_sent};
+use bench::{dedup_workload, mini_cluster};
 use paxos_semantics::SemanticMode;
 use semantic_gossip::{GossipConfig, RecentCache, SlidingBloom};
 use testbed::{run_cluster, ClusterParams, DedupKind, Setup};
@@ -138,32 +138,11 @@ fn ablation_strategy(c: &mut Criterion) {
     g.finish();
 }
 
-/// The semantic techniques applied to a second protocol (raft-lite): how
-/// much traffic they remove relative to classic gossip — the §5 claim.
-fn ablation_raft(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_raft");
-    g.sample_size(10);
-    let classic = raft_mesh_sent(15, 18, false, 3);
-    let semantic = raft_mesh_sent(15, 18, true, 3);
-    eprintln!(
-        "[ablation_raft] gossip messages sent: classic {classic}, semantic {semantic} ({:.1}% saved)",
-        (1.0 - semantic as f64 / classic as f64) * 100.0
-    );
-    assert!(semantic < classic);
-    for (name, sem) in [("classic", false), ("semantic", true)] {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &sem, |b, &sem| {
-            b.iter(|| black_box(raft_mesh_sent(15, 18, sem, 3)))
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     ablations,
     ablation_semantics,
     ablation_cache,
     ablation_dedup,
-    ablation_strategy,
-    ablation_raft
+    ablation_strategy
 );
 criterion_main!(ablations);

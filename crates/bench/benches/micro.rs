@@ -1,5 +1,10 @@
 //! Micro-benchmarks of the hot-path primitives: wire codec, duplicate
-//! filters, semantic aggregation, and the gossip node's forwarding loop.
+//! filters, the semantic vote path, and the gossip node's forwarding loop.
+//!
+//! `cargo bench -p bench --bench micro` prints one line per routine; under
+//! `cargo test` each routine runs once as a smoke test. These timings are
+//! for quoting beside a change: regressions are judged by the whole-system
+//! benchmark's `bench_e2e --compare`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -7,7 +12,10 @@ use std::hint::black_box;
 use bench::{semantics, vote_batch};
 use paxos::{InstanceId, PaxosMessage, Round, Value};
 use semantic_gossip::codec::Wire;
-use semantic_gossip::{GossipConfig, GossipItem, GossipNode, NoSemantics, NodeId, Semantics};
+use semantic_gossip::{
+    DuplicateFilter, GossipConfig, GossipItem, GossipNode, MessageId, NoSemantics, NodeId,
+    RecentCache, Semantics,
+};
 
 /// The message that carries the value: a proposal with `payload` bytes.
 fn sample_proposal(payload: usize) -> PaxosMessage {
@@ -41,7 +49,7 @@ fn bench_codec(c: &mut Criterion) {
 
 fn bench_aggregation(c: &mut Criterion) {
     let mut g = c.benchmark_group("aggregation");
-    for voters in [4usize, 16, 52] {
+    for voters in [4usize, 16, 27, 52] {
         let batch = vote_batch(voters);
         g.bench_with_input(BenchmarkId::new("aggregate", voters), &batch, |b, batch| {
             b.iter_batched(
@@ -64,27 +72,41 @@ fn bench_aggregation(c: &mut Criterion) {
             criterion::BatchSize::SmallInput,
         )
     });
+    // Filtering at the n = 27 of the whole-system benchmark: every
+    // acceptor's vote offered to each of 3 peers, instance after instance.
+    // The peers are acceptors 0..3 and their own votes are observed on
+    // arrival, the evidence that they hold the proposal, so past the quorum
+    // the rule filters. Collected the way the hosts do: every 256
+    // instances, keeping 1 024.
+    g.bench_function("validate_27", |b| {
+        const N: u64 = 27;
+        const PEERS: u64 = 3;
+        let mut sem = semantics(N as usize);
+        // One vote per acceptor, built once: only the instance moves.
+        let mut votes = vote_batch(N as usize);
+        let mut calls = 0u64;
+        b.iter(|| {
+            let (at, peer) = (calls / PEERS, calls % PEERS);
+            let (number, voter) = (at / N, at % N);
+            if calls.is_multiple_of(N * PEERS) && number.is_multiple_of(256) {
+                sem.gc(InstanceId::new(number.saturating_sub(1024)));
+            }
+            calls += 1;
+            let vote = &mut votes[voter as usize];
+            if let PaxosMessage::Phase2b { instance, .. } = vote {
+                *instance = InstanceId::new(number);
+            }
+            if voter < PEERS && peer == 0 {
+                sem.observe(vote);
+            }
+            black_box(sem.validate(vote, NodeId::new(peer as u32)))
+        })
+    });
     g.finish();
 }
 
 fn bench_gossip_node(c: &mut Criterion) {
     let mut g = c.benchmark_group("gossip_node");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("broadcast_and_drain_7_peers", |b| {
-        let peers: Vec<NodeId> = (1..=7).map(NodeId::new).collect();
-        let mut node: GossipNode<PaxosMessage, NoSemantics> =
-            GossipNode::classic(NodeId::new(0), peers, GossipConfig::default());
-        let mut seq = 0u64;
-        b.iter(|| {
-            seq += 1;
-            node.broadcast(PaxosMessage::ClientValue {
-                forwarder: NodeId::new(0),
-                value: Value::new(NodeId::new(0), seq, vec![0; 1024]),
-            });
-            black_box(node.take_deliveries());
-            black_box(node.take_outgoing())
-        })
-    });
     g.bench_function("duplicate_suppression_hit", |b| {
         let peers: Vec<NodeId> = (1..=7).map(NodeId::new).collect();
         let mut node: GossipNode<PaxosMessage, NoSemantics> =
@@ -95,6 +117,30 @@ fn bench_gossip_node(c: &mut Criterion) {
         node.take_deliveries();
         b.iter(|| {
             node.on_receive(NodeId::new(2), black_box(msg.clone()));
+        })
+    });
+    // The dedup cache at capacity with the mesh's 64 % duplicate share: 9
+    // fresh vote ids, each evicting the oldest, for every 16 re-offers of
+    // recent ones.
+    g.bench_function("recent_cache_insert_at_capacity", |b| {
+        let vote_id = |k: u64| MessageId::from_parts((5 << 56) | ((k % 27) << 24), k / 27);
+        let capacity = GossipConfig::default().recent_cache_size;
+        let mut cache = RecentCache::new(capacity);
+        let mut fresh = 0u64;
+        while cache.len() < capacity {
+            fresh += 1;
+            cache.insert(vote_id(fresh));
+        }
+        let mut calls = 0u64;
+        b.iter(|| {
+            calls += 1;
+            let id = if calls % 25 < 9 {
+                fresh += 1;
+                vote_id(fresh)
+            } else {
+                vote_id(fresh - calls % 1000)
+            };
+            black_box(cache.insert(id))
         })
     });
     g.finish();
@@ -110,7 +156,6 @@ fn bench_message_id(c: &mut Criterion) {
 /// hot path; `RingObserver` shows the cost of actually buffering events.
 fn bench_obs_overhead(c: &mut Criterion) {
     use obs::RingObserver;
-    use semantic_gossip::RecentCache;
 
     fn workload<O: obs::Observer>(
         node: &mut GossipNode<PaxosMessage, NoSemantics, RecentCache, O>,

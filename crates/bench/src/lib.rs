@@ -7,10 +7,7 @@
 
 use paxos::{PaxosConfig, PaxosMessage, ValueId, VoterSet};
 use paxos_semantics::PaxosSemantics;
-use raft_lite::{RaftConfig, RaftMessage, RaftNode, RaftSemantics, Term};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use semantic_gossip::{DuplicateFilter, GossipConfig, GossipItem, GossipNode, NodeId};
+use semantic_gossip::{DuplicateFilter, GossipItem, NodeId};
 use testbed::{run_cluster, ClusterParams, RunMetrics, Setup};
 
 /// A small, fast cluster run used by the figure benches.
@@ -62,80 +59,6 @@ pub fn vote_batch(voters: usize) -> Vec<PaxosMessage> {
 /// A fresh full-rules semantics instance for `n` processes.
 pub fn semantics(n: usize) -> PaxosSemantics {
     PaxosSemantics::full(PaxosConfig::new(n))
-}
-
-/// Runs the raft-lite protocol over a gossip mesh on a random overlay;
-/// returns the total messages the gossip layers sent. Used by the
-/// `ablation_raft` bench to quantify how much the semantic techniques save
-/// for a second consensus protocol (the paper's §5 claim).
-pub fn raft_mesh_sent(n: usize, commands: usize, semantic: bool, seed: u64) -> u64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let graph = overlay::connected_k_out(n, overlay::paper_fanout(n), &mut rng, 100)
-        .expect("connected overlay");
-    let config = RaftConfig::new(n);
-    let mut gossips: Vec<GossipNode<RaftMessage, RaftSemantics>> = (0..n)
-        .map(|i| {
-            let peers = graph
-                .neighbors(i)
-                .iter()
-                .map(|&p| NodeId::new(p as u32))
-                .collect();
-            let sem = if semantic {
-                RaftSemantics::full(config.clone())
-            } else {
-                RaftSemantics::disabled(config.clone())
-            };
-            GossipNode::new(NodeId::new(i as u32), peers, GossipConfig::default(), sem)
-        })
-        .collect();
-    let mut nodes: Vec<RaftNode> = (0..n as u32)
-        .map(|i| RaftNode::new(NodeId::new(i), config.clone()))
-        .collect();
-
-    for m in nodes[0].become_leader(Term::ZERO) {
-        gossips[0].broadcast(m);
-    }
-    let mut deliveries: Vec<RaftMessage> = Vec::new();
-    let mut outgoing: Vec<(NodeId, RaftMessage)> = Vec::new();
-    let mut settle = |gossips: &mut Vec<GossipNode<RaftMessage, RaftSemantics>>,
-                      nodes: &mut Vec<RaftNode>| loop {
-        let mut progressed = false;
-        for i in 0..n {
-            loop {
-                gossips[i].take_deliveries_into(&mut deliveries);
-                if deliveries.is_empty() {
-                    break;
-                }
-                progressed = true;
-                for msg in deliveries.drain(..) {
-                    for m in nodes[i].handle(msg) {
-                        gossips[i].broadcast(m);
-                    }
-                }
-            }
-            gossips[i].take_outgoing_into(&mut outgoing);
-            for (peer, msg) in outgoing.drain(..) {
-                gossips[peer.as_index()].on_receive(NodeId::new(i as u32), msg);
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    };
-    for c in 0..commands {
-        let origin = c % n;
-        for m in nodes[origin].submit(vec![c as u8; 64]) {
-            gossips[origin].broadcast(m);
-        }
-        if c % 3 == 2 {
-            settle(&mut gossips, &mut nodes);
-        }
-    }
-    settle(&mut gossips, &mut nodes);
-    let committed = nodes[0].take_committed().len();
-    assert_eq!(committed, commands, "every command must commit");
-    gossips.iter().map(|g| g.stats().sent.get()).sum()
 }
 
 #[cfg(test)]

@@ -16,9 +16,7 @@
 //! * [`testbed`] — the sans-IO node runtime, its simulated host and the
 //!   experiment runners for every table and figure of the paper's
 //!   evaluation;
-//! * [`live`] — the TCP host of the same node runtime;
-//! * [`raft`] *(crate `raft-lite`)* — a Raft-style protocol on the same
-//!   substrate, making §5's generality claim executable.
+//! * [`live`] — the TCP host of the same node runtime.
 //!
 //! # Quick start
 //!
@@ -75,7 +73,6 @@ pub use obs;
 pub use overlay;
 pub use paxos;
 pub use paxos_semantics as semantics;
-pub use raft_lite as raft;
 pub use semantic_gossip as gossip;
 pub use simnet;
 pub use testbed;

@@ -1,7 +1,8 @@
 //! The wire format from the outside: every message kind round-trips at its
 //! declared length, alone and group-tagged, and no byte string — random or
 //! a damaged real frame — makes a decoder panic or allocate out of
-//! proportion to the frame it was handed.
+//! proportion to the frame it was handed, whether it arrives as a message
+//! or inside an eager/lazy `Packet`.
 //!
 //! This is an integration test so that it can install a counting global
 //! allocator; the counters are per thread, so the other tests of this
@@ -14,7 +15,7 @@ use paxos::message::AcceptedEntry;
 use paxos::{InstanceId, PaxosMessage, Round, Value, VoterSet};
 use proptest::prelude::*;
 use semantic_gossip::codec::{put_varint, Wire};
-use semantic_gossip::{Grouped, NodeId};
+use semantic_gossip::{Grouped, NodeId, Packet};
 
 thread_local! {
     /// The largest single allocation this thread requested while armed.
@@ -139,17 +140,18 @@ fn arb_message() -> impl Strategy<Value = PaxosMessage> {
     ]
 }
 
-/// Decodes `frame` both ways a host does — bare and group-tagged — under
-/// the allocation bound. Errors are fine; panics and balloons are not.
+/// Decodes `frame` every way a host does — bare, group-tagged, and as an
+/// eager/lazy `Packet` around a group-tagged message — under the allocation
+/// bound. Errors are fine; panics and balloons are not.
 fn decode_within_bounds(frame: &[u8]) -> Result<(), TestCaseError> {
     let (_, bare) = largest_allocation(|| PaxosMessage::from_bytes(frame));
     let (_, grouped) = largest_allocation(|| Grouped::<PaxosMessage>::from_bytes(frame));
-    let bound = allocation_bound(frame.len());
+    let (_, packet) = largest_allocation(|| Packet::<Grouped<PaxosMessage>>::from_bytes(frame));
+    let largest = bare.max(grouped).max(packet);
     prop_assert!(
-        bare <= bound && grouped <= bound,
-        "a {}-byte frame made the decoder allocate {} bytes at once",
+        largest <= allocation_bound(frame.len()),
+        "a {}-byte frame made the decoder allocate {largest} bytes at once",
         frame.len(),
-        bare.max(grouped)
     );
     Ok(())
 }
@@ -185,8 +187,14 @@ proptest! {
         msg in arb_message(),
         keep in 0usize..400,
         damage in proptest::collection::vec((0usize..400, any::<u8>()), 0..4),
+        wrap in any::<bool>(),
     ) {
-        let mut frame = Grouped::new(3, msg).to_bytes();
+        let grouped = Grouped::new(3, msg);
+        let mut frame = if wrap {
+            Packet::Payload(5, grouped).to_bytes()
+        } else {
+            grouped.to_bytes()
+        };
         for (at, byte) in damage {
             let at = at % frame.len();
             frame[at] = byte;
@@ -224,6 +232,15 @@ fn counts_the_frame_cannot_hold_are_refused() {
             "{frame:?}: {largest} bytes"
         );
     }
+    // An IHAVE (tag 1) whose 2-byte count promises 65 535 announce ids.
+    let ihave = [&[1, 0xff, 0xff][..], &[0; 8]].concat();
+    let (decoded, largest) =
+        largest_allocation(|| Packet::<Grouped<PaxosMessage>>::from_bytes(&ihave));
+    assert!(decoded.is_err(), "{ihave:?} decoded to {decoded:?}");
+    assert!(
+        largest <= allocation_bound(ihave.len()),
+        "IHAVE: {largest} bytes"
+    );
 }
 
 /// The measuring stick itself: it sees a large allocation, and only on the

@@ -15,7 +15,9 @@
 
 use std::collections::HashMap;
 
+use gossip_consensus::obs::NoopObserver;
 use gossip_consensus::prelude::*;
+use gossip_consensus::testbed::SemanticPush;
 
 /// A store command, encoded as a tiny line-based wire format.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,19 +45,21 @@ impl Cmd {
     }
 }
 
-/// One replica: consensus stack + the application state machine.
+/// One replica: a consensus process (Semantic Gossip + Paxos) and the
+/// application state machine it feeds.
 struct Replica {
-    gossip: GossipNode<PaxosMessage, PaxosSemantics>,
-    paxos: PaxosProcess,
+    node: NodeRuntime<SemanticPush<NoopObserver>>,
     store: HashMap<String, String>,
     applied: u64,
 }
 
 impl Replica {
     fn apply_ready(&mut self) {
-        for (_instance, value) in self.paxos.take_decisions() {
-            let cmd = Cmd::decode(value.payload()).expect("well-formed command");
-            match cmd {
+        for (_group, slot) in self.node.drain_ordered() {
+            if slot.duplicate {
+                continue;
+            }
+            match Cmd::decode(slot.value.payload()).expect("well-formed command") {
                 Cmd::Set(k, v) => {
                     self.store.insert(k, v);
                 }
@@ -70,7 +74,6 @@ impl Replica {
 
 fn main() {
     let n = 7;
-    let config = PaxosConfig::new(n);
     // A sparse random overlay: every replica talks to ~log2(n) peers.
     let overlay = {
         use rand::SeedableRng;
@@ -79,26 +82,30 @@ fn main() {
     };
 
     let mut replicas: Vec<Replica> = (0..n)
-        .map(|i| Replica {
-            gossip: GossipNode::new(
-                NodeId::new(i as u32),
-                overlay
-                    .neighbors(i)
-                    .iter()
-                    .map(|&p| NodeId::new(p as u32))
-                    .collect(),
-                GossipConfig::default(),
-                PaxosSemantics::full(config.clone()),
-            ),
-            paxos: PaxosProcess::new(NodeId::new(i as u32), config.clone()),
-            store: HashMap::new(),
-            applied: 0,
+        .map(|i| {
+            let peers = overlay
+                .neighbors(i)
+                .iter()
+                .map(|&p| NodeId::new(p as u32))
+                .collect();
+            let groups = vec![PaxosConfig::new(n)];
+            Replica {
+                node: NodeRuntime::semantic_gossip(
+                    NodeId::new(i as u32),
+                    peers,
+                    groups,
+                    Timers::default(),
+                    || NoopObserver,
+                ),
+                store: HashMap::new(),
+                applied: 0,
+            }
         })
         .collect();
 
-    for out in replicas[0].paxos.start_round(Round::ZERO) {
-        replicas[0].gossip.broadcast(out.msg);
-    }
+    // Everything happens at one instant of the host's clock: no timers fire.
+    let now = 0;
+    replicas[0].node.start_round(0, Round::ZERO, now);
 
     // Clients at different replicas; note the conflicting writes to "color"
     // — total order makes the outcome identical everywhere.
@@ -110,41 +117,26 @@ fn main() {
         (3, Cmd::Del("shape".into())),
         (5, Cmd::Set("weight".into(), "12kg".into())),
     ];
-    for (replica, cmd) in &workload {
-        let (_, out) = replicas[*replica].paxos.submit_payload(cmd.encode());
+    for (seq, (replica, cmd)) in workload.iter().enumerate() {
+        let value = Value::new(NodeId::new(*replica as u32), seq as u64, cmd.encode());
         println!("client at replica {replica}: {cmd:?}");
-        for o in out {
-            replicas[*replica].gossip.broadcast(o.msg);
-        }
+        replicas[*replica].node.submit(value, now);
     }
 
-    // Dissemination rounds until quiescence.
-    loop {
-        let mut progressed = false;
+    // Carry frames between the replicas until nobody has anything to send.
+    let mut frames = Vec::new();
+    while replicas.iter().any(|r| r.node.has_outgoing()) {
         for i in 0..n {
-            loop {
-                let msgs = replicas[i].gossip.take_deliveries();
-                if msgs.is_empty() {
-                    break;
-                }
-                progressed = true;
-                for msg in msgs {
-                    for o in replicas[i].paxos.handle(msg) {
-                        replicas[i].gossip.broadcast(o.msg);
-                    }
-                }
-            }
-            replicas[i].apply_ready();
-            for (peer, msg) in replicas[i].gossip.take_outgoing() {
+            replicas[i].node.take_outgoing_into(&mut frames, now);
+            for (peer, frame) in frames.drain(..) {
                 replicas[peer.as_index()]
-                    .gossip
-                    .on_receive(NodeId::new(i as u32), msg);
-                progressed = true;
+                    .node
+                    .on_frame(NodeId::new(i as u32), frame, now);
             }
         }
-        if !progressed {
-            break;
-        }
+    }
+    for r in &mut replicas {
+        r.apply_ready();
     }
 
     let reference = replicas[0].store.clone();
