@@ -15,11 +15,11 @@
 //! simulated and wall-clock time.
 //!
 //! Keys are plain strings: `obs` sits below every protocol crate and cannot
-//! name `paxos::Kind`, and string keys let the same ledger attribute Raft
-//! traffic or transport-internal classes without a registry. Cardinality is
-//! tiny (a handful of subsystems × seven Paxos classes), so cells live in a
-//! linear-scanned `Vec` — no hashing on the hot path, deterministic report
-//! order via a sort at read time.
+//! name `paxos::Kind`, and string keys let the same ledger attribute
+//! eager/lazy control or transport-internal classes without a registry.
+//! Cardinality is tiny (a handful of subsystems × seven Paxos classes), so
+//! cells live in a linear-scanned `Vec` — no hashing on the hot path,
+//! deterministic report order via a sort at read time.
 //!
 //! The post-hoc twin lives with the trace replay (`testbed::ledger`): it
 //! rebuilds the same table from a recorded JSONL trace and reports how much

@@ -110,7 +110,9 @@ pub struct ClusterParams {
     pub batch_values: usize,
     /// Override for each group's open-instance pipeline window; `None`
     /// keeps the [`PaxosConfig`] default. Small windows make a single
-    /// group RTT-bound, which is what the shard-scaling benchmark sweeps.
+    /// group RTT-bound, which is what
+    /// `cluster::tests::sharding_scales_a_pipeline_limited_deployment`
+    /// relies on.
     pub max_open_instances: Option<usize>,
     /// Communication substrate.
     pub setup: Setup,
