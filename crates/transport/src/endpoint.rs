@@ -11,12 +11,21 @@
 //! batches — whatever is pending is flushed in one syscall — and records a
 //! [`Event::FramesCoalesced`] when it merged more than one frame.
 //!
+//! Each receive routine reads through one [`BufReader`], so a batch the
+//! peer flushed in one write is parsed out of one `read` instead of two or
+//! more per frame.
+//!
 //! Connections carry a 1-frame handshake (each side announces its
-//! [`NodeId`]) and then raw length-prefixed frames.
+//! [`NodeId`]) and then raw length-prefixed frames. A connection that fails
+//! or closes surfaces as [`PeerEvent::Disconnected`] and is not redialed.
+//!
+//! Nothing polls: accept and every receive block in the kernel until there
+//! is work. Dropping the endpoint wakes the accept with one self-connect and
+//! unblocks every receive by shutting its socket down.
 
 use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -33,6 +42,13 @@ use crate::framing::{read_frame, write_frame, write_frame_into, FrameError};
 /// Upper bound on the bytes one batched flush assembles before writing.
 const MAX_BATCH_BYTES: usize = 256 * 1024;
 
+/// Read buffer of each receive routine: large enough that one `read` takes
+/// in a whole batched flush of small frames.
+const RECV_BUFFER: usize = 64 * 1024;
+
+/// How long a handshake may wait for the peer's hello frame.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Configuration of an [`Endpoint`].
 #[derive(Debug, Clone)]
 pub struct EndpointConfig {
@@ -43,12 +59,6 @@ pub struct EndpointConfig {
     /// Maximum frames one send-routine flush coalesces into a single
     /// write (≥ 1; 1 disables batching).
     pub send_batch: usize,
-    /// How long the accept loop sleeps when no connection is pending.
-    /// Shutdown latency is bounded by this, so tests shrink it.
-    pub accept_poll: Duration,
-    /// Read timeout of each receive routine — the interval at which it
-    /// rechecks the shutdown flag while the socket is idle.
-    pub read_poll: Duration,
     /// Optional trace sink: connection lifecycle and frame traffic are
     /// recorded here (stamped with monotonic elapsed time). `None` — the
     /// default — records nothing.
@@ -56,15 +66,15 @@ pub struct EndpointConfig {
 }
 
 impl EndpointConfig {
-    /// A config for `node` with the default 1024-frame send queues,
-    /// 64-frame flush batches, and 20 ms / 100 ms poll intervals.
+    /// A config for `node` with the default 1024-frame send queues and
+    /// 64-frame flush batches. Nothing else needs tuning for idle cost: the
+    /// endpoint's threads block until there is work, and its queues wake a
+    /// thread only when one is blocked on them.
     pub fn new(node: NodeId) -> Self {
         EndpointConfig {
             node,
             send_queue: 1024,
             send_batch: 64,
-            accept_poll: Duration::from_millis(20),
-            read_poll: Duration::from_millis(100),
             observer: None,
         }
     }
@@ -72,14 +82,6 @@ impl EndpointConfig {
     /// Attaches a trace sink (builder style).
     pub fn with_observer(mut self, ring: SharedRing) -> Self {
         self.observer = Some(ring);
-        self
-    }
-
-    /// Sets both polling intervals (builder style): the accept-loop sleep
-    /// and the receive-routine read timeout.
-    pub fn with_poll_intervals(mut self, accept: Duration, read: Duration) -> Self {
-        self.accept_poll = accept;
-        self.read_poll = read;
         self
     }
 
@@ -118,6 +120,9 @@ struct PeerHandle {
     /// manually because the bounded channel exposes no length; this is the
     /// per-peer send-queue-depth gauge.
     depth: Arc<AtomicU64>,
+    /// A handle on the socket, so that dropping the endpoint can shut it
+    /// down and unblock the receive routine's read.
+    stream: TcpStream,
 }
 
 /// A listening, dialing, framed TCP endpoint.
@@ -155,7 +160,6 @@ impl Endpoint {
     /// Returns the bind error, if any.
     pub fn bind(config: EndpointConfig, addr: &str) -> io::Result<Endpoint> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let (events_tx, events_rx) = unbounded();
         let peers = Arc::new(Mutex::new(HashMap::new()));
@@ -167,26 +171,21 @@ impl Endpoint {
             let events_tx = events_tx.clone();
             let peers = Arc::clone(&peers);
             let shutdown = Arc::clone(&shutdown);
+            // Blocks in `accept`; `Drop` sets the flag and then connects
+            // once, so the loop wakes up and exits.
             std::thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if let Ok(peer) = handshake_and_register(
-                                stream, &config, &events_tx, &peers, &shutdown,
-                            ) {
-                                record(
-                                    &config.observer,
-                                    Event::Accepted {
-                                        node: config.node.as_u32(),
-                                        peer: peer.as_u32(),
-                                    },
-                                );
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(config.accept_poll);
-                        }
-                        Err(_) => break,
+                while let Ok((stream, _)) = listener.accept() {
+                    if shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    if let Ok(peer) = handshake_and_register(stream, &config, &events_tx, &peers) {
+                        record(
+                            &config.observer,
+                            Event::Accepted {
+                                node: config.node.as_u32(),
+                                peer: peer.as_u32(),
+                            },
+                        );
                     }
                 }
             })
@@ -221,13 +220,7 @@ impl Endpoint {
     /// Returns connection or handshake I/O errors.
     pub fn dial(&self, addr: SocketAddr) -> io::Result<NodeId> {
         let stream = TcpStream::connect(addr)?;
-        let peer = handshake_and_register(
-            stream,
-            &self.config,
-            &self.events_tx,
-            &self.peers,
-            &self.shutdown,
-        )?;
+        let peer = handshake_and_register(stream, &self.config, &self.events_tx, &self.peers)?;
         record(
             &self.config.observer,
             Event::Dialed {
@@ -315,21 +308,36 @@ impl Endpoint {
     pub fn recv_timeout(&self, timeout: Duration) -> Option<PeerEvent> {
         self.events_rx.recv_timeout(timeout).ok()
     }
-
-    /// A clonable receiver of the endpoint's events.
-    pub fn events(&self) -> Receiver<PeerEvent> {
-        self.events_rx.clone()
-    }
 }
 
 impl Drop for Endpoint {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        self.peers.lock().clear(); // closes send channels; send threads exit
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Wake the blocking accept; it sees the flag and exits. If the
+        // accept thread is already gone the connect is refused, harmlessly.
+        let _ = TcpStream::connect(wake_addr(self.local_addr));
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
+        // Dropping the handles closes the send channels, so the send
+        // routines exit; shutting each socket down unblocks its receive
+        // routine and tells the peer.
+        for (_, handle) in self.peers.lock().drain() {
+            let _ = handle.stream.shutdown(Shutdown::Both);
+        }
     }
+}
+
+/// The address a self-connect reaches the listener on: a listener bound to
+/// the unspecified address is reached through loopback.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let mut addr = local;
+    match local {
+        SocketAddr::V4(v4) if v4.ip().is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        SocketAddr::V6(v6) if v6.ip().is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
 }
 
 /// Exchanges hello frames, registers the peer, and spawns its send/receive
@@ -339,15 +347,16 @@ fn handshake_and_register(
     config: &EndpointConfig,
     events_tx: &Sender<PeerEvent>,
     peers: &Arc<Mutex<HashMap<NodeId, PeerHandle>>>,
-    shutdown: &Arc<AtomicBool>,
 ) -> io::Result<NodeId> {
-    stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
     let mut write_half = stream.try_clone()?;
     write_frame(&mut write_half, &config.node.as_u32().to_be_bytes())?;
-    let mut read_half = stream;
-    read_half.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let hello = read_frame(&mut read_half).map_err(frame_to_io)?;
+    // The hello is the only read with a deadline. Frames the peer sends
+    // right behind it may already sit in the buffer, so the receive
+    // routine keeps this reader.
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
+    let mut reader = BufReader::with_capacity(RECV_BUFFER, stream.try_clone()?);
+    let hello = read_frame(&mut reader).map_err(frame_to_io)?;
     if hello.len() != 4 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -355,7 +364,7 @@ fn handshake_and_register(
         ));
     }
     let peer = NodeId::new(u32::from_be_bytes([hello[0], hello[1], hello[2], hello[3]]));
-    read_half.set_read_timeout(Some(config.read_poll))?;
+    stream.set_read_timeout(None)?;
 
     let (send_tx, send_rx) = bounded::<Bytes>(config.send_queue);
     let depth = Arc::new(AtomicU64::new(0));
@@ -364,6 +373,7 @@ fn handshake_and_register(
         PeerHandle {
             sender: send_tx,
             depth: Arc::clone(&depth),
+            stream,
         },
     );
     let _ = events_tx.send(PeerEvent::Connected(peer));
@@ -433,18 +443,17 @@ fn handshake_and_register(
         });
     }
 
-    // Receive routine: surfaces frames on the shared event queue.
+    // Receive routine: surfaces frames on the shared event queue. The read
+    // blocks without a timeout, so a frame is never abandoned half read;
+    // it ends when the peer closes, the socket fails or `Drop` shuts it
+    // down.
     {
         let events_tx = events_tx.clone();
         let peers = Arc::clone(peers);
-        let shutdown = Arc::clone(shutdown);
         let observer = config.observer.clone();
         let node = config.node.as_u32();
         std::thread::spawn(move || loop {
-            if shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            match read_frame(&mut read_half) {
+            match read_frame(&mut reader) {
                 Ok(payload) => {
                     record(
                         &observer,
@@ -458,12 +467,6 @@ fn handshake_and_register(
                         from: peer,
                         payload,
                     });
-                }
-                Err(FrameError::Io(e))
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue;
                 }
                 Err(_) => {
                     peers.lock().remove(&peer);
@@ -721,12 +724,8 @@ mod tests {
 
     #[test]
     fn config_builders_set_batch_and_polls() {
-        let cfg = EndpointConfig::new(NodeId::new(0))
-            .with_send_batch(0)
-            .with_poll_intervals(Duration::from_millis(1), Duration::from_millis(2));
+        let cfg = EndpointConfig::new(NodeId::new(0)).with_send_batch(0);
         assert_eq!(cfg.send_batch, 1, "batch of 0 clamps to 1");
-        assert_eq!(cfg.accept_poll, Duration::from_millis(1));
-        assert_eq!(cfg.read_poll, Duration::from_millis(2));
         let cfg = cfg.with_send_batch(16);
         assert_eq!(cfg.send_batch, 16);
     }
@@ -766,8 +765,19 @@ mod tests {
             a.recv_timeout(Duration::from_secs(5)),
             Some(PeerEvent::Connected(NodeId::new(1)))
         );
-        drop(b);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        // Nothing polls, so `drop` must wake its own blocked threads: the
+        // accept by a self-connect, the receive routine by a socket
+        // shutdown, which is also what lets `a` see the close. Dropped on
+        // another thread, so a drop that never returns fails the test
+        // instead of hanging it.
+        let dropper = std::thread::spawn(move || drop(b));
+        let deadline = std::time::Instant::now() + Duration::from_secs(1);
+        while !dropper.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "drop did not return");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        dropper.join().unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(1);
         loop {
             match a.recv_timeout(Duration::from_millis(200)) {
                 Some(PeerEvent::Disconnected(p)) => {
@@ -782,5 +792,67 @@ mod tests {
             }
         }
         assert!(a.peers().is_empty());
+    }
+
+    #[test]
+    fn frame_wakes_a_peer_blocked_in_recv_timeout() {
+        let a = endpoint(0);
+        let b = endpoint(1);
+        b.dial(a.local_addr()).unwrap();
+        assert_eq!(
+            a.recv_timeout(Duration::from_secs(5)),
+            Some(PeerEvent::Connected(NodeId::new(1)))
+        );
+        let (got, waited) = std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let start = std::time::Instant::now();
+                (a.recv_timeout(Duration::from_secs(5)), start.elapsed())
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(b.send(NodeId::new(0), b"wake".to_vec()));
+            waiter.join().unwrap()
+        });
+        assert_eq!(
+            got,
+            Some(PeerEvent::Frame {
+                from: NodeId::new(1),
+                payload: b"wake".to_vec(),
+            })
+        );
+        assert!(waited < Duration::from_secs(1), "woke after {waited:?}");
+    }
+
+    #[test]
+    fn frame_split_across_a_pause_arrives_whole() {
+        // A raw peer whose frame's tail lags its head by 150 ms. The
+        // receive routine must wait for the tail, not give up on the
+        // half-read body and then parse body bytes as the next header.
+        let a = endpoint(0);
+        let mut raw = TcpStream::connect(a.local_addr()).unwrap();
+        write_frame(&mut raw, &7u32.to_be_bytes()).unwrap();
+        assert_eq!(read_frame(&mut raw).unwrap(), 0u32.to_be_bytes());
+        let mut wire = Vec::new();
+        write_frame_into(&mut wire, &[0xAB; 1000]).unwrap();
+        write_frame_into(&mut wire, b"next").unwrap();
+        raw.write_all(&wire[..500]).unwrap();
+        std::thread::sleep(Duration::from_millis(150));
+        raw.write_all(&wire[500..]).unwrap();
+
+        let peer = NodeId::new(7);
+        assert_eq!(
+            a.recv_timeout(Duration::from_secs(5)),
+            Some(PeerEvent::Connected(peer))
+        );
+        let mut frames = Vec::new();
+        while frames.len() < 2 {
+            match a.recv_timeout(Duration::from_secs(5)) {
+                Some(PeerEvent::Frame { from, payload }) => {
+                    assert_eq!(from, peer);
+                    frames.push(payload);
+                }
+                other => panic!("expected a frame, got {other:?}"),
+            }
+        }
+        assert_eq!(frames, vec![vec![0xAB; 1000], b"next".to_vec()]);
     }
 }
