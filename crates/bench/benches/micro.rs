@@ -22,7 +22,7 @@ fn sample_proposal(payload: usize) -> PaxosMessage {
     PaxosMessage::Phase2a {
         instance: InstanceId::new(42),
         round: Round::new(1),
-        value: Value::new(NodeId::new(3), 7, vec![0xAB; payload]),
+        value: Value::new(NodeId::new(3), 7, vec![0xAB; payload]).into(),
         sender: NodeId::new(1),
     }
 }

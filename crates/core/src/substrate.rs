@@ -99,6 +99,12 @@ pub trait Substrate<M> {
     /// their links in the same step that produced them.
     const SEND_ROUTINE: bool = true;
 
+    /// Whether every message reaches every process whatever its [`Dest`]
+    /// (§3.1). A consensus process over such a substrate can send a value
+    /// once and name it by id afterwards: every process receives the value
+    /// too, though not necessarily first.
+    const BROADCASTS: bool;
+
     /// Hands a message from the local consensus process to the substrate.
     fn send(&mut self, msg: M, dest: Dest);
 
@@ -154,6 +160,8 @@ where
     type Frame = M;
     type Observer = O;
 
+    const BROADCASTS: bool = true;
+
     fn send(&mut self, msg: M, _dest: Dest) {
         self.broadcast(msg);
     }
@@ -200,6 +208,8 @@ where
 {
     type Frame = Packet<M>;
     type Observer = O;
+
+    const BROADCASTS: bool = true;
 
     fn send(&mut self, msg: M, _dest: Dest) {
         self.broadcast(msg);
@@ -280,6 +290,7 @@ impl<M: GossipItem, O: Observer> Substrate<M> for Direct<M, O> {
     type Observer = O;
 
     const SEND_ROUTINE: bool = false;
+    const BROADCASTS: bool = false;
 
     fn send(&mut self, msg: M, dest: Dest) {
         match dest {

@@ -81,7 +81,9 @@ pub use transport;
 /// The commonly used types, one `use` away.
 pub mod prelude {
     pub use overlay::{connected_k_out, paper_fanout, Graph};
-    pub use paxos::{InstanceId, PaxosConfig, PaxosMessage, PaxosProcess, Round, Value, ValueId};
+    pub use paxos::{
+        InstanceId, PaxosConfig, PaxosMessage, PaxosProcess, Proposal, Round, Value, ValueId,
+    };
     pub use paxos_semantics::{PaxosSemantics, SemanticMode};
     pub use semantic_gossip::{
         GossipConfig, GossipItem, GossipNode, Grouped, GroupedSemantics, MessageId, NoSemantics,

@@ -20,6 +20,15 @@ pub struct PaxosConfig {
     /// per instance ([`crate::Value::batch`]). 1 — the default — proposes
     /// each value in its own instance, the paper's behavior.
     pub batch_values: usize,
+    /// Whether every client value reaches every process in its own
+    /// `ClientValue` message, as on substrates that broadcast whatever the
+    /// route. Then a fresh proposal names its value by id (a thin
+    /// [`Phase2a`](crate::PaxosMessage::Phase2a)) instead of carrying it a
+    /// second time, and a process that receives the proposal first waits
+    /// for the value. `true` — the default — suits gossip; a host over
+    /// direct channels, where a `ClientValue` reaches the coordinator
+    /// only, sets it to `false`.
+    pub values_broadcast: bool,
 }
 
 impl PaxosConfig {
@@ -43,6 +52,7 @@ impl PaxosConfig {
             max_open_instances: 4096,
             group: 0,
             batch_values: 1,
+            values_broadcast: true,
         }
     }
 

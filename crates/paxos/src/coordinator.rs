@@ -6,13 +6,19 @@
 //! instances, and fresh client values are proposed in Phase 2 of subsequent
 //! instances — the paper's regular operation, where "the decision of a value
 //! only requires the execution of Phase 2" (§2.3).
+//!
+//! A fresh proposal names its value by id when
+//! [`PaxosConfig::values_broadcast`] says every process already received
+//! the value in its `ClientValue` ([`Proposal::Id`]). Re-proposals of
+//! Phase 1b reports and retransmissions always carry the value: the flood
+//! that brought it may be long over.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 use semantic_gossip::NodeId;
 
 use crate::config::PaxosConfig;
-use crate::message::{AcceptedEntry, PaxosMessage};
+use crate::message::{AcceptedEntry, PaxosMessage, Proposal};
 use crate::types::{InstanceId, Round, Value, ValueId};
 
 /// The coordinator state machine for one round.
@@ -148,7 +154,7 @@ impl Coordinator {
             out.push(PaxosMessage::Phase2a {
                 instance,
                 round: self.round,
-                value,
+                value: value.into(),
                 sender: self.id,
             });
         }
@@ -182,7 +188,7 @@ impl Coordinator {
             .map(|(&instance, value)| PaxosMessage::Phase2a {
                 instance,
                 round: self.round,
-                value: value.clone(),
+                value: value.clone().into(),
                 sender: self.id,
             })
             .collect()
@@ -269,11 +275,16 @@ impl Coordinator {
             };
             let instance = self.next_instance;
             self.next_instance = instance.next();
-            self.open.insert(instance, value.clone());
+            let proposal = if self.config.values_broadcast {
+                Proposal::naming(&value)
+            } else {
+                Proposal::Value(value.clone())
+            };
+            self.open.insert(instance, value);
             out.push(PaxosMessage::Phase2a {
                 instance,
                 round: self.round,
-                value,
+                value: proposal,
                 sender: self.id,
             });
         }
@@ -533,20 +544,31 @@ mod tests {
             panic!("unexpected {out:?}");
         };
         assert_eq!(*instance, InstanceId::new(1));
-        assert!(v.is_batch());
-        let parts = v.components().unwrap();
-        assert_eq!(
-            parts.iter().map(Value::id).collect::<Vec<_>>(),
-            vec![value(1).id(), value(2).id(), value(3).id()]
-        );
+        // The batch is named by its id and its parts' ids, in order.
+        let Proposal::Id { id, parts } = v else {
+            panic!("a fresh batch proposal names its value: {v:?}");
+        };
+        assert!(id.is_batch());
+        assert_eq!(parts, &vec![value(1).id(), value(2).id(), value(3).id()]);
         assert_eq!(c.queued_values(), 3);
         // Distinct batches get distinct ids.
         let out2 = c.on_decided(InstanceId::new(1));
         let PaxosMessage::Phase2a { value: v2, .. } = &out2[0] else {
             panic!("unexpected {out2:?}");
         };
-        assert!(v2.is_batch());
+        assert!(v2.id().is_batch());
         assert_ne!(v2.id(), v.id());
+        // A retransmission carries the batch itself, parts and all.
+        let again = c.retransmit();
+        let PaxosMessage::Phase2a {
+            value: Proposal::Value(whole),
+            ..
+        } = &again[0]
+        else {
+            panic!("unexpected {again:?}");
+        };
+        assert_eq!(whole.id(), v2.id());
+        assert_eq!(whole.components().unwrap().len(), 3);
     }
 
     #[test]
@@ -557,8 +579,8 @@ mod tests {
         let PaxosMessage::Phase2a { value: v, .. } = &out[0] else {
             panic!("unexpected {out:?}");
         };
-        assert!(!v.is_batch());
-        assert_eq!(v.id(), value(1).id());
+        assert_eq!(v, &Proposal::naming(&value(1)));
+        assert!(!v.id().is_batch());
     }
 
     #[test]
@@ -585,8 +607,42 @@ mod tests {
         let PaxosMessage::Phase2a { value: second, .. } = &out[0] else {
             panic!("unexpected {out:?}");
         };
-        assert_eq!(second.id(), inner.id());
-        assert_eq!(second.components().unwrap().len(), 2);
+        assert_eq!(second, &Proposal::naming(&inner));
+        let Proposal::Id { parts, .. } = second else {
+            panic!("unexpected {second:?}");
+        };
+        assert_eq!(parts, &vec![value(10).id(), value(11).id()]);
+    }
+
+    #[test]
+    fn only_fresh_proposals_name_their_value_and_only_when_values_are_broadcast() {
+        let fresh = |config: PaxosConfig| {
+            let mut c = prepared_with(config);
+            let out = c.propose(value(1));
+            let PaxosMessage::Phase2a { value, .. } = &out[0] else {
+                panic!("unexpected {out:?}");
+            };
+            value.clone()
+        };
+        assert_eq!(fresh(PaxosConfig::new(3)), Proposal::naming(&value(1)));
+        let direct = PaxosConfig {
+            values_broadcast: false,
+            ..PaxosConfig::new(3)
+        };
+        assert_eq!(fresh(direct), Proposal::Value(value(1)));
+        // A value reported in Phase 1b is re-proposed with its value.
+        let (mut c, _) = Coordinator::start(
+            NodeId::new(0),
+            PaxosConfig::new(3),
+            Round::new(3),
+            InstanceId::ZERO,
+        );
+        c.on_phase1b(Round::new(3), NodeId::new(1), &[entry(0, 1, 100)]);
+        let out = c.on_phase1b(Round::new(3), NodeId::new(2), &[]);
+        assert!(matches!(
+            &out[0],
+            PaxosMessage::Phase2a { value: Proposal::Value(v), .. } if v == &value(100)
+        ));
     }
 
     #[test]

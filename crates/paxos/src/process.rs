@@ -5,8 +5,19 @@
 //! only in terms of [`PaxosMessage`]s in and [`Outbound`]s out; the
 //! communication substrate (direct channels or gossip) interprets the
 //! [`Route`] tags.
+//!
+//! Where every client value reaches every process
+//! ([`PaxosConfig::values_broadcast`], the gossip substrates), the value
+//! crosses the overlay once: in its `ClientValue`, which every process
+//! files in a *pool*. A fresh Phase 2a names the value by id
+//! ([`Proposal::Id`]); a process that holds the value joins the two and
+//! goes on exactly as with a proposal that carries it, and one that does
+//! not yet *parks* the proposal until the last missing value arrives. The
+//! acceptor therefore votes only on a value it holds, which keeps Phase 1b
+//! reports complete and the semantic Decision filter's "voted, so holds
+//! the value" sound.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use obs::{Event, NoopObserver, Observer};
 use semantic_gossip::NodeId;
@@ -15,9 +26,9 @@ use crate::acceptor::Acceptor;
 use crate::config::PaxosConfig;
 use crate::coordinator::Coordinator;
 use crate::learner::{Delivered, Learner};
-use crate::message::{Kind, PaxosMessage};
+use crate::message::{Kind, PaxosMessage, Proposal};
 use crate::storage::{MemoryStorage, StableStorage};
-use crate::types::{InstanceId, Round, Value, ValueId};
+use crate::types::{InstanceId, Round, Value, ValueId, BATCH_SEQ_BIT};
 
 /// Where a message logically goes.
 ///
@@ -26,7 +37,8 @@ use crate::types::{InstanceId, Round, Value, ValueId};
 /// broadcast everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
-    /// One-to-many: to every process (Phase 1a/2a, Decision).
+    /// One-to-many: to every process (Phase 1a/2a, Decision, and a value
+    /// submitted at the coordinator when values are broadcast).
     ToAll,
     /// Many-to-one: to the coordinator of the message's round (Phase 1b/2b,
     /// forwarded client values).
@@ -86,6 +98,15 @@ pub struct PaxosProcess<S: StableStorage = MemoryStorage, O = NoopObserver> {
     /// would truncate both behind a checkpoint.
     decided_ids: HashSet<ValueId>,
     submit_seq: u64,
+    /// Client values by id, filed from every `ClientValue` handled and
+    /// every local submission while values are broadcast, until this
+    /// process sees them decided. Resolves thin proposals.
+    pool: HashMap<ValueId, Value>,
+    /// Thin proposals whose value (or some batch part) is not pooled yet,
+    /// in arrival order; dropped when their instance is decided.
+    parked: Vec<Parked>,
+    /// Thin proposals ever parked — the `proposals_parked` counter.
+    proposals_parked: u64,
     /// Messages handled, indexed by [`Kind::index`] — the CPU-side half of
     /// per-class resource attribution (which message class makes this
     /// process do coordination work). Plain adds: always on, no observer.
@@ -125,6 +146,9 @@ impl<S: StableStorage, O: Observer> PaxosProcess<S, O> {
             current_round: Round::ZERO,
             decided_ids: HashSet::new(),
             submit_seq: 0,
+            pool: HashMap::new(),
+            parked: Vec::new(),
+            proposals_parked: 0,
             handled_by_kind: [0; Kind::COUNT],
             observer,
         }
@@ -217,6 +241,25 @@ impl<S: StableStorage, O: Observer> PaxosProcess<S, O> {
         self.learner.value_waits()
     }
 
+    /// Client values held to resolve thin proposals — the `pooled_values`
+    /// gauge. Drains as the values are decided.
+    pub fn pooled_values(&self) -> usize {
+        self.pool.len()
+    }
+
+    /// Thin proposals waiting for a value this process does not hold yet —
+    /// the `parked_proposals` gauge. Drains as values arrive or instances
+    /// are decided.
+    pub fn parked_proposals(&self) -> usize {
+        self.parked.len()
+    }
+
+    /// Thin proposals ever parked here — the `proposals_parked` counter
+    /// next to the two gauges.
+    pub fn proposals_parked(&self) -> u64 {
+        self.proposals_parked
+    }
+
     /// Makes this process the coordinator of `round`, starting Phase 1 over
     /// all instances not yet delivered locally.
     ///
@@ -247,7 +290,9 @@ impl<S: StableStorage, O: Observer> PaxosProcess<S, O> {
     /// A client submits a payload at this process: proposed directly when
     /// this process coordinates, otherwise forwarded to the coordinator
     /// (§4.2: "when a Paxos process receives a value from a client, it
-    /// forwards the value to the coordinator").
+    /// forwards the value to the coordinator"). When values are broadcast
+    /// the coordinator sends the value to all as well, ahead of its thin
+    /// proposal, so that every process can resolve the proposal's id.
     pub fn submit(&mut self, value: Value) -> Vec<Outbound> {
         if O::ENABLED {
             let id = value.id();
@@ -260,13 +305,22 @@ impl<S: StableStorage, O: Observer> PaxosProcess<S, O> {
         if self.decided_ids.contains(&value.id()) {
             return Vec::new(); // already decided; a retry must not re-propose
         }
-        if let Some(c) = self.coordinator.as_mut() {
-            return c.propose(value).into_iter().map(Outbound::to_all).collect();
+        if self.config.values_broadcast {
+            self.pool.insert(value.id(), value.clone());
         }
-        vec![Outbound::to_coordinator(PaxosMessage::ClientValue {
+        let client_value = |value| PaxosMessage::ClientValue {
             forwarder: self.id,
             value,
-        })]
+        };
+        match self.coordinator.as_mut() {
+            Some(c) if self.config.values_broadcast => {
+                let mut out = vec![Outbound::to_all(client_value(value.clone()))];
+                out.extend(c.propose(value).into_iter().map(Outbound::to_all));
+                out
+            }
+            Some(c) => c.propose(value).into_iter().map(Outbound::to_all).collect(),
+            None => vec![Outbound::to_coordinator(client_value(value))],
+        }
     }
 
     /// Convenience for clients: wraps `payload` into a [`Value`] with this
@@ -286,15 +340,21 @@ impl<S: StableStorage, O: Observer> PaxosProcess<S, O> {
         self.handled_by_kind[msg.kind().index()] += 1;
         match msg {
             PaxosMessage::ClientValue { value, .. } => {
+                // Parked proposals take the value even when it is decided
+                // already: one may assign it a second instance.
+                let mut out = self.unpark(&value);
                 if self.decided_ids.contains(&value.id()) {
-                    return Vec::new(); // stale re-forward of a decided value
+                    return out; // stale re-forward of a decided value
                 }
-                match self.coordinator.as_mut() {
-                    Some(c) => c.propose(value).into_iter().map(Outbound::to_all).collect(),
-                    // Not the coordinator: the gossip layer already carries
-                    // the value to the coordinator; nothing to do.
-                    None => Vec::new(),
+                if self.config.values_broadcast {
+                    self.pool.insert(value.id(), value.clone());
                 }
+                if let Some(c) = self.coordinator.as_mut() {
+                    out.extend(c.propose(value).into_iter().map(Outbound::to_all));
+                }
+                // Not the coordinator: the substrate already carries the
+                // value to the coordinator; nothing else to do.
+                out
             }
             PaxosMessage::Phase1a {
                 round,
@@ -354,16 +414,23 @@ impl<S: StableStorage, O: Observer> PaxosProcess<S, O> {
                     });
                 }
                 let mut out = self.observe_round(round);
-                // Votes name this value by id only: the learner takes the
-                // proposal whether or not the acceptor goes on to accept it.
-                if let Some(decided) = self.learner.on_phase2a(instance, round, &value) {
-                    out.extend(self.on_quorum(instance, decided));
+                match value {
+                    Proposal::Value(value) => out.extend(self.on_proposal(instance, round, value)),
+                    Proposal::Id { id, parts } => {
+                        let mut parked = Parked {
+                            instance,
+                            round,
+                            id,
+                            parts: parts.into_iter().map(|part| (part, None)).collect(),
+                            value: None,
+                        };
+                        parked.take_from_pool(&self.pool);
+                        match parked.resolved() {
+                            Some(value) => out.extend(self.on_proposal(instance, round, value)),
+                            None => self.park(parked),
+                        }
+                    }
                 }
-                out.extend(
-                    self.acceptor
-                        .on_phase2a(instance, round, value)
-                        .map(Outbound::to_coordinator),
-                );
                 out
             }
             PaxosMessage::Phase2b {
@@ -463,6 +530,59 @@ impl<S: StableStorage, O: Observer> PaxosProcess<S, O> {
         self.acceptor.into_storage()
     }
 
+    /// A proposal whose value this process holds: the learner takes it
+    /// whether or not the acceptor goes on to accept it (votes name the
+    /// value by id only), then the acceptor votes.
+    fn on_proposal(&mut self, instance: InstanceId, round: Round, value: Value) -> Vec<Outbound> {
+        let mut out = Vec::new();
+        if let Some(decided) = self.learner.on_phase2a(instance, round, &value) {
+            out.extend(self.on_quorum(instance, decided));
+        }
+        out.extend(
+            self.acceptor
+                .on_phase2a(instance, round, value)
+                .map(Outbound::to_coordinator),
+        );
+        out
+    }
+
+    /// Holds a thin proposal until its value arrives. A repeat of a parked
+    /// proposal, or one for an instance already decided here, is dropped.
+    fn park(&mut self, parked: Parked) {
+        let known = self
+            .parked
+            .iter()
+            .any(|p| (p.instance, p.round) == (parked.instance, parked.round));
+        if !known && !self.learner.is_decided(parked.instance) {
+            self.parked.push(parked);
+            self.proposals_parked += 1;
+        }
+    }
+
+    /// Hands a client value to the parked proposals waiting for it and
+    /// replays, in arrival order, those it completes.
+    fn unpark(&mut self, value: &Value) -> Vec<Outbound> {
+        let mut out = Vec::new();
+        if self.parked.is_empty() {
+            return out;
+        }
+        let mut ready = Vec::new();
+        self.parked.retain_mut(|p| {
+            p.take(value);
+            match p.resolved() {
+                Some(value) => {
+                    ready.push((p.instance, p.round, value));
+                    false
+                }
+                None => true,
+            }
+        });
+        for (instance, round, value) in ready {
+            out.extend(self.on_proposal(instance, round, value));
+        }
+        out
+    }
+
     /// A majority of identical votes met its value: the instance is decided
     /// here without a Decision message.
     fn on_quorum(&mut self, instance: InstanceId, value: Value) -> Vec<Outbound> {
@@ -479,7 +599,13 @@ impl<S: StableStorage, O: Observer> PaxosProcess<S, O> {
     }
 
     fn on_locally_decided(&mut self, instance: InstanceId, value: Value) -> Vec<Outbound> {
-        self.decided_ids.insert(value.id());
+        // A batch decides its parts too: none of them is pooled, proposed
+        // or waited for again.
+        for id in std::iter::once(value.id()).chain(value.component_ids()) {
+            self.decided_ids.insert(id);
+            self.pool.remove(&id);
+        }
+        self.parked.retain(|p| p.instance != instance);
         if O::ENABLED {
             let id = value.id();
             self.observer.record(Event::Decided {
@@ -538,6 +664,55 @@ impl<S: StableStorage, O: Observer> PaxosProcess<S, O> {
     }
 }
 
+/// A thin proposal waiting for its value, or for the parts of its batch.
+#[derive(Debug)]
+struct Parked {
+    instance: InstanceId,
+    round: Round,
+    id: ValueId,
+    /// A batch's parts, in order, each with its value once held.
+    parts: Vec<(ValueId, Option<Value>)>,
+    /// The value itself, once held: a plain value, or a batch that arrived
+    /// whole (a demoted coordinator re-forwards its backlog as it was).
+    value: Option<Value>,
+}
+
+impl Parked {
+    /// Takes `value` if this proposal names it or one of its parts.
+    fn take(&mut self, value: &Value) {
+        if value.id() == self.id {
+            self.value = Some(value.clone());
+        }
+        for (id, slot) in &mut self.parts {
+            if *id == value.id() {
+                *slot = Some(value.clone());
+            }
+        }
+    }
+
+    /// Takes whatever `pool` holds of this proposal's value and parts.
+    fn take_from_pool(&mut self, pool: &HashMap<ValueId, Value>) {
+        self.value = pool.get(&self.id).cloned();
+        for (id, slot) in &mut self.parts {
+            *slot = pool.get(id).cloned();
+        }
+    }
+
+    /// The proposed value, once everything it needs is held: a batch is
+    /// rebuilt from its parts under its original id, byte for byte.
+    fn resolved(&self) -> Option<Value> {
+        if let Some(value) = &self.value {
+            return Some(value.clone());
+        }
+        if self.parts.is_empty() {
+            return None;
+        }
+        let parts: Option<Vec<Value>> = self.parts.iter().map(|(_, v)| v.clone()).collect();
+        let batch_seq = self.id.seq & !BATCH_SEQ_BIT;
+        Some(Value::batch(self.id.origin, batch_seq, &parts?))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,7 +734,7 @@ mod tests {
         PaxosMessage::Phase2a {
             instance: InstanceId::ZERO,
             round,
-            value: value.clone(),
+            value: value.clone().into(),
             sender: NodeId::new(0),
         }
     }
@@ -835,11 +1010,12 @@ mod tests {
         let inflight = procs[0].start_round(Round::ZERO);
         run_to_quiescence(&mut procs, inflight);
         let (_, out) = procs[0].submit_payload(vec![1]);
-        let phase2a = out
-            .into_iter()
-            .find(|o| matches!(o.msg, PaxosMessage::Phase2a { .. }))
-            .unwrap();
+        // The coordinator sends the value to all, then names it.
+        let [client_value, phase2a] = <[Outbound; 2]>::try_from(out).unwrap();
+        assert!(matches!(client_value.msg, PaxosMessage::ClientValue { .. }));
+        assert_eq!(client_value.route, Route::ToAll);
         // Gather votes from processes 0 and 1.
+        assert!(procs[1].handle(client_value.msg).is_empty());
         let vote0 = procs[0].handle(phase2a.msg.clone());
         let vote1 = procs[1].handle(phase2a.msg.clone());
         let out = procs[0].handle(vote0[0].msg.clone());
@@ -857,12 +1033,7 @@ mod tests {
         let config = PaxosConfig::new(3);
         let mut p = PaxosProcess::new(NodeId::new(1), config.clone());
         let v = Value::new(NodeId::new(0), 0, vec![1]);
-        let out = p.handle(PaxosMessage::Phase2a {
-            instance: InstanceId::ZERO,
-            round: Round::ZERO,
-            value: v.clone(),
-            sender: NodeId::new(0),
-        });
+        let out = p.handle(proposal(&v, Round::ZERO));
         assert_eq!(out.len(), 1);
 
         // Crash: rebuild the process from the acceptor's stable storage.
@@ -903,10 +1074,8 @@ mod tests {
         assert!(proposals.is_empty(), "no value pending yet");
         // Submit, vote, decide, deliver.
         let (_, out) = coord.submit_payload(vec![7]);
-        let phase2a = out
-            .iter()
-            .find(|o| matches!(o.msg, PaxosMessage::Phase2a { .. }))
-            .unwrap();
+        let [client_value, phase2a] = <[Outbound; 2]>::try_from(out).unwrap();
+        acceptor.handle(client_value.msg);
         let own_vote = coord.handle(phase2a.msg.clone());
         let peer_vote = acceptor.handle(phase2a.msg.clone());
         coord.handle(own_vote[0].msg.clone());
@@ -925,6 +1094,397 @@ mod tests {
             "ordered_delivered",
         ] {
             assert!(kinds.contains(&expected), "missing {expected} in {kinds:?}");
+        }
+    }
+
+    fn thin(instance: u64, value: &Value) -> PaxosMessage {
+        PaxosMessage::Phase2a {
+            instance: InstanceId::new(instance),
+            round: Round::ZERO,
+            value: Proposal::naming(value),
+            sender: NodeId::new(0),
+        }
+    }
+
+    fn client_value(value: &Value) -> PaxosMessage {
+        PaxosMessage::ClientValue {
+            forwarder: value.id().origin,
+            value: value.clone(),
+        }
+    }
+
+    fn votes(instance: u64, value: &Value, voters: &[u32]) -> PaxosMessage {
+        PaxosMessage::Phase2b {
+            instance: InstanceId::new(instance),
+            round: Round::ZERO,
+            value: value.id(),
+            voters: voters.iter().copied().map(NodeId::new).collect(),
+        }
+    }
+
+    #[test]
+    fn a_thin_proposal_waits_for_its_value_before_the_acceptor_votes() {
+        let mut p = PaxosProcess::new(NodeId::new(2), PaxosConfig::new(3));
+        let v = Value::new(NodeId::new(1), 0, vec![5; 8]);
+        assert!(
+            p.handle(thin(0, &v)).is_empty(),
+            "no vote without the value"
+        );
+        assert!(p.acceptor().accepted(InstanceId::ZERO).is_none());
+        assert_eq!((p.parked_proposals(), p.proposals_parked()), (1, 1));
+        // A repeat of the parked proposal is not parked twice.
+        p.handle(thin(0, &v));
+        assert_eq!((p.parked_proposals(), p.proposals_parked()), (1, 1));
+        let vote = p.handle(client_value(&v));
+        assert_eq!(vote.len(), 1);
+        assert!(matches!(vote[0].msg, PaxosMessage::Phase2b { value, .. } if value == v.id()));
+        assert_eq!(p.acceptor().accepted(InstanceId::ZERO).unwrap().1, v);
+        assert_eq!((p.parked_proposals(), p.pooled_values()), (0, 1));
+        p.handle(votes(0, &v, &[0, 1]));
+        assert_eq!(p.take_decisions(), vec![(InstanceId::ZERO, v)]);
+        assert_eq!(p.pooled_values(), 0, "a decided value leaves the pool");
+    }
+
+    #[test]
+    fn a_pooled_value_resolves_its_proposal_at_once() {
+        let mut p = PaxosProcess::new(NodeId::new(2), PaxosConfig::new(3));
+        let v = Value::new(NodeId::new(1), 0, vec![5; 8]);
+        assert!(p.handle(client_value(&v)).is_empty());
+        assert_eq!(p.handle(thin(0, &v)).len(), 1, "votes at once");
+        assert_eq!(p.proposals_parked(), 0);
+    }
+
+    #[test]
+    fn a_batch_is_rebuilt_from_its_parts_byte_for_byte() {
+        use semantic_gossip::codec::Wire;
+        let mut p = PaxosProcess::new(NodeId::new(2), PaxosConfig::new(3));
+        let parts: Vec<Value> = (0..3)
+            .map(|seq| Value::new(NodeId::new(1), seq, vec![seq as u8; 5]))
+            .collect();
+        let batch = Value::batch(NodeId::new(0), 4, &parts);
+        p.handle(client_value(&parts[1]));
+        assert!(p.handle(thin(0, &batch)).is_empty());
+        assert!(
+            p.handle(client_value(&parts[2])).is_empty(),
+            "one part short"
+        );
+        assert_eq!(p.handle(client_value(&parts[0])).len(), 1);
+        assert_eq!(p.acceptor().accepted(InstanceId::ZERO).unwrap().1, batch);
+        p.handle(votes(0, &batch, &[0, 1]));
+        let decided = p.take_decisions();
+        assert_eq!(decided[0].1.to_bytes(), batch.to_bytes());
+        assert_eq!(decided[0].1.components().unwrap(), parts);
+        assert_eq!((p.pooled_values(), p.parked_proposals()), (0, 0));
+        // A part arriving after its batch was decided is not pooled again.
+        p.handle(client_value(&parts[0]));
+        assert_eq!(p.pooled_values(), 0);
+    }
+
+    #[test]
+    fn the_decision_releases_a_proposal_whose_value_never_came() {
+        let mut p = PaxosProcess::new(NodeId::new(2), PaxosConfig::new(3));
+        let v = Value::new(NodeId::new(1), 0, vec![5; 8]);
+        p.handle(thin(0, &v));
+        p.handle(votes(0, &v, &[0, 1]));
+        assert!(p.take_decisions().is_empty());
+        assert_eq!(p.value_waits(), 1);
+        p.handle(PaxosMessage::Decision {
+            instance: InstanceId::ZERO,
+            value: v.clone(),
+            sender: NodeId::new(0),
+        });
+        assert_eq!(p.take_decisions(), vec![(InstanceId::ZERO, v)]);
+        assert_eq!((p.pooled_values(), p.parked_proposals()), (0, 0));
+    }
+
+    #[test]
+    fn a_value_decided_once_still_resolves_a_second_instance() {
+        // Coordinators of two rounds can give one value two instances; the
+        // second proposal must not wait for a value the pool let go of.
+        let mut p = PaxosProcess::new(NodeId::new(2), PaxosConfig::new(3));
+        let v = Value::new(NodeId::new(1), 0, vec![5; 8]);
+        p.handle(client_value(&v));
+        p.handle(thin(0, &v));
+        p.handle(votes(0, &v, &[0, 1]));
+        assert_eq!(p.take_decisions().len(), 1);
+        assert!(p.handle(thin(1, &v)).is_empty());
+        assert_eq!(p.parked_proposals(), 1);
+        assert_eq!(p.handle(client_value(&v)).len(), 1, "votes in instance 1");
+        assert_eq!((p.pooled_values(), p.parked_proposals()), (0, 0));
+    }
+
+    #[test]
+    fn over_direct_channels_the_coordinator_neither_pools_nor_sends_the_value_to_all() {
+        let config = PaxosConfig {
+            values_broadcast: false,
+            ..PaxosConfig::new(3)
+        };
+        let mut procs: Vec<PaxosProcess> = (0..3)
+            .map(|i| PaxosProcess::new(NodeId::new(i), config.clone()))
+            .collect();
+        let inflight = procs[0].start_round(Round::ZERO);
+        run_to_quiescence(&mut procs, inflight);
+        let (v, out) = procs[0].submit_payload(vec![1]);
+        assert_eq!(out.len(), 1);
+        assert!(matches!(
+            &out[0].msg,
+            PaxosMessage::Phase2a { value: Proposal::Value(w), .. } if w == &v
+        ));
+        assert_eq!(procs[0].pooled_values(), 0);
+    }
+
+    // --- thin proposals against an oracle fed the fat information --------
+
+    mod send_once {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        /// One scheduling decision. Indices pick an in-flight message modulo
+        /// the number in flight.
+        #[derive(Debug, Clone)]
+        enum Step {
+            /// The client of value `k` submits it at its origin.
+            Submit(usize),
+            /// Hands a message to its destination.
+            Deliver(usize),
+            /// Hands a message to its destination and keeps it in flight.
+            Duplicate(usize),
+            /// Loses a message.
+            Drop(usize),
+            /// The next round's coordinator takes over.
+            NewRound,
+        }
+
+        const VALUES: usize = 6;
+        const MAX_ROUND: u32 = 2;
+
+        /// Mostly deliveries, so that instances get decided; now and then
+        /// a repeat, a loss, or a round change.
+        fn arb_step() -> impl Strategy<Value = Step> {
+            (0..100u8, any::<usize>()).prop_map(|(dice, i)| match dice {
+                0..10 => Step::Submit(i % VALUES),
+                10..80 => Step::Deliver(i),
+                80..88 => Step::Duplicate(i),
+                88..98 => Step::Drop(i),
+                _ => Step::NewRound,
+            })
+        }
+
+        /// Every client value of the run, by id: what "the value" is.
+        struct Universe(HashMap<ValueId, Value>);
+
+        impl Universe {
+            /// The value a proposal proposes, whatever its form.
+            fn resolve(&self, proposal: &Proposal) -> Value {
+                match proposal {
+                    Proposal::Value(value) => value.clone(),
+                    Proposal::Id { id, parts } if parts.is_empty() => self.0[id].clone(),
+                    Proposal::Id { id, parts } => {
+                        let parts: Vec<Value> = parts.iter().map(|p| self.0[p].clone()).collect();
+                        Value::batch(id.origin, id.seq & !BATCH_SEQ_BIT, &parts)
+                    }
+                }
+            }
+
+            /// Whether `value` is the genuine value its id names, parts and
+            /// payload included.
+            fn genuine(&self, value: &Value) -> bool {
+                match value.components() {
+                    Some(parts) => parts.iter().all(|p| self.0.get(&p.id()) == Some(p)),
+                    None => self.0.get(&value.id()) == Some(value),
+                }
+            }
+        }
+
+        /// A learner fed every message a process handles, with each thin
+        /// proposal replaced by the value it names: what the process could
+        /// know if every proposal carried its value.
+        struct FatOracle {
+            learner: Learner,
+            log: Vec<(InstanceId, Value)>,
+        }
+
+        impl FatOracle {
+            fn observe(&mut self, msg: &PaxosMessage, universe: &Universe) {
+                match msg {
+                    PaxosMessage::Phase2a {
+                        instance,
+                        round,
+                        value,
+                        ..
+                    } => {
+                        self.learner
+                            .on_phase2a(*instance, *round, &universe.resolve(value));
+                    }
+                    PaxosMessage::Phase2b {
+                        instance,
+                        round,
+                        value,
+                        voters,
+                    } => {
+                        self.learner.on_phase2b(*instance, *round, *value, voters);
+                    }
+                    PaxosMessage::Decision {
+                        instance, value, ..
+                    } => {
+                        self.learner.on_decision(*instance, value);
+                    }
+                    _ => {}
+                }
+                let ordered = self.learner.take_ordered();
+                self.log
+                    .extend(ordered.into_iter().map(|d| (d.instance, d.value)));
+            }
+        }
+
+        /// Checks what a process just sent: its acceptor votes only on a
+        /// value it holds, and its Phase 1b reports carry genuine values.
+        fn check_sent(
+            p: &PaxosProcess,
+            out: &[Outbound],
+            universe: &Universe,
+        ) -> Result<(), TestCaseError> {
+            for o in out {
+                match &o.msg {
+                    PaxosMessage::Phase2b {
+                        instance,
+                        round,
+                        value,
+                        ..
+                    } => {
+                        let accepted = p.acceptor().accepted(*instance);
+                        let (at, held) = accepted.expect("voted without accepting");
+                        prop_assert!(at >= round, "vote at {round}, accepted at {at}");
+                        prop_assert!(at > round || held.id() == *value, "voted on another id");
+                        prop_assert!(universe.genuine(held), "voted on a value it lacks");
+                    }
+                    PaxosMessage::Phase1b { accepted, .. } => {
+                        for entry in accepted {
+                            prop_assert!(universe.genuine(&entry.value), "{entry:?}");
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Three to five processes over a substrate that broadcasts
+            /// everything, under any interleaving of client values,
+            /// proposals, votes, Decisions and round changes — repeated
+            /// and lost freely. Each process delivers a prefix of the log
+            /// its fat oracle builds from the same messages, votes only on
+            /// values it holds and reports only genuine values in Phase 1b.
+            /// Once every client value has reached every process, each log
+            /// equals its oracle's.
+            #[test]
+            fn prop_thin_proposals_deliver_a_prefix_of_the_fat_log(
+                n in 3usize..6,
+                batch in 1usize..4,
+                steps in proptest::collection::vec(arb_step(), 0..400),
+            ) {
+                let config = PaxosConfig::new(n).with_batch_values(batch);
+                let mut procs: Vec<PaxosProcess> = (0..n as u32)
+                    .map(|i| PaxosProcess::new(NodeId::new(i), config.clone()))
+                    .collect();
+                let values: Vec<Value> = (0..VALUES)
+                    .map(|k| Value::new(NodeId::new((k % n) as u32), k as u64, vec![k as u8; 3]))
+                    .collect();
+                let universe = Universe(values.iter().map(|v| (v.id(), v.clone())).collect());
+                let mut oracles: Vec<FatOracle> = (0..n)
+                    .map(|_| FatOracle { learner: Learner::new(config.clone()), log: Vec::new() })
+                    .collect();
+                let mut logs: Vec<Vec<(InstanceId, Value)>> = vec![Vec::new(); n];
+                let mut submitted = [false; VALUES];
+                let mut client_values = Vec::new();
+                let mut round = Round::ZERO;
+                // Messages in flight, one entry per destination.
+                let mut inflight: Vec<(usize, PaxosMessage)> = Vec::new();
+                let send = |out: Vec<Outbound>,
+                                inflight: &mut Vec<(usize, PaxosMessage)>,
+                                client_values: &mut Vec<PaxosMessage>| {
+                    for o in out {
+                        if matches!(o.msg, PaxosMessage::ClientValue { .. }) {
+                            client_values.push(o.msg.clone());
+                        }
+                        inflight.extend((0..n).map(|d| (d, o.msg.clone())));
+                    }
+                };
+                let handle = |d: usize,
+                                  msg: PaxosMessage,
+                                  procs: &mut Vec<PaxosProcess>,
+                                  oracles: &mut Vec<FatOracle>,
+                                  logs: &mut Vec<Vec<(InstanceId, Value)>>|
+                 -> Result<Vec<Outbound>, TestCaseError> {
+                    oracles[d].observe(&msg, &universe);
+                    let out = procs[d].handle(msg);
+                    check_sent(&procs[d], &out, &universe)?;
+                    let delivered = procs[d].take_delivered();
+                    logs[d].extend(delivered.into_iter().map(|x| (x.instance, x.value)));
+                    let oracle = &oracles[d].log;
+                    prop_assert!(logs[d].len() <= oracle.len(), "p{d} ran ahead of its oracle");
+                    prop_assert_eq!(&logs[d][..], &oracle[..logs[d].len()]);
+                    Ok(out)
+                };
+                // Round 0 starts prepared: its Phase 1 reaches everyone.
+                let mut phase1 = procs[0].start_round(Round::ZERO);
+                while let Some(o) = phase1.pop() {
+                    for d in 0..n {
+                        phase1.extend(handle(d, o.msg.clone(), &mut procs, &mut oracles, &mut logs)?);
+                    }
+                }
+                for step in steps {
+                    let pick = |i: usize, len: usize| i % len.max(1);
+                    match step {
+                        Step::Submit(k) if !submitted[k] => {
+                            submitted[k] = true;
+                            let origin = values[k].id().origin.as_index();
+                            let out = procs[origin].submit(values[k].clone());
+                            send(out, &mut inflight, &mut client_values);
+                        }
+                        Step::Submit(_) => {}
+                        Step::Deliver(i) | Step::Duplicate(i) if !inflight.is_empty() => {
+                            let at = pick(i, inflight.len());
+                            let (d, msg) = if matches!(step, Step::Deliver(_)) {
+                                inflight.swap_remove(at)
+                            } else {
+                                inflight[at].clone()
+                            };
+                            let out = handle(d, msg, &mut procs, &mut oracles, &mut logs)?;
+                            send(out, &mut inflight, &mut client_values);
+                        }
+                        Step::Drop(i) if !inflight.is_empty() => {
+                            inflight.swap_remove(pick(i, inflight.len()));
+                        }
+                        Step::NewRound if round.as_u32() < MAX_ROUND => {
+                            round = round.next();
+                            let c = round.coordinator(n).as_index();
+                            let out = procs[c].start_round(round);
+                            send(out, &mut inflight, &mut client_values);
+                        }
+                        _ => {}
+                    }
+                }
+                // Every client value reaches every process; whatever that
+                // sends is left undelivered.
+                for msg in client_values.clone() {
+                    for d in 0..n {
+                        handle(d, msg.clone(), &mut procs, &mut oracles, &mut logs)?;
+                    }
+                }
+                for d in 0..n {
+                    prop_assert_eq!(&logs[d], &oracles[d].log, "p{} lags its oracle", d);
+                }
+                // Safety across processes: every log is a prefix of the longest.
+                let longest = oracles.iter().map(|o| &o.log).max_by_key(|l| l.len()).unwrap();
+                for o in &oracles {
+                    prop_assert_eq!(&o.log[..], &longest[..o.log.len()]);
+                }
+            }
         }
     }
 

@@ -149,6 +149,11 @@ impl ValueId {
         ValueId { origin, seq }
     }
 
+    /// Whether this names a coordinator-built batch ([`BATCH_SEQ_BIT`]).
+    pub const fn is_batch(&self) -> bool {
+        self.seq & BATCH_SEQ_BIT != 0
+    }
+
     /// Packs the id into a single u64 (origin in the high 24 bits).
     pub const fn as_u64(self) -> u64 {
         ((self.origin.as_u32() as u64) << 40) | (self.seq & 0xff_ffff_ffff)
@@ -260,7 +265,62 @@ impl Value {
 
     /// Whether this value is a coordinator-built batch.
     pub fn is_batch(&self) -> bool {
-        self.id.seq & BATCH_SEQ_BIT != 0
+        self.id.is_batch()
+    }
+
+    /// Checks what the wire format alone cannot: a batch-tagged value is at
+    /// least two plain values whose encodings consume its payload exactly,
+    /// so [`Value::components`] cannot fail on it. A plain value always
+    /// passes. [`PaxosMessage::validate`](crate::PaxosMessage::validate)
+    /// runs this on every value a frame carries.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] naming the first way the payload is not a
+    /// component list.
+    pub fn validate(&self) -> Result<(), WireError> {
+        if self.is_batch() {
+            self.walk_components(|_| ())?;
+        }
+        Ok(())
+    }
+
+    /// The ids of the values packed by [`Value::batch`], in order, read
+    /// without copying their payloads; empty for a plain value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch payload is not a component list, as
+    /// [`Value::components`] does.
+    pub fn component_ids(&self) -> Vec<ValueId> {
+        let mut ids = Vec::new();
+        if self.is_batch() {
+            self.walk_components(|id| ids.push(id))
+                .expect("corrupt batch payload");
+        }
+        ids
+    }
+
+    /// Walks a batch payload part by part, handing each part's id to `f`.
+    fn walk_components(&self, mut f: impl FnMut(ValueId)) -> Result<(), WireError> {
+        let mut r = Reader::new(&self.payload);
+        let count = r.varint()?;
+        if count < 2 {
+            return Err(WireError::Invalid("a batch of fewer than two values"));
+        }
+        for _ in 0..count {
+            let id = ValueId::decode(&mut r)?;
+            if id.is_batch() {
+                return Err(WireError::Invalid("a batch inside a batch"));
+            }
+            let len = usize::try_from(r.varint()?).map_err(|_| WireError::UnexpectedEnd)?;
+            r.bytes(len)?;
+            f(id);
+        }
+        if !r.is_empty() {
+            return Err(WireError::Invalid("bytes after the last batch part"));
+        }
+        Ok(())
     }
 
     /// The client values packed by [`Value::batch`], or `None` for a plain
@@ -268,8 +328,9 @@ impl Value {
     ///
     /// # Panics
     ///
-    /// Panics if the payload does not decode as a component list — batch
-    /// payloads are only ever produced by `Value::batch`, so a mismatch is
+    /// Panics if the payload does not decode as a component list. Batch
+    /// payloads are produced by `Value::batch`, and every value a frame
+    /// carries passed [`Value::validate`] on decoding, so a mismatch is
     /// corruption, not input.
     pub fn components(&self) -> Option<Vec<Value>> {
         if !self.is_batch() {
@@ -396,6 +457,41 @@ mod tests {
         // Batches survive the wire like any other value.
         let decoded = Value::from_bytes(&batch.to_bytes()).unwrap();
         assert_eq!(decoded.components().unwrap(), vec![a, b]);
+    }
+
+    #[test]
+    fn only_a_well_formed_component_list_validates_as_a_batch() {
+        let a = Value::new(NodeId::new(1), 5, b"aaa".to_vec());
+        let b = Value::new(NodeId::new(2), 9, b"bbbb".to_vec());
+        let batch = Value::batch(NodeId::new(0), 3, &[a.clone(), b.clone()]);
+        assert_eq!(batch.validate(), Ok(()));
+        assert_eq!(batch.component_ids(), vec![a.id(), b.id()]);
+        assert_eq!(a.validate(), Ok(()));
+        assert!(a.component_ids().is_empty());
+        let tagged = |payload: Vec<u8>| Value {
+            id: ValueId::new(NodeId::new(0), BATCH_SEQ_BIT | 7),
+            payload: Arc::new(payload),
+        };
+        let parts = |values: &[Value]| {
+            let mut payload = Vec::new();
+            (values.len() as u64).encode(&mut payload);
+            values.iter().for_each(|v| v.encode(&mut payload));
+            payload
+        };
+        let mut trailing = parts(&[a.clone(), b.clone()]);
+        trailing.push(0);
+        let mut short = parts(&[a.clone(), b.clone()]);
+        short.pop();
+        for bad in [
+            vec![0xff; 3],
+            parts(&[]),
+            parts(std::slice::from_ref(&a)),
+            parts(&[a.clone(), batch.clone()]),
+            trailing,
+            short,
+        ] {
+            assert!(tagged(bad.clone()).validate().is_err(), "{bad:?}");
+        }
     }
 
     #[test]

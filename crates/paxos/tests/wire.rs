@@ -11,8 +11,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use paxos::message::AcceptedEntry;
-use paxos::{InstanceId, PaxosMessage, Round, Value, VoterSet};
+use paxos::message::{AcceptedEntry, Proposal};
+use paxos::types::BATCH_SEQ_BIT;
+use paxos::{InstanceId, PaxosMessage, Round, Value, ValueId, VoterSet};
 use proptest::prelude::*;
 use semantic_gossip::codec::{put_varint, Wire};
 use semantic_gossip::{Grouped, NodeId, Packet};
@@ -80,13 +81,28 @@ fn allocation_bound(len: usize) -> usize {
     16 * len + 64
 }
 
-fn arb_value() -> impl Strategy<Value = Value> {
+fn arb_plain_value() -> impl Strategy<Value = Value> {
     (
         0u32..50,
         0u64..1000,
         proptest::collection::vec(any::<u8>(), 0..64),
     )
         .prop_map(|(origin, seq, payload)| Value::new(NodeId::new(origin), seq, payload))
+}
+
+/// A plain client value or a coordinator's batch of two to four of them.
+fn arb_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        arb_plain_value(),
+        arb_plain_value(),
+        arb_plain_value(),
+        (
+            0u32..50,
+            0u64..1000,
+            proptest::collection::vec(arb_plain_value(), 2..5)
+        )
+            .prop_map(|(c, seq, parts)| Value::batch(NodeId::new(c), seq, &parts)),
+    ]
 }
 
 /// Every message kind; voter ids run past the inline bitset into the spill.
@@ -120,7 +136,15 @@ fn arb_message() -> impl Strategy<Value = PaxosMessage> {
             PaxosMessage::Phase2a {
                 instance: InstanceId::new(i),
                 round: Round::new(r),
-                value,
+                value: value.into(),
+                sender: NodeId::new(s),
+            }
+        }),
+        (0u64..100_000, 0u32..100, arb_value(), 0u32..50).prop_map(|(i, r, value, s)| {
+            PaxosMessage::Phase2a {
+                instance: InstanceId::new(i),
+                round: Round::new(r),
+                value: Proposal::naming(&value),
                 sender: NodeId::new(s),
             }
         }),
@@ -241,6 +265,83 @@ fn counts_the_frame_cannot_hold_are_refused() {
         largest <= allocation_bound(ihave.len()),
         "IHAVE: {largest} bytes"
     );
+}
+
+/// A value whose id carries the batch tag but whose payload is not a list
+/// of at least two plain values is refused wherever a frame carries one.
+/// Accepted, it would be ordered like any value and make every node panic
+/// the moment it split the decided batch into its parts.
+#[test]
+fn a_batch_tag_on_a_payload_that_is_no_batch_is_refused() {
+    let part = |seq| Value::new(NodeId::new(1), seq, vec![7; 3]);
+    let list = |parts: &[Value]| {
+        let mut payload = Vec::new();
+        put_varint(&mut payload, parts.len() as u64);
+        parts.iter().for_each(|p| p.encode(&mut payload));
+        payload
+    };
+    let tagged = |payload| Value::new(NodeId::new(0), BATCH_SEQ_BIT | 1, payload);
+    let mut trailing = list(&[part(1), part(2)]);
+    trailing.push(0);
+    let nested = Value::batch(NodeId::new(2), 0, &[part(3), part(4)]);
+    let bad_values = [
+        tagged(vec![0xff; 3]),
+        tagged(list(&[])),
+        tagged(list(&[part(1)])),
+        tagged(list(&[part(1), nested])),
+        tagged(trailing),
+    ];
+    for value in bad_values {
+        let carriers = [
+            PaxosMessage::ClientValue {
+                forwarder: NodeId::new(0),
+                value: value.clone(),
+            },
+            PaxosMessage::Phase2a {
+                instance: InstanceId::ZERO,
+                round: Round::ZERO,
+                value: value.clone().into(),
+                sender: NodeId::new(0),
+            },
+            PaxosMessage::Decision {
+                instance: InstanceId::ZERO,
+                value: value.clone(),
+                sender: NodeId::new(0),
+            },
+            PaxosMessage::Phase1b {
+                round: Round::new(1),
+                sender: NodeId::new(2),
+                accepted: vec![AcceptedEntry {
+                    instance: InstanceId::ZERO,
+                    round: Round::ZERO,
+                    value: value.clone(),
+                }],
+            },
+        ];
+        for msg in carriers {
+            let decoded = PaxosMessage::from_bytes(&msg.to_bytes());
+            assert!(decoded.is_err(), "{msg:?} decoded");
+        }
+    }
+    // A thin proposal's part list obeys the same rule.
+    let batch_id = ValueId::new(NodeId::new(0), BATCH_SEQ_BIT | 1);
+    let thin = |id, parts| PaxosMessage::Phase2a {
+        instance: InstanceId::ZERO,
+        round: Round::ZERO,
+        value: Proposal::Id { id, parts },
+        sender: NodeId::new(0),
+    };
+    for msg in [
+        thin(batch_id, vec![part(1).id()]),
+        thin(batch_id, vec![part(1).id(), batch_id]),
+    ] {
+        assert!(
+            PaxosMessage::from_bytes(&msg.to_bytes()).is_err(),
+            "{msg:?}"
+        );
+    }
+    let good = thin(batch_id, vec![part(1).id(), part(2).id()]);
+    assert_eq!(PaxosMessage::from_bytes(&good.to_bytes()), Ok(good));
 }
 
 /// The measuring stick itself: it sees a large allocation, and only on the

@@ -467,7 +467,7 @@ mod tests {
         PaxosMessage::Phase2a {
             instance: InstanceId::new(instance),
             round: Round::new(round),
-            value: value(seq),
+            value: value(seq).into(),
             sender: NodeId::new(0),
         }
     }

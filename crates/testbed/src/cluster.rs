@@ -29,7 +29,7 @@ use obs::{
 };
 use overlay::{connected_k_out, paper_fanout, Graph};
 use paxos::message::Kind;
-use paxos::{PaxosMessage, Round, Value, ValueId};
+use paxos::{MemoryStorage, PaxosMessage, PaxosProcess, Round, Value, ValueId};
 use paxos_semantics::{PaxosSemantics, SemanticMode};
 use semantic_gossip::{
     Direct, DuplicateFilter, EagerLazyConfig, EagerLazyNode, GossipItem, GossipNode,
@@ -203,12 +203,17 @@ impl SimSubstrate for Plumtree {
     }
 }
 
-/// Instances, over all of a process's groups, whose quorum of votes arrived
-/// before the value ([`PaxosProcess::value_waits`]).
+/// A per-process Paxos count — [`PaxosProcess::value_waits`],
+/// [`PaxosProcess::proposals_parked`], the pool and parking gauges — summed
+/// over a process's groups.
 ///
 /// [`PaxosProcess::value_waits`]: paxos::PaxosProcess::value_waits
-fn value_waits<S: Substrate<WireMsg>>(runtime: &NodeRuntime<S>) -> u64 {
-    runtime.groups().iter().map(|g| g.paxos.value_waits()).sum()
+/// [`PaxosProcess::proposals_parked`]: paxos::PaxosProcess::proposals_parked
+fn group_sum<S: Substrate<WireMsg>>(
+    runtime: &NodeRuntime<S>,
+    count: impl Fn(&PaxosProcess<MemoryStorage, S::Observer>) -> u64,
+) -> u64 {
+    runtime.groups().iter().map(|g| count(&g.paxos)).sum()
 }
 
 /// Trace id of the message a frame carries (0 for control frames).
@@ -301,9 +306,10 @@ struct Cluster<S: SimSubstrate> {
     /// Events salvaged from processes replaced on crash recovery.
     trace_backlog: Vec<TimedEvent>,
     received_by_kind: [u64; Kind::COUNT],
-    /// Value waits of incarnations that crashed (a recovered process's
-    /// learner starts from zero).
+    /// Value waits and parked proposals of incarnations that crashed (a
+    /// recovered process's counters start from zero).
     value_waits_before_crash: u64,
+    proposals_parked_before_crash: u64,
     /// Per-`(subsystem, class)` byte/CPU attribution for the run: wire
     /// bytes and modelled send/receive CPU land at the physical send and
     /// arrival points; per-kind protocol counters are folded in at
@@ -411,6 +417,7 @@ impl<S: SimSubstrate> Cluster<S> {
             },
             received_by_kind: [0; Kind::COUNT],
             value_waits_before_crash: 0,
+            proposals_parked_before_crash: 0,
             ledger: ResourceLedger::new(),
             end,
             window_start,
@@ -717,7 +724,8 @@ impl<S: SimSubstrate> Cluster<S> {
         self.tracer.record(now, ObsEvent::Recovered { node });
         let fresh = S::build(&self.params, self.overlay.as_ref(), node);
         let n = &mut self.nodes[node as usize];
-        self.value_waits_before_crash += value_waits(&n.runtime);
+        self.value_waits_before_crash += group_sum(&n.runtime, PaxosProcess::value_waits);
+        self.proposals_parked_before_crash += group_sum(&n.runtime, PaxosProcess::proposals_parked);
         // The crashed incarnation's events stay in the run's trace.
         n.runtime
             .recover(fresh, self.params.ring_capacity(), &mut self.trace_backlog);
@@ -926,12 +934,17 @@ impl<S: SimSubstrate> Cluster<S> {
             );
         }
         metrics.received_by_kind = self.received_by_kind;
-        metrics.value_waits = self.value_waits_before_crash
-            + self
-                .nodes
+        let sum = |count: fn(&PaxosProcess<MemoryStorage, S::Observer>) -> u64| {
+            self.nodes
                 .iter()
-                .map(|n| value_waits(&n.runtime))
-                .sum::<u64>();
+                .map(|n| group_sum(&n.runtime, count))
+                .sum::<u64>()
+        };
+        metrics.value_waits = self.value_waits_before_crash + sum(PaxosProcess::value_waits);
+        metrics.proposals_parked =
+            self.proposals_parked_before_crash + sum(PaxosProcess::proposals_parked);
+        metrics.pooled_values = sum(|p| p.pooled_values() as u64);
+        metrics.parked_proposals = sum(|p| p.parked_proposals() as u64);
 
         // Fold the per-kind protocol counters into the ledger: how many
         // messages each Paxos step function handled, and how many sends

@@ -87,6 +87,19 @@ pub struct RunMetrics {
     /// only): the decision waited for the `Phase2a` or a Decision. The
     /// simulator's reading of the live `paxos_value_waits_total` counter.
     pub value_waits: u64,
+    /// Thin proposals (a `Phase2a` naming its value by id) that a process
+    /// received before the value itself and parked, summed over processes
+    /// and groups, crashed incarnations included. The simulator's reading
+    /// of the live `paxos_proposals_parked_total` counter.
+    pub proposals_parked: u64,
+    /// Client values still pooled to resolve thin proposals when the run
+    /// ended, summed over processes and groups (the live
+    /// `paxos_pooled_values` gauge). A value leaves the pool when it is
+    /// decided, so this counts values not decided everywhere.
+    pub pooled_values: u64,
+    /// Thin proposals still parked when the run ended, summed over
+    /// processes and groups (the live `paxos_parked_proposals` gauge).
+    pub parked_proposals: u64,
     /// Per-`(subsystem, class)` byte and CPU attribution for the run:
     /// wire bytes out (transport), bytes in (gossip/paxos receive path),
     /// and modelled CPU nanoseconds, keyed by Paxos message-class names.
@@ -133,6 +146,9 @@ impl RunMetrics {
             gossip: MessageStats::default(),
             received_by_kind: [0; paxos::message::Kind::COUNT],
             value_waits: 0,
+            proposals_parked: 0,
+            pooled_values: 0,
+            parked_proposals: 0,
             ledger: obs::ResourceLedger::new(),
             trace_jsonl: None,
             trace_kinds: Vec::new(),
@@ -311,6 +327,28 @@ impl RunMetrics {
             MetricKind::Counter,
         );
         exp.sample_u64("testbed_value_waits_total", base, self.value_waits);
+        exp.header(
+            "testbed_proposals_parked_total",
+            "Thin proposals received before their value and parked, over all processes",
+            MetricKind::Counter,
+        );
+        exp.sample_u64(
+            "testbed_proposals_parked_total",
+            base,
+            self.proposals_parked,
+        );
+        exp.header(
+            "testbed_pooled_values",
+            "Client values pooled to resolve thin proposals at the end of the run",
+            MetricKind::Gauge,
+        );
+        exp.sample_u64("testbed_pooled_values", base, self.pooled_values);
+        exp.header(
+            "testbed_parked_proposals",
+            "Thin proposals still waiting for their value at the end of the run",
+            MetricKind::Gauge,
+        );
+        exp.sample_u64("testbed_parked_proposals", base, self.parked_proposals);
         exp.header(
             "testbed_safety_ok",
             "1 when all processes delivered consistent prefixes",
@@ -581,9 +619,12 @@ mod tests {
         m.record_value(&fate(0, 100, Some(250), true));
         m.gossip.received.add(7);
         m.value_waits = 2;
+        m.proposals_parked = 5;
         m.trace_kinds = vec![("decided", 3), ("phase2a", 9)];
         let text = m.prometheus();
         assert!(text.contains("testbed_value_waits_total{setup=\"Semantic Gossip\"} 2"));
+        assert!(text.contains("testbed_proposals_parked_total{setup=\"Semantic Gossip\"} 5"));
+        assert!(text.contains("testbed_parked_proposals{setup=\"Semantic Gossip\"} 0"));
         assert!(text.contains("# TYPE testbed_ordered_total counter"));
         assert!(text.contains("testbed_ordered_total{setup=\"Semantic Gossip\"} 1"));
         assert!(text

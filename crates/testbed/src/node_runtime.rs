@@ -85,7 +85,9 @@ pub struct NodeRuntime<S: Substrate<WireMsg>> {
 impl<S: Substrate<WireMsg>> NodeRuntime<S> {
     /// Wires process `id`'s consensus groups — one per config, group `g`
     /// at index `g` — to its substrate. `observer` makes one observer per
-    /// group's Paxos process.
+    /// group's Paxos process. Each config's
+    /// [`values_broadcast`](PaxosConfig::values_broadcast) is set from the
+    /// substrate ([`Substrate::BROADCASTS`]).
     pub fn new(
         id: NodeId,
         substrate: S,
@@ -95,6 +97,10 @@ impl<S: Substrate<WireMsg>> NodeRuntime<S> {
     ) -> Self {
         let groups: Vec<_> = configs
             .into_iter()
+            .map(|config| PaxosConfig {
+                values_broadcast: S::BROADCASTS,
+                ..config
+            })
             .map(|config| GroupRuntime::new(id, config, observer(), timers.failover))
             .collect();
         assert!(!groups.is_empty(), "a node hosts at least one group");
@@ -420,11 +426,23 @@ mod tests {
     /// Moves frames between the runtimes with instant delivery until no
     /// node has anything left to send.
     fn settle<S: Substrate<WireMsg>>(nodes: &mut [NodeRuntime<S>], now_ns: u64) {
+        settle_losing(nodes, now_ns, |_, _| false);
+    }
+
+    /// [`settle`], losing every frame `lost(to, frame)` picks.
+    fn settle_losing<S: Substrate<WireMsg>>(
+        nodes: &mut [NodeRuntime<S>],
+        now_ns: u64,
+        lost: impl Fn(NodeId, &S::Frame) -> bool,
+    ) {
         let mut out = Vec::new();
         loop {
             for i in 0..nodes.len() {
                 nodes[i].take_outgoing_into(&mut out, now_ns);
                 for (peer, frame) in out.drain(..) {
+                    if lost(peer, &frame) {
+                        continue;
+                    }
                     let from = NodeId::new(i as u32);
                     nodes[peer.as_index()].on_frame(from, frame, now_ns);
                 }
@@ -517,6 +535,42 @@ mod tests {
             })
             .collect();
         assert_all_ordered_identically(&order_values(&mut direct, values), values);
+    }
+
+    /// On push gossip a proposal names its value; a node that loses every
+    /// copy of every client value parks each proposal, is not seen voting,
+    /// and so is sent the Decision, which carries the value. Once all is
+    /// decided nothing stays pooled or parked anywhere.
+    #[test]
+    fn a_node_that_loses_every_client_value_still_delivers_through_the_decision() {
+        const DEAF: NodeId = NodeId::new(3);
+        let mut nodes = push_mesh(4, 1);
+        nodes[0].start_round(0, Round::ZERO, 0);
+        settle(&mut nodes, 0);
+        let values = 9u64;
+        for seq in 0..values {
+            let at = seq as usize % 3;
+            nodes[at].submit(value(at as u32, seq / 3), seq);
+            settle_losing(&mut nodes, seq, |to, frame: &WireMsg| {
+                to == DEAF && matches!(frame.inner, PaxosMessage::ClientValue { .. })
+            });
+        }
+        let deaf = &nodes[DEAF.as_index()].groups()[0].paxos;
+        assert_eq!(deaf.proposals_parked(), values, "every proposal waited");
+        let logs: Vec<Vec<(u64, paxos::ValueId)>> = nodes
+            .iter_mut()
+            .map(|node| {
+                node.drain_ordered()
+                    .map(|(_, d)| (d.instance.as_u64(), d.value.id()))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(logs[0].len() as u64, values);
+        assert!(logs.iter().all(|log| log == &logs[0]), "{logs:?}");
+        for node in &nodes {
+            let paxos = &node.groups()[0].paxos;
+            assert_eq!((paxos.pooled_values(), paxos.parked_proposals()), (0, 0));
+        }
     }
 
     #[test]

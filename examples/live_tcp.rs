@@ -173,6 +173,9 @@ fn help(name: &str) -> &'static str {
         "gossip_seen_cache_entries" => "Entries in the duplicate-suppression cache.",
         "paxos_open_instances" => "Instances with votes or undelivered decisions.",
         "paxos_value_waits_total" => "Instances whose quorum of votes arrived before the value.",
+        "paxos_pooled_values" => "Client values held to resolve proposals that name them.",
+        "paxos_parked_proposals" => "Proposals waiting for the value they name.",
+        "paxos_proposals_parked_total" => "Proposals that arrived before the value they name.",
         "transport_frames_dropped_total" => "Frames dropped (unknown peer or full queue).",
         "transport_bytes_encoded_total" => "Payload bytes serialized (once per broadcast).",
         "transport_bytes_sent_total" => "Payload bytes enqueued to peers (encoded × fan-out).",
@@ -256,11 +259,19 @@ impl NodeMetrics {
         let (cached, avoided) = (gossip.cache_occupancy(), gossip.stats().clones_avoided());
         let paxos = &node.runtime().groups()[0].paxos;
         let (open, value_waits) = (paxos.instance_window(), paxos.value_waits());
+        let (pooled, parked) = (paxos.pooled_values(), paxos.parked_proposals());
         let dropped = node.endpoint().dropped();
         self.set("gossip_seen_cache_entries", None, cached as u64);
         self.set("gossip_clones_avoided_total", None, avoided);
         self.set("paxos_open_instances", None, open as u64);
         self.set("paxos_value_waits_total", None, value_waits);
+        self.set("paxos_pooled_values", None, pooled as u64);
+        self.set("paxos_parked_proposals", None, parked as u64);
+        self.set(
+            "paxos_proposals_parked_total",
+            None,
+            paxos.proposals_parked(),
+        );
         self.set("transport_frames_dropped_total", None, dropped);
         self.set("transport_bytes_encoded_total", None, node.wire().encoded);
         self.set("transport_bytes_sent_total", None, node.wire().sent);

@@ -37,7 +37,15 @@ fn arb_message() -> impl Strategy<Value = PaxosMessage> {
             PaxosMessage::Phase2a {
                 instance: InstanceId::new(i),
                 round: Round::new(r),
-                value,
+                value: value.into(),
+                sender: NodeId::new(s),
+            }
+        }),
+        (0u64..1000, 0u32..100, arb_value(), 0u32..50).prop_map(|(i, r, value, s)| {
+            PaxosMessage::Phase2a {
+                instance: InstanceId::new(i),
+                round: Round::new(r),
+                value: Proposal::naming(&value),
                 sender: NodeId::new(s),
             }
         }),
@@ -99,7 +107,7 @@ fn lone_messages_stay_shared_while_votes_beside_them_merge() {
         PaxosMessage::Phase2a {
             instance: InstanceId::new(5),
             round: Round::ZERO,
-            value: value(5),
+            value: value(5).into(),
             sender: NodeId::new(0),
         },
         vote(4, 2),

@@ -22,7 +22,13 @@ fn sample_messages() -> Vec<PaxosMessage> {
         PaxosMessage::Phase2a {
             instance: InstanceId::new(5),
             round: Round::new(1),
-            value: value.clone(),
+            value: value.clone().into(),
+            sender: NodeId::new(0),
+        },
+        PaxosMessage::Phase2a {
+            instance: InstanceId::new(6),
+            round: Round::new(1),
+            value: Proposal::naming(&value),
             sender: NodeId::new(0),
         },
         PaxosMessage::Phase2b {
