@@ -45,7 +45,24 @@
 //! [`EagerLazyNode::take_outgoing`] / [`EagerLazyNode::take_deliveries`].
 //! Payloads fan out as `Arc`-shared encode-once handles (PR 3), and IHAVE
 //! announcements carry the 64-bit [`MessageId::trace_id`] fold — 8 bytes
-//! per id — batched per lazy peer so they ride existing batched writes.
+//! per id.
+//!
+//! # Announcements leave in batches
+//!
+//! The ids owed to a peer wait in a per-peer batch that leaves as **one**
+//! IHAVE frame when it is due: an eighth of `ihave_timeout_ns` after its
+//! first id, or at once when it holds `max_ihave_batch` ids. A frame costs
+//! the receiver the same CPU whatever its size, so one frame per peer per
+//! deadline instead of one per drain is what keeps announcements cheap.
+//!
+//! The frame carries two lists. *Announced* ids went lazily: the receiver
+//! waits the full `ihave_timeout_ns` for an eager copy from elsewhere
+//! before it asks. *Pushed* ids are the loss-detection echo of payloads
+//! this link carried eagerly. Such a payload left no later than the batch
+//! that names it, on the same link, so a pushed id the receiver still
+//! lacks was most likely lost: it is requested after a grace of the same
+//! eighth of `ihave_timeout_ns`, which need only cover the link jitter
+//! that lets a frame overtake its predecessor.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -87,8 +104,15 @@ pub enum Packet<M> {
     /// along a link that is eager for that source (or served in response
     /// to an IWANT/GRAFT request).
     Payload(u32, M),
-    /// Batched announcement: "I have the messages with these ids".
-    IHave(Vec<u64>),
+    /// Batched announcement: "I have the messages with these ids". The
+    /// ids in `pushed` also went to the receiver as payloads over this
+    /// link (the loss-detection echo); those in `announced` did not.
+    IHave {
+        /// Ids this link carried eagerly.
+        pushed: Vec<u64>,
+        /// Ids announced lazily.
+        announced: Vec<u64>,
+    },
     /// Request for the payloads of these announced-but-missing ids.
     IWant(Vec<u64>),
     /// Promote the sending link into this source's tree; any carried ids
@@ -114,9 +138,12 @@ impl<M: GossipItem> Packet<M> {
     pub fn wire_size(&self) -> usize {
         match self {
             Packet::Payload(_, m) => PACKET_HEADER + SOURCE_BYTES + m.wire_size(),
-            Packet::IHave(ids) | Packet::IWant(ids) => {
-                PACKET_HEADER + IDLIST_HEADER + ANNOUNCE_ID_BYTES * ids.len()
+            Packet::IHave { pushed, announced } => {
+                PACKET_HEADER
+                    + 2 * IDLIST_HEADER
+                    + ANNOUNCE_ID_BYTES * (pushed.len() + announced.len())
             }
+            Packet::IWant(ids) => PACKET_HEADER + IDLIST_HEADER + ANNOUNCE_ID_BYTES * ids.len(),
             Packet::Graft(_, ids) => {
                 PACKET_HEADER + SOURCE_BYTES + IDLIST_HEADER + ANNOUNCE_ID_BYTES * ids.len()
             }
@@ -129,7 +156,7 @@ impl<M: GossipItem> Packet<M> {
     pub fn control_class(&self) -> Option<&'static str> {
         match self {
             Packet::Payload(_, _) => None,
-            Packet::IHave(_) => Some(CLASS_IHAVE),
+            Packet::IHave { .. } => Some(CLASS_IHAVE),
             Packet::IWant(_) => Some(CLASS_IWANT),
             Packet::Graft(_, _) => Some(CLASS_GRAFT),
             Packet::Prune(_) => Some(CLASS_PRUNE),
@@ -143,12 +170,20 @@ const TAG_IWANT: u8 = 2;
 const TAG_GRAFT: u8 = 3;
 const TAG_PRUNE: u8 = 4;
 
-fn put_ids(buf: &mut Vec<u8>, ids: &[u64]) {
+fn put_count(buf: &mut Vec<u8>, ids: &[u64]) {
     let count = u16::try_from(ids.len()).expect("id list fits its 2-byte count");
     buf.extend_from_slice(&count.to_le_bytes());
+}
+
+fn put_id_body(buf: &mut Vec<u8>, ids: &[u64]) {
     for id in ids {
         buf.extend_from_slice(&id.to_le_bytes());
     }
+}
+
+fn put_ids(buf: &mut Vec<u8>, ids: &[u64]) {
+    put_count(buf, ids);
+    put_id_body(buf, ids);
 }
 
 fn read_u32(r: &mut Reader<'_>) -> Result<u32, WireError> {
@@ -156,16 +191,36 @@ fn read_u32(r: &mut Reader<'_>) -> Result<u32, WireError> {
     Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
 }
 
-fn read_ids(r: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
+fn read_count(r: &mut Reader<'_>) -> Result<usize, WireError> {
     let b = r.bytes(IDLIST_HEADER)?;
-    let count = u16::from_le_bytes([b[0], b[1]]) as usize;
+    Ok(u16::from_le_bytes([b[0], b[1]]) as usize)
+}
+
+fn ids_of(body: &[u8]) -> Vec<u64> {
+    body.chunks_exact(ANNOUNCE_ID_BYTES)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .collect()
+}
+
+fn read_ids(r: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
+    let count = read_count(r)?;
     // The slice is bounds-checked against the frame before anything is
     // allocated, so a hostile count cannot size an allocation.
-    let body = r.bytes(count * ANNOUNCE_ID_BYTES)?;
-    Ok(body
-        .chunks_exact(ANNOUNCE_ID_BYTES)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect())
+    Ok(ids_of(r.bytes(count * ANNOUNCE_ID_BYTES)?))
+}
+
+/// The two lists of an IHAVE: both counts first, then both bodies, so the
+/// pair of counts is checked against the frame before either list is
+/// allocated.
+fn read_ihave<M>(r: &mut Reader<'_>) -> Result<Packet<M>, WireError> {
+    let pushed = read_count(r)?;
+    let announced = read_count(r)?;
+    let body = r.bytes((pushed + announced) * ANNOUNCE_ID_BYTES)?;
+    let (p, a) = body.split_at(pushed * ANNOUNCE_ID_BYTES);
+    Ok(Packet::IHave {
+        pushed: ids_of(p),
+        announced: ids_of(a),
+    })
 }
 
 /// The on-wire form is exactly what [`Packet::wire_size`] accounts for:
@@ -178,9 +233,12 @@ impl<M: Wire> Wire for Packet<M> {
                 buf.extend_from_slice(&source.to_le_bytes());
                 m.encode(buf);
             }
-            Packet::IHave(ids) => {
+            Packet::IHave { pushed, announced } => {
                 buf.push(TAG_IHAVE);
-                put_ids(buf, ids);
+                put_count(buf, pushed);
+                put_count(buf, announced);
+                put_id_body(buf, pushed);
+                put_id_body(buf, announced);
             }
             Packet::IWant(ids) => {
                 buf.push(TAG_IWANT);
@@ -201,7 +259,7 @@ impl<M: Wire> Wire for Packet<M> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             TAG_PAYLOAD => Ok(Packet::Payload(read_u32(r)?, M::decode(r)?)),
-            TAG_IHAVE => Ok(Packet::IHave(read_ids(r)?)),
+            TAG_IHAVE => read_ihave(r),
             TAG_IWANT => Ok(Packet::IWant(read_ids(r)?)),
             TAG_GRAFT => Ok(Packet::Graft(read_u32(r)?, read_ids(r)?)),
             TAG_PRUNE => Ok(Packet::Prune(read_u32(r)?)),
@@ -218,7 +276,9 @@ pub struct EagerLazyConfig {
     /// How long an announced id may stay missing before the first IWANT
     /// fires (nanoseconds). Must exceed the typical eager-path delivery
     /// spread, or races between announcements and payloads trigger
-    /// spurious requests.
+    /// spurious requests. An eighth of it is both how long a peer's
+    /// announcement batch waits to fill and the grace of a pushed id that
+    /// has not arrived (see the module docs).
     pub ihave_timeout_ns: u64,
     /// Retry interval between IWANTs to successive announcers of a still
     /// missing id (nanoseconds).
@@ -226,7 +286,8 @@ pub struct EagerLazyConfig {
     /// Recently seen payloads retained (by announce id) to serve
     /// IWANT/GRAFT requests.
     pub payload_store_capacity: usize,
-    /// Maximum announce ids per IHAVE packet; longer batches split.
+    /// Maximum announce ids per IHAVE packet; a peer's batch leaves at
+    /// once when it holds this many, and longer batches split.
     pub max_ihave_batch: usize,
 }
 
@@ -292,6 +353,11 @@ pub struct PlumtreeStats {
     /// Control bytes (IHAVE/IWANT/GRAFT/PRUNE) handed to the transport;
     /// payload bytes are in [`MessageStats::bytes_sent`]'s remainder.
     pub control_bytes: Stat,
+    /// IWANT/GRAFT ids answered with a payload from the store.
+    pub requests_served: Stat,
+    /// IWANT/GRAFT ids whose payload the store no longer holds (evicted):
+    /// the request goes unanswered and the requester must ask elsewhere.
+    pub requests_unserved: Stat,
 }
 
 impl PlumtreeStats {
@@ -306,6 +372,8 @@ impl PlumtreeStats {
         self.recovered += other.recovered;
         self.pruned_evictions += other.pruned_evictions;
         self.control_bytes += other.control_bytes;
+        self.requests_served += other.requests_served;
+        self.requests_unserved += other.requests_unserved;
     }
 }
 
@@ -397,6 +465,32 @@ const MAX_ANNOUNCERS: usize = 8;
 /// but safe), counted in [`PlumtreeStats::pruned_evictions`].
 const MAX_PRUNED_SOURCES: usize = 1024;
 
+/// The announce ids owed to one peer, waiting for its next IHAVE frame.
+#[derive(Debug, Default)]
+struct Batch {
+    /// Ids whose payloads this link carried eagerly.
+    pushed: Vec<u64>,
+    /// Ids announced lazily.
+    announced: Vec<u64>,
+    /// Clock value (ns) at which the batch leaves; meaningful while the
+    /// batch is not empty.
+    due: u64,
+}
+
+impl Batch {
+    fn len(&self) -> usize {
+        self.pushed.len() + self.announced.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.pushed.is_empty() && self.announced.is_empty()
+    }
+
+    fn is_due(&self, now: u64) -> bool {
+        !self.is_empty() && self.due <= now
+    }
+}
+
 /// One entry of a per-peer send queue.
 #[derive(Debug)]
 enum OutEntry<M> {
@@ -441,7 +535,7 @@ pub struct EagerLazyNode<M, F = RecentCache, O = NoopObserver> {
     send_queues: Vec<VecDeque<OutEntry<M>>>,
     /// Parallel to `peers`: announce ids pending in the next IHAVE batch
     /// toward that peer.
-    ihave_buf: Vec<Vec<u64>>,
+    ihave_buf: Vec<Batch>,
     delivery: VecDeque<Arc<M>>,
     store: PayloadStore<M>,
     seen_folds: FoldSet,
@@ -499,7 +593,7 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             peers,
             pruned: vec![HashSet::new(); n],
             send_queues: (0..n).map(|_| VecDeque::new()).collect(),
-            ihave_buf: vec![Vec::new(); n],
+            ihave_buf: (0..n).map(|_| Batch::default()).collect(),
             delivery: VecDeque::new(),
             store: PayloadStore::new(config.payload_store_capacity),
             seen_folds: FoldSet::new(config.gossip.recent_cache_size),
@@ -573,10 +667,26 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         self.clock = now_nanos;
     }
 
-    /// The earliest pending miss-timer deadline, if any — when the runtime
-    /// should next call [`on_timer`](Self::on_timer).
+    /// The earliest pending miss-timer or announcement-batch deadline, if
+    /// any — when the runtime should next call [`on_timer`](Self::on_timer)
+    /// and then drain [`take_outgoing`](Self::take_outgoing).
     pub fn next_timer(&self) -> Option<u64> {
-        self.missing.values().map(|m| m.deadline).min()
+        let batches = self
+            .ihave_buf
+            .iter()
+            .filter(|b| !b.is_empty())
+            .map(|b| b.due);
+        self.missing
+            .values()
+            .map(|m| m.deadline)
+            .chain(batches)
+            .min()
+    }
+
+    /// How long an announcement batch waits to fill, and the grace of a
+    /// pushed id that has not arrived: an eighth of the miss timer.
+    fn batch_delay(&self) -> u64 {
+        self.config.ihave_timeout_ns / 8
     }
 
     /// Announced ids currently missing (awaiting payload or IWANT).
@@ -640,7 +750,7 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
     pub fn on_packet(&mut self, from: NodeId, packet: Packet<M>) {
         match packet {
             Packet::Payload(source, msg) => self.on_payload(from, source, msg),
-            Packet::IHave(ids) => self.on_ihave(from, &ids),
+            Packet::IHave { pushed, announced } => self.on_ihave(from, &pushed, &announced),
             Packet::IWant(ids) => self.on_request(from, &ids),
             Packet::Graft(source, ids) => {
                 if let Some(i) = self.peer_index(from) {
@@ -726,25 +836,44 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         self.register_fresh(source, msg, Some(from));
     }
 
-    fn on_ihave(&mut self, from: NodeId, ids: &[u64]) {
-        for &fold in ids {
-            if self.seen_folds.contains(fold) {
-                continue;
+    fn on_ihave(&mut self, from: NodeId, pushed: &[u64], announced: &[u64]) {
+        // A pushed payload left `from` no later than this batch, on this
+        // link: if it is still missing once the grace has covered the
+        // link jitter, it was lost. An announced id may yet arrive eagerly
+        // from elsewhere, so it waits the full miss timer.
+        let grace = self.clock + self.batch_delay();
+        for &fold in pushed {
+            self.await_id(from, fold, grace);
+        }
+        let timeout = self.clock + self.config.ihave_timeout_ns;
+        for &fold in announced {
+            self.await_id(from, fold, timeout);
+        }
+    }
+
+    /// Notes that `from` holds `fold`; unless it arrives first, the first
+    /// IWANT fires at `deadline` (or earlier, if another announcement set
+    /// an earlier one).
+    fn await_id(&mut self, from: NodeId, fold: u64, deadline: u64) {
+        if self.seen_folds.contains(fold) {
+            return;
+        }
+        if let Some(m) = self.missing.get_mut(&fold) {
+            if m.announcers.len() < MAX_ANNOUNCERS && !m.announcers.contains(&from) {
+                m.announcers.push(from);
             }
-            if let Some(m) = self.missing.get_mut(&fold) {
-                if m.announcers.len() < MAX_ANNOUNCERS && !m.announcers.contains(&from) {
-                    m.announcers.push(from);
-                }
-            } else if self.missing.len() < self.config.payload_store_capacity {
-                self.missing.insert(
-                    fold,
-                    Missing {
-                        announcers: vec![from],
-                        next: 0,
-                        deadline: self.clock + self.config.ihave_timeout_ns,
-                    },
-                );
+            if m.next == 0 {
+                m.deadline = m.deadline.min(deadline);
             }
+        } else if self.missing.len() < self.config.payload_store_capacity {
+            self.missing.insert(
+                fold,
+                Missing {
+                    announcers: vec![from],
+                    next: 0,
+                    deadline,
+                },
+            );
         }
     }
 
@@ -754,12 +883,15 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             return;
         };
         for &fold in ids {
-            if let Some((source, shared)) = self.store.get(fold) {
-                let source = *source;
-                let shared = Arc::clone(shared);
-                let size = (PACKET_HEADER + SOURCE_BYTES + shared.wire_size()) as u32;
-                self.queue_payload(i, source, shared, size);
-            }
+            let Some((source, shared)) = self.store.get(fold) else {
+                self.pt.requests_unserved.incr();
+                continue;
+            };
+            let source = *source;
+            let shared = Arc::clone(shared);
+            let size = (PACKET_HEADER + SOURCE_BYTES + shared.wire_size()) as u32;
+            self.pt.requests_served.incr();
+            self.queue_payload(i, source, shared, size);
         }
     }
 
@@ -798,7 +930,7 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
 
     /// Registers a fresh message: cache, store, deliver, eager-push along
     /// the source's tree links and announce to its lazy links (except the
-    /// origin).
+    /// origin and the source itself).
     fn register_fresh(&mut self, source: u32, msg: M, origin: Option<NodeId>) {
         let mid = msg.message_id();
         let fold = mid.trace_id();
@@ -840,28 +972,42 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             }
         }
         let size = (PACKET_HEADER + SOURCE_BYTES + shared.wire_size()) as u32;
+        let (now, delay) = (self.clock, self.batch_delay());
         for i in 0..self.peers.len() {
-            if Some(self.peers[i]) == origin {
+            // The source has its own message. Pushed back, it would arrive
+            // there as a duplicate and prune the link from the source's own
+            // tree: a source whose every link is pruned so can reach its
+            // peers only by announcement, and a message whose few
+            // announcements are all lost is never repaired.
+            if Some(self.peers[i]) == origin || self.peers[i].as_u32() == source {
                 continue;
             }
-            if self.is_eager(i, source) {
+            let eager = self.is_eager(i, source);
+            if eager {
                 self.queue_payload(i, source, Arc::clone(&shared), size);
-                // Echo the announce id alongside the eager push. Plumtree
-                // assumes reliable links; over lossy ones a node whose
-                // overlay links are all tree edges for this source has no
-                // lazy neighbor to announce to it, so a lost eager payload
-                // would go undetected forever. The 8-byte echo rides a
-                // separate packet, turning an undetectable single loss
-                // into a detectable one (miss timer + IWANT recover it)
-                // at <10% of the payload's wire cost.
             }
-            // Buffer the announce id (for lazy links, the only signal;
-            // for eager links, the loss-detection echo); take_outgoing
-            // folds the buffer into one batched IHAVE per peer per drain.
-            if self.ihave_buf[i].len() >= self.config.gossip.send_queue_capacity {
+            // Batch the announce id: for lazy links the only signal; for
+            // eager links the loss-detection echo. Plumtree assumes
+            // reliable links; over lossy ones a node whose overlay links
+            // are all tree edges for this source has no lazy neighbor to
+            // announce to it, so a lost eager payload would go undetected
+            // forever. The echo turns it into a detected loss (grace +
+            // IWANT recover it) at 8 bytes in a frame that leaves anyway.
+            let batch = &mut self.ihave_buf[i];
+            if batch.len() >= self.config.gossip.send_queue_capacity {
                 self.stats.send_overflow.incr();
+                continue;
+            }
+            if batch.is_empty() {
+                batch.due = now + delay;
+            }
+            if eager {
+                batch.pushed.push(fold);
             } else {
-                self.ihave_buf[i].push(fold);
+                batch.announced.push(fold);
+            }
+            if batch.len() >= self.config.max_ihave_batch {
+                batch.due = batch.due.min(now);
             }
         }
     }
@@ -891,15 +1037,17 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         self.send_queues[i].push_back(OutEntry::Control(packet, size));
     }
 
-    /// Whether any packet (payload, control, or buffered announcement) is
-    /// pending for the transport.
+    /// Whether any packet (payload, control, or due announcement batch) is
+    /// pending for the transport. A batch that is not yet due does not
+    /// count: [`next_timer`](Self::next_timer) names when it will be.
     pub fn has_outgoing(&self) -> bool {
         self.send_queues.iter().any(|q| !q.is_empty())
-            || self.ihave_buf.iter().any(|b| !b.is_empty())
+            || self.ihave_buf.iter().any(|b| b.is_due(self.clock))
     }
 
-    /// Drains all pending packets into `(peer, packet)` pairs, batching
-    /// buffered announce ids into IHAVE packets first.
+    /// Drains all pending packets into `(peer, packet)` pairs, turning each
+    /// due announcement batch into an IHAVE packet behind the peer's
+    /// queued payloads.
     pub fn take_outgoing(&mut self) -> Vec<(NodeId, Packet<M>)> {
         let mut out = Vec::new();
         self.take_outgoing_into(&mut out);
@@ -910,22 +1058,27 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
     /// caller-owned scratch buffer.
     pub fn take_outgoing_into(&mut self, out: &mut Vec<(NodeId, Packet<M>)>) {
         for i in 0..self.peers.len() {
-            // Fold this drain's buffered announcements into batched IHAVE
-            // packets (split at max_ihave_batch) so they ride the same
-            // flush as any queued payloads.
-            while !self.ihave_buf[i].is_empty() {
-                let take = self.ihave_buf[i].len().min(self.config.max_ihave_batch);
-                let batch: Vec<u64> = self.ihave_buf[i].drain(..take).collect();
+            // A due batch leaves as one IHAVE (split at max_ihave_batch)
+            // queued behind this drain's payloads, so no pushed id leaves
+            // before its payload.
+            while self.ihave_buf[i].is_due(self.clock) {
+                let max = self.config.max_ihave_batch;
+                let batch = &mut self.ihave_buf[i];
+                let p = batch.pushed.len().min(max);
+                let a = batch.announced.len().min(max - p);
+                let pushed: Vec<u64> = batch.pushed.drain(..p).collect();
+                let announced: Vec<u64> = batch.announced.drain(..a).collect();
+                let entries = (p + a) as u64;
                 self.pt.ihave_packets.incr();
-                self.pt.ihave_entries.add(batch.len() as u64);
+                self.pt.ihave_entries.add(entries);
                 if O::ENABLED {
                     self.observer.record(Event::IhaveSent {
                         node: self.id.as_u32(),
                         to: self.peers[i].as_u32(),
-                        entries: batch.len() as u64,
+                        entries,
                     });
                 }
-                self.queue_control(i, Packet::IHave(batch));
+                self.queue_control(i, Packet::IHave { pushed, announced });
             }
             while let Some(entry) = self.send_queues[i].pop_front() {
                 match entry {
@@ -1023,6 +1176,34 @@ mod tests {
         NodeId::new(SRC)
     }
 
+    /// A lazy announcement of `ids`, as a peer that did not push them sends.
+    fn announce(ids: &[u64]) -> Packet<Msg> {
+        Packet::IHave {
+            pushed: Vec::new(),
+            announced: ids.to_vec(),
+        }
+    }
+
+    /// `(peer, pushed, announced)` of every IHAVE in `out`.
+    fn ihaves(out: &[(NodeId, Packet<Msg>)]) -> Vec<(NodeId, Vec<u64>, Vec<u64>)> {
+        out.iter()
+            .filter_map(|(p, pkt)| match pkt {
+                Packet::IHave { pushed, announced } => {
+                    Some((*p, pushed.clone(), announced.clone()))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Advances the clock to when batches started now are due, then drains.
+    fn drain_when_due<F: DuplicateFilter, O: Observer>(
+        node: &mut EagerLazyNode<Msg, F, O>,
+    ) -> Vec<(NodeId, Packet<Msg>)> {
+        node.set_clock(node.clock + node.batch_delay());
+        node.take_outgoing()
+    }
+
     fn payloads(out: &[(NodeId, Packet<Msg>)]) -> Vec<(NodeId, u64)> {
         out.iter()
             .filter_map(|(p, pkt)| match pkt {
@@ -1061,6 +1242,17 @@ mod tests {
     }
 
     #[test]
+    fn nothing_goes_back_to_the_source() {
+        let mut node = node_with_peers(3);
+        // Peer 3 broadcast it; peer 2 forwarded it here.
+        node.on_packet(NodeId::new(2), Packet::Payload(3, Msg(5)));
+        let mut out = node.take_outgoing();
+        out.extend(drain_when_due(&mut node));
+        assert_eq!(payloads(&out), vec![(NodeId::new(1), 5)]);
+        assert_eq!(ihaves(&out), vec![(NodeId::new(1), vec![fold(5)], vec![])]);
+    }
+
+    #[test]
     fn duplicate_over_eager_link_prunes_it_for_that_source_only() {
         let mut node = node_with_peers(2);
         node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(9)));
@@ -1086,26 +1278,20 @@ mod tests {
         assert_eq!(node.lazy_peers(NodeId::new(0)), vec![NodeId::new(2)]);
         node.broadcast(Msg(1));
         node.broadcast(Msg(2));
-        let out = node.take_outgoing();
+        let mut out = node.take_outgoing();
+        out.extend(drain_when_due(&mut node));
         // Peer 1 (eager) gets both payloads; peer 2 gets one batched IHAVE.
         assert_eq!(
             payloads(&out),
             vec![(NodeId::new(1), 1), (NodeId::new(1), 2)]
         );
-        let ihaves: Vec<_> = out
-            .iter()
-            .filter_map(|(p, pkt)| match pkt {
-                Packet::IHave(ids) => Some((*p, ids.clone())),
-                _ => None,
-            })
-            .collect();
         // Peer 1's batch is the eager-push loss-detection echo; peer 2's
         // is its only signal.
         assert_eq!(
-            ihaves,
+            ihaves(&out),
             vec![
-                (NodeId::new(1), vec![fold(1), fold(2)]),
-                (NodeId::new(2), vec![fold(1), fold(2)])
+                (NodeId::new(1), vec![fold(1), fold(2)], vec![]),
+                (NodeId::new(2), vec![], vec![fold(1), fold(2)])
             ]
         );
         assert_eq!(node.plumtree_stats().ihave_packets.get(), 2);
@@ -1125,12 +1311,10 @@ mod tests {
             node.broadcast(Msg(v));
         }
         let out = node.take_outgoing();
-        let sizes: Vec<usize> = out
+        // A full batch is due at once, with no clock advance.
+        let sizes: Vec<usize> = ihaves(&out)
             .iter()
-            .filter_map(|(_, pkt)| match pkt {
-                Packet::IHave(ids) => Some(ids.len()),
-                _ => None,
-            })
+            .map(|(_, p, a)| p.len() + a.len())
             .collect();
         assert_eq!(sizes, vec![3, 3, 1]);
     }
@@ -1139,7 +1323,7 @@ mod tests {
     fn unseen_ihave_arms_timer_then_iwant_fires() {
         let mut node = node_with_peers(2);
         node.set_clock(1_000);
-        node.on_packet(NodeId::new(1), Packet::IHave(vec![fold(7)]));
+        node.on_packet(NodeId::new(1), announce(&[fold(7)]));
         assert_eq!(node.missing_count(), 1);
         assert_eq!(
             node.next_timer(),
@@ -1160,8 +1344,8 @@ mod tests {
     fn iwant_retries_rotate_announcers() {
         let mut node = node_with_peers(3);
         node.set_clock(0);
-        node.on_packet(NodeId::new(1), Packet::IHave(vec![fold(7)]));
-        node.on_packet(NodeId::new(2), Packet::IHave(vec![fold(7)]));
+        node.on_packet(NodeId::new(1), announce(&[fold(7)]));
+        node.on_packet(NodeId::new(2), announce(&[fold(7)]));
         // Two announcers, one missing entry.
         assert_eq!(node.missing_count(), 1);
         let mut targets = Vec::new();
@@ -1181,7 +1365,7 @@ mod tests {
     fn seen_ihave_is_ignored() {
         let mut node = node_with_peers(2);
         node.broadcast(Msg(3));
-        node.on_packet(NodeId::new(1), Packet::IHave(vec![fold(3)]));
+        node.on_packet(NodeId::new(1), announce(&[fold(3)]));
         assert_eq!(node.missing_count(), 0);
     }
 
@@ -1207,7 +1391,7 @@ mod tests {
         let mut node = node_with_peers(2);
         node.on_packet(NodeId::new(2), Packet::Prune(SRC));
         node.set_clock(0);
-        node.on_packet(NodeId::new(2), Packet::IHave(vec![fold(8)]));
+        node.on_packet(NodeId::new(2), announce(&[fold(8)]));
         node.set_clock(node.next_timer().unwrap());
         node.on_timer();
         node.take_outgoing(); // the IWANT
@@ -1260,21 +1444,22 @@ mod tests {
         // Source 3's tree lost the link; source 4's still has it.
         node.on_packet(NodeId::new(99), Packet::Payload(3, Msg(1)));
         node.on_packet(NodeId::new(99), Packet::Payload(4, Msg(2)));
-        let out = node.take_outgoing();
+        let mut out = node.take_outgoing();
+        out.extend(drain_when_due(&mut node));
         assert_eq!(payloads(&out), vec![(NodeId::new(1), 2)]);
-        let ihaves: Vec<_> = out
-            .iter()
-            .filter(|(_, pkt)| matches!(pkt, Packet::IHave(_)))
-            .collect();
-        assert_eq!(ihaves.len(), 1);
+        assert_eq!(ihaves(&out).len(), 1);
     }
 
     #[test]
     fn packet_wire_sizes() {
         let p: Packet<Msg> = Packet::Payload(0, Msg(1));
         assert_eq!(p.wire_size(), 105);
-        let p: Packet<Msg> = Packet::IHave(vec![1, 2, 3]);
-        assert_eq!(p.wire_size(), 1 + 2 + 24);
+        let p: Packet<Msg> = Packet::IHave {
+            pushed: vec![1],
+            announced: vec![2, 3],
+        };
+        assert_eq!(p.wire_size(), 1 + 2 + 2 + 24);
+        assert_eq!(p.control_class(), Some(CLASS_IHAVE));
         let p: Packet<Msg> = Packet::IWant(vec![1]);
         assert_eq!(p.wire_size(), 11);
         let p: Packet<Msg> = Packet::Graft(0, vec![1]);
@@ -1292,10 +1477,11 @@ mod tests {
         node.on_packet(NodeId::new(2), Packet::Prune(0));
         node.broadcast(Msg(1));
         node.take_outgoing();
-        // One payload (105 B) plus its echo IHAVE (1+2+8 B) to peer 1,
-        // one IHAVE (11 B) to peer 2.
-        assert_eq!(node.stats().bytes_sent.get(), 105 + 11 + 11);
-        assert_eq!(node.plumtree_stats().control_bytes.get(), 22);
+        drain_when_due(&mut node);
+        // One payload (105 B) plus its echo IHAVE (1+2+2+8 B) to peer 1,
+        // one IHAVE (13 B) to peer 2.
+        assert_eq!(node.stats().bytes_sent.get(), 105 + 13 + 13);
+        assert_eq!(node.plumtree_stats().control_bytes.get(), 26);
         assert_eq!(node.stats().sent.get(), 1);
         assert_eq!(node.plumtree_stats().eager_sent.get(), 1);
     }
@@ -1355,9 +1541,10 @@ mod tests {
         node.on_packet(NodeId::new(2), Packet::Prune(0));
         node.broadcast(Msg(1));
         node.take_outgoing();
+        drain_when_due(&mut node);
         node.on_packet(NodeId::new(1), Packet::Payload(0, Msg(1))); // dup -> prune
         node.set_clock(0);
-        node.on_packet(NodeId::new(1), Packet::IHave(vec![fold(9)]));
+        node.on_packet(NodeId::new(1), announce(&[fold(9)]));
         node.set_clock(node.next_timer().unwrap());
         node.on_timer();
         // Drain the IWANT. Peer 1 was just pruned from source 0's tree
@@ -1366,6 +1553,7 @@ mod tests {
         node.take_outgoing();
         node.on_packet(NodeId::new(1), Packet::Payload(0, Msg(9)));
         node.take_outgoing();
+        drain_when_due(&mut node);
         let events = node.observer_mut().drain();
         let count = |kind: &str| events.iter().filter(|e| e.event.kind() == kind).count();
         assert_eq!(count("eager_sent"), 1);
@@ -1546,7 +1734,18 @@ mod tests {
     fn packets_encode_to_their_accounted_size_and_round_trip() {
         let packets = [
             Packet::Payload(SRC, Msg(5)),
-            Packet::IHave(vec![1, u64::MAX, 3]),
+            Packet::IHave {
+                pushed: vec![1, u64::MAX, 3],
+                announced: vec![],
+            },
+            Packet::IHave {
+                pushed: vec![],
+                announced: vec![8],
+            },
+            Packet::IHave {
+                pushed: vec![2],
+                announced: vec![u64::MAX, 4],
+            },
             Packet::IWant(vec![9]),
             Packet::Graft(SRC, vec![]),
             Packet::Graft(SRC, vec![4, 5]),
@@ -1564,5 +1763,199 @@ mod tests {
         // An id count far beyond the frame is rejected before allocating.
         assert!(Packet::<Msg>::from_bytes(&[TAG_IHAVE, 0xFF, 0xFF, 1, 2, 3]).is_err());
         assert!(Packet::<Msg>::from_bytes(&[9]).is_err());
+    }
+
+    thread_local! {
+        /// Allocations this thread made; per thread, so tests running in
+        /// parallel do not disturb a count.
+        static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    struct Counting;
+
+    // SAFETY: every call is forwarded unchanged to `System`; the count
+    // beside it touches only a const-initialised thread-local `Cell`, which
+    // neither allocates nor unwinds.
+    unsafe impl std::alloc::GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            // `try_with`: a thread tearing down has no counter left.
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            // SAFETY: `layout` is the caller's, passed through.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from `System` with this `layout`.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Counting = Counting;
+
+    #[test]
+    fn a_hostile_ihave_count_is_refused_before_any_allocation() {
+        let frames: [&[u8]; 4] = [
+            // The pushed count promises 65 535 ids, the frame holds one.
+            &[TAG_IHAVE, 0xFF, 0xFF, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8],
+            // The announced count does.
+            &[TAG_IHAVE, 0, 0, 0xFF, 0xFF, 1, 2, 3, 4, 5, 6, 7, 8],
+            // Each count fits alone; together they overrun by one id.
+            &[TAG_IHAVE, 1, 0, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8],
+            // Both counts, no room for even the second one.
+            &[TAG_IHAVE, 0xFF, 0xFF],
+        ];
+        for frame in frames {
+            let before = ALLOCATIONS.with(|n| n.get());
+            let decoded = Packet::<Msg>::from_bytes(frame);
+            let allocated = ALLOCATIONS.with(|n| n.get()) - before;
+            assert!(decoded.is_err(), "{frame:?} decoded to {decoded:?}");
+            assert_eq!(allocated, 0, "{frame:?} allocated before it was refused");
+        }
+        // The counter does see a decode that allocates: both id lists.
+        let frame = Packet::<Msg>::IHave {
+            pushed: vec![1],
+            announced: vec![2],
+        }
+        .to_bytes();
+        let before = ALLOCATIONS.with(|n| n.get());
+        assert!(Packet::<Msg>::from_bytes(&frame).is_ok());
+        assert_eq!(ALLOCATIONS.with(|n| n.get()) - before, 2);
+    }
+
+    /// A node whose two peers are eager (peer 1) and lazy (peer 2) for its
+    /// own broadcasts, with the clock at `now`.
+    fn eager_and_lazy_peer(now: u64) -> EagerLazyNode<Msg> {
+        let mut node = node_with_peers(2);
+        node.on_packet(NodeId::new(2), Packet::Prune(0));
+        node.set_clock(now);
+        node
+    }
+
+    #[test]
+    fn a_batch_never_leaves_before_it_is_due() {
+        let mut node = eager_and_lazy_peer(1_000);
+        let delay = node.batch_delay();
+        node.broadcast(Msg(1));
+        // The payload leaves now; the announcements wait for the deadline,
+        // which the runtime learns from next_timer, not has_outgoing.
+        assert_eq!(payloads(&node.take_outgoing()), vec![(NodeId::new(1), 1)]);
+        assert!(!node.has_outgoing());
+        assert_eq!(node.next_timer(), Some(1_000 + delay));
+        // A later id joins the batch without moving its deadline.
+        node.set_clock(1_000 + delay / 2);
+        node.broadcast(Msg(2));
+        node.take_outgoing();
+        assert_eq!(node.next_timer(), Some(1_000 + delay));
+        node.set_clock(1_000 + delay - 1);
+        assert!(!node.has_outgoing());
+        assert!(ihaves(&node.take_outgoing()).is_empty());
+        // Due: one frame per peer with both ids.
+        node.set_clock(1_000 + delay);
+        assert!(node.has_outgoing());
+        assert_eq!(
+            ihaves(&node.take_outgoing()),
+            vec![
+                (NodeId::new(1), vec![fold(1), fold(2)], vec![]),
+                (NodeId::new(2), vec![], vec![fold(1), fold(2)])
+            ]
+        );
+        assert_eq!(node.next_timer(), None);
+        assert!(!node.has_outgoing());
+    }
+
+    #[test]
+    fn a_pushed_id_never_leaves_before_its_payload() {
+        let config = EagerLazyConfig {
+            max_ihave_batch: 3,
+            ..EagerLazyConfig::default()
+        };
+        let mut node: EagerLazyNode<Msg> =
+            EagerLazyNode::new(NodeId::new(0), vec![NodeId::new(1)], config);
+        let delay = node.batch_delay();
+        let mut payloads_sent = HashSet::new();
+        let mut echoed = 0;
+        // Broadcasts and drains interleave at every offset of the batch
+        // deadline; full batches leave at once, in the same drain as the
+        // payload that filled them.
+        for v in 0..40u64 {
+            node.set_clock(v * delay / 3);
+            node.broadcast(Msg(v));
+            if v % 2 == 0 {
+                continue;
+            }
+            let out = node.take_outgoing();
+            for (_, pkt) in &out {
+                match pkt {
+                    Packet::Payload(_, m) => {
+                        payloads_sent.insert(fold(m.0));
+                    }
+                    Packet::IHave { pushed, .. } => {
+                        for id in pushed {
+                            assert!(payloads_sent.contains(id), "echo before payload");
+                            echoed += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(echoed > 30, "{echoed} ids echoed");
+    }
+
+    #[test]
+    fn a_missing_pushed_id_waits_the_grace_an_announced_one_the_timeout() {
+        let mut node = node_with_peers(2);
+        let config = EagerLazyConfig::default();
+        let grace = config.ihave_timeout_ns / 8;
+        node.set_clock(1_000);
+        node.on_packet(
+            NodeId::new(1),
+            Packet::IHave {
+                pushed: vec![fold(1)],
+                announced: vec![fold(2)],
+            },
+        );
+        assert_eq!(node.missing_count(), 2);
+        assert_eq!(node.next_timer(), Some(1_000 + grace));
+        node.set_clock(1_000 + grace - 1);
+        node.on_timer();
+        assert!(node.take_outgoing().is_empty());
+        // The pushed id was lost on the way: asked for after the grace.
+        node.set_clock(1_000 + grace);
+        node.on_timer();
+        assert_eq!(
+            node.take_outgoing(),
+            vec![(NodeId::new(1), Packet::IWant(vec![fold(1)]))]
+        );
+        // The announced one may still come eagerly from elsewhere.
+        assert_eq!(node.next_timer(), Some(1_000 + config.ihave_timeout_ns));
+        node.set_clock(1_000 + config.ihave_timeout_ns - 1);
+        node.on_timer();
+        let early: Vec<_> = node
+            .take_outgoing()
+            .into_iter()
+            .filter(|(_, p)| *p == Packet::IWant(vec![fold(2)]))
+            .collect();
+        assert!(early.is_empty());
+        node.set_clock(1_000 + config.ihave_timeout_ns);
+        node.on_timer();
+        assert!(node
+            .take_outgoing()
+            .contains(&(NodeId::new(1), Packet::IWant(vec![fold(2)]))));
+        // A pushed id already awaited as announced gets the grace too.
+        node.set_clock(10_000_000_000);
+        node.on_packet(NodeId::new(2), announce(&[fold(3)]));
+        node.on_packet(
+            NodeId::new(1),
+            Packet::IHave {
+                pushed: vec![fold(3)],
+                announced: vec![],
+            },
+        );
+        assert_eq!(
+            node.missing.get(&fold(3)).map(|m| m.deadline),
+            Some(10_000_000_000 + grace)
+        );
     }
 }

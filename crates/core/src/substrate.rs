@@ -20,7 +20,7 @@ use obs::{NoopObserver, Observer};
 use crate::cache::DuplicateFilter;
 use crate::id::NodeId;
 use crate::node::{GossipItem, GossipNode};
-use crate::plumtree::{EagerLazyNode, Packet};
+use crate::plumtree::{EagerLazyNode, Packet, PlumtreeStats};
 use crate::semantics::Semantics;
 use crate::stats::MessageStats;
 
@@ -138,6 +138,12 @@ pub trait Substrate<M> {
     /// none).
     fn stats(&self) -> MessageStats;
 
+    /// Eager/lazy tree accounting so far (all zero for a substrate that
+    /// builds no trees).
+    fn plumtree_stats(&self) -> PlumtreeStats {
+        PlumtreeStats::default()
+    }
+
     /// Exclusive access to the observer (e.g. to drain a ring).
     fn observer_mut(&mut self) -> &mut Self::Observer;
 
@@ -246,6 +252,10 @@ where
 
     fn stats(&self) -> MessageStats {
         *EagerLazyNode::stats(self)
+    }
+
+    fn plumtree_stats(&self) -> PlumtreeStats {
+        *EagerLazyNode::plumtree_stats(self)
     }
 
     fn observer_mut(&mut self) -> &mut O {
@@ -387,7 +397,11 @@ mod tests {
         let mut tree: EagerLazyNode<Msg> =
             EagerLazyNode::new(NodeId::new(0), peers, Default::default());
         Substrate::send(&mut tree, Msg(7), Dest::One(NodeId::new(2)));
-        let (out, delivered) = drain(&mut tree);
+        let (mut out, delivered) = drain(&mut tree);
+        // The echo IHAVEs leave once their batch is due.
+        let due = Substrate::next_timer(&tree).expect("a batch is pending");
+        Substrate::set_clock(&mut tree, due);
+        out.extend(drain(&mut tree).0);
         let payloads = out.iter().filter(|(_, f)| f.payload().is_some()).count();
         assert_eq!(payloads, 2);
         assert!(out

@@ -365,12 +365,16 @@ mod tests {
         );
         let mut node = LiveNode::new(runtime, lone_endpoint(0), SharedRing::new(0));
         let before = fingerprint(&node);
-        let ihave = Packet::<WireMsg>::IHave(vec![1, 2, 3]).to_bytes();
+        let ihave = Packet::<WireMsg>::IHave {
+            pushed: vec![1],
+            announced: vec![2, 3],
+        }
+        .to_bytes();
         for cut in 0..ihave.len() {
             node.on_bytes(NodeId::new(1), &ihave[..cut]);
         }
         // An id count far beyond the frame.
-        node.on_bytes(NodeId::new(1), &[1, 0xFF, 0xFF, 0, 0]);
+        node.on_bytes(NodeId::new(1), &[1, 0xFF, 0xFF, 0, 0, 0]);
         assert_eq!(
             node.decode_errors()[&NodeId::new(1)],
             ihave.len() as u64 + 1

@@ -932,6 +932,9 @@ impl<S: SimSubstrate> Cluster<S> {
                 node.raw_sent,
                 Some(node.runtime.substrate().stats()),
             );
+            metrics
+                .plumtree
+                .merge(&node.runtime.substrate().plumtree_stats());
         }
         metrics.received_by_kind = self.received_by_kind;
         let sum = |count: fn(&PaxosProcess<MemoryStorage, S::Observer>) -> u64| {
@@ -1078,6 +1081,7 @@ pub fn run_cluster(params: &ClusterParams) -> RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::Histogram;
 
     fn quick(n: usize, setup: Setup, rate: f64) -> RunMetrics {
         let params = ClusterParams::paper(n, setup)
@@ -1187,6 +1191,37 @@ mod tests {
         );
         // The repair path actually fired: some payloads were re-requested.
         assert!(m.gossip.sent.get() > 0);
+    }
+
+    #[test]
+    fn eager_lazy_repairs_loss_on_every_seed() {
+        // The single-seed test above is a tail check: at a 2 s drain a
+        // handful of values in 150 seeds miss it. Here the drain covers
+        // every repair chain, so every in-window value must be ordered on
+        // each of 20 seeds, and the pooled median shows how fast repair
+        // is: a pushed id that does not arrive is requested after the
+        // grace (50 ms here), not after the 400 ms miss timer. Measured
+        // over these seeds: 972 ms when the echo of a push was an
+        // announcement like any other, 811 ms with the grace.
+        let mut pooled = Histogram::new();
+        for seed in 1..=20 {
+            let mut params = ClusterParams::paper(13, Setup::EagerLazyGossip)
+                .with_rate(13.0)
+                .with_seconds(2.0, 1.0)
+                .with_loss(0.05)
+                .with_seed(seed);
+            params.drain = SimDuration::from_secs(6);
+            let m = run_cluster(&params);
+            assert!(m.safety_ok, "seed {seed}: {:?}", m.violations);
+            assert_eq!(m.not_ordered_in_window, 0, "seed {seed}");
+            pooled.merge(&m.latency);
+        }
+        let p50 = pooled.percentile(50.0).expect("values were ordered");
+        assert!(
+            p50 < SimDuration::from_millis(900),
+            "pooled p50 {} ms",
+            p50.as_nanos() / 1_000_000
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! (§4.3); "values submitted but not ordered" is Figure 6's reliability
 //! metric.
 
-use semantic_gossip::MessageStats;
+use semantic_gossip::{MessageStats, PlumtreeStats};
 use simnet::{Histogram, SimDuration, SimTime, NUM_REGIONS};
 
 use paxos::ValueId;
@@ -79,6 +79,10 @@ pub struct RunMetrics {
     pub node_sent: Vec<u64>,
     /// Merged gossip-layer counters (zero for Baseline).
     pub gossip: MessageStats,
+    /// Merged eager/lazy tree counters (zero off the eager/lazy setup):
+    /// announcements, requests and repairs, including requests the
+    /// payload store could no longer serve.
+    pub plumtree: PlumtreeStats,
     /// Physically received messages by protocol kind (index =
     /// `paxos::message::Kind::index()`), across all processes.
     pub received_by_kind: [u64; paxos::message::Kind::COUNT],
@@ -144,6 +148,7 @@ impl RunMetrics {
             node_received: Vec::new(),
             node_sent: Vec::new(),
             gossip: MessageStats::default(),
+            plumtree: PlumtreeStats::default(),
             received_by_kind: [0; paxos::message::Kind::COUNT],
             value_waits: 0,
             proposals_parked: 0,
@@ -414,6 +419,32 @@ impl RunMetrics {
         }
 
         exp.header(
+            "plumtree_messages_total",
+            "Eager/lazy tree counters summed over all processes",
+            MetricKind::Counter,
+        );
+        let pt = &self.plumtree;
+        for (counter, value) in [
+            ("eager_sent", pt.eager_sent.get()),
+            ("ihave_packets", pt.ihave_packets.get()),
+            ("ihave_entries", pt.ihave_entries.get()),
+            ("iwant_packets", pt.iwant_packets.get()),
+            ("grafts", pt.grafts.get()),
+            ("prunes", pt.prunes.get()),
+            ("recovered", pt.recovered.get()),
+            ("pruned_evictions", pt.pruned_evictions.get()),
+            ("control_bytes", pt.control_bytes.get()),
+            ("requests_served", pt.requests_served.get()),
+            ("requests_unserved", pt.requests_unserved.get()),
+        ] {
+            exp.sample_u64(
+                "plumtree_messages_total",
+                &[("setup", setup), ("counter", counter)],
+                value,
+            );
+        }
+
+        exp.header(
             "gossip_bytes_total",
             "Wire bytes the gossip layer handed to the transport (sent) or suppressed (filtered)",
             MetricKind::Counter,
@@ -618,6 +649,7 @@ mod tests {
         let mut m = RunMetrics::new("Semantic Gossip", 13, 26.0, SimDuration::from_secs(2));
         m.record_value(&fate(0, 100, Some(250), true));
         m.gossip.received.add(7);
+        m.plumtree.requests_unserved.add(4);
         m.value_waits = 2;
         m.proposals_parked = 5;
         m.trace_kinds = vec![("decided", 3), ("phase2a", 9)];
@@ -629,6 +661,9 @@ mod tests {
         assert!(text.contains("testbed_ordered_total{setup=\"Semantic Gossip\"} 1"));
         assert!(text
             .contains("gossip_messages_total{setup=\"Semantic Gossip\",counter=\"received\"} 7"));
+        assert!(text.contains(
+            "plumtree_messages_total{setup=\"Semantic Gossip\",counter=\"requests_unserved\"} 4"
+        ));
         assert!(text.contains("trace_events_total{setup=\"Semantic Gossip\",kind=\"phase2a\"} 9"));
         assert!(text.contains("testbed_safety_ok{setup=\"Semantic Gossip\"} 1"));
         // The latency distribution is exposed as a histogram family.
