@@ -64,7 +64,7 @@
 //! eighth of `ihave_timeout_ns`, which need only cover the link jitter
 //! that lets a frame overtake its predecessor.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use obs::{Event, NoopObserver, Observer};
@@ -539,10 +539,11 @@ pub struct EagerLazyNode<M, F = RecentCache, O = NoopObserver> {
     delivery: VecDeque<Arc<M>>,
     store: PayloadStore<M>,
     seen_folds: FoldSet,
-    /// Announced-but-unreceived ids. A `BTreeMap` so timer expiry iterates
-    /// in a deterministic order — the simulator depends on identical runs
-    /// producing identical packet sequences.
+    /// Announced-but-unreceived ids, by fold.
     missing: BTreeMap<u64, Missing>,
+    /// `(deadline, fold)` of every `missing` entry's next IWANT: timers
+    /// expire in this order, and the earliest is read without a scan.
+    deadlines: BTreeSet<(u64, u64)>,
     filter: F,
     stats: MessageStats,
     pt: PlumtreeStats,
@@ -598,6 +599,7 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             store: PayloadStore::new(config.payload_store_capacity),
             seen_folds: FoldSet::new(config.gossip.recent_cache_size),
             missing: BTreeMap::new(),
+            deadlines: BTreeSet::new(),
             filter,
             stats: MessageStats::default(),
             pt: PlumtreeStats::default(),
@@ -676,9 +678,10 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             .iter()
             .filter(|b| !b.is_empty())
             .map(|b| b.due);
-        self.missing
-            .values()
-            .map(|m| m.deadline)
+        self.deadlines
+            .first()
+            .map(|&(deadline, _)| deadline)
+            .into_iter()
             .chain(batches)
             .min()
     }
@@ -808,7 +811,7 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         // A *real* miss is one the timer acted on (an IWANT fired). An
         // armed-but-unexpired entry just means an announcement outran the
         // payload — the echo IHAVE on eager links does this routinely.
-        let was_missing = self.missing.remove(&fold).is_some_and(|m| m.next > 0);
+        let was_missing = self.forget_missing(fold).is_some_and(|m| m.next > 0);
         if was_missing {
             self.pt.recovered.incr();
             if let Some(i) = self.peer_index(from) {
@@ -862,8 +865,10 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             if m.announcers.len() < MAX_ANNOUNCERS && !m.announcers.contains(&from) {
                 m.announcers.push(from);
             }
-            if m.next == 0 {
-                m.deadline = m.deadline.min(deadline);
+            if m.next == 0 && deadline < m.deadline {
+                self.deadlines.remove(&(m.deadline, fold));
+                m.deadline = deadline;
+                self.deadlines.insert((deadline, fold));
             }
         } else if self.missing.len() < self.config.payload_store_capacity {
             self.missing.insert(
@@ -874,7 +879,16 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
                     deadline,
                 },
             );
+            self.deadlines.insert((deadline, fold));
         }
+    }
+
+    /// Stops awaiting `fold`, returning its tracking state if it was
+    /// missing.
+    fn forget_missing(&mut self, fold: u64) -> Option<Missing> {
+        let m = self.missing.remove(&fold)?;
+        self.deadlines.remove(&(m.deadline, fold));
+        Some(m)
     }
 
     /// Serves the payloads of `ids` (from an IWANT or GRAFT) to `from`.
@@ -895,25 +909,23 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         }
     }
 
-    /// Fires expired miss timers: each sends one IWANT to the next
-    /// announcer (round-robin) and reschedules at the retry interval.
-    /// Call after [`set_clock`](Self::set_clock).
+    /// Fires expired miss timers in `(deadline, fold)` order: each sends
+    /// one IWANT to the next announcer (round-robin) and reschedules at the
+    /// retry interval. Call after [`set_clock`](Self::set_clock).
     pub fn on_timer(&mut self) {
         let now = self.clock;
-        let expired: Vec<u64> = self
-            .missing
-            .iter()
-            .filter(|(_, m)| m.deadline <= now)
-            .map(|(&fold, _)| fold)
-            .collect();
-        for fold in expired {
+        let later = self.deadlines.split_off(&(now.saturating_add(1), 0));
+        let expired = std::mem::replace(&mut self.deadlines, later);
+        let retry = now + self.config.iwant_retry_ns;
+        for (_, fold) in expired {
             let to = {
                 let m = self.missing.get_mut(&fold).expect("expired id present");
                 let idx = m.next % m.announcers.len();
                 m.next += 1;
-                m.deadline = now + self.config.iwant_retry_ns;
+                m.deadline = retry;
                 m.announcers[idx]
             };
+            self.deadlines.insert((retry, fold));
             if let Some(i) = self.peer_index(to) {
                 self.queue_control(i, Packet::IWant(vec![fold]));
                 self.pt.iwant_packets.incr();
@@ -935,7 +947,7 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         let mid = msg.message_id();
         let fold = mid.trace_id();
         self.seen_folds.insert(fold);
-        self.missing.remove(&fold);
+        self.forget_missing(fold);
         // A locally broadcast message is its causal chain's origin: tag it
         // once so traces can join the wire id to consensus state.
         if O::ENABLED && origin.is_none() {
@@ -1338,6 +1350,82 @@ mod tests {
         let out = node.take_outgoing();
         assert_eq!(out, vec![(NodeId::new(1), Packet::IWant(vec![fold(7)]))]);
         assert_eq!(node.plumtree_stats().iwant_packets.get(), 1);
+    }
+
+    #[test]
+    fn next_timer_is_the_earliest_outstanding_miss_deadline() {
+        let config = EagerLazyConfig::default();
+        let (timeout, retry) = (config.ihave_timeout_ns, config.iwant_retry_ns);
+        let grace = timeout / 8;
+        // One peer: a payload from it goes nowhere else, so no announcement
+        // batch adds a deadline of its own.
+        let mut node = node_with_peers(1);
+        let peer = NodeId::new(1);
+        node.set_clock(1_000);
+        node.on_packet(peer, announce(&[fold(1)]));
+        node.set_clock(2_000);
+        node.on_packet(peer, announce(&[fold(2), fold(3)]));
+        assert_eq!(node.next_timer(), Some(1_000 + timeout));
+        // The earliest id's payload arrives: the next one is due next.
+        node.on_packet(peer, Packet::Payload(SRC, Msg(1)));
+        assert_eq!(node.next_timer(), Some(2_000 + timeout));
+        // A pushed echo re-announces id 3 with an earlier deadline.
+        node.set_clock(3_000);
+        node.on_packet(
+            peer,
+            Packet::IHave {
+                pushed: vec![fold(3)],
+                announced: vec![],
+            },
+        );
+        assert_eq!(node.next_timer(), Some(3_000 + grace));
+        // Once asked for, id 3 waits a retry: id 2 is the earliest again.
+        node.set_clock(3_000 + grace);
+        node.on_timer();
+        assert_eq!(
+            node.take_outgoing(),
+            vec![(peer, Packet::IWant(vec![fold(3)]))]
+        );
+        assert_eq!(node.next_timer(), Some(2_000 + timeout));
+        node.set_clock(2_000 + timeout);
+        node.on_timer();
+        assert_eq!(
+            node.take_outgoing(),
+            vec![(peer, Packet::IWant(vec![fold(2)]))]
+        );
+        assert_eq!(node.next_timer(), Some(3_000 + grace + retry));
+    }
+
+    #[test]
+    fn expired_timers_fire_in_deadline_order_and_leave_the_rest() {
+        let timeout = EagerLazyConfig::default().ihave_timeout_ns;
+        let mut node = node_with_peers(1);
+        let peer = NodeId::new(1);
+        // `first` is announced first but folds above `second`, so fold
+        // order and deadline order disagree.
+        let (first, second) = if fold(1) > fold(2) {
+            (fold(1), fold(2))
+        } else {
+            (fold(2), fold(1))
+        };
+        node.set_clock(1_000);
+        node.on_packet(peer, announce(&[first]));
+        node.set_clock(2_000);
+        node.on_packet(peer, announce(&[second]));
+        node.set_clock(3_000);
+        node.on_packet(peer, announce(&[fold(3)]));
+        node.set_clock(2_000 + timeout);
+        node.on_timer();
+        assert_eq!(
+            node.take_outgoing(),
+            vec![
+                (peer, Packet::IWant(vec![first])),
+                (peer, Packet::IWant(vec![second]))
+            ]
+        );
+        let unexpired = &node.missing[&fold(3)];
+        assert_eq!((unexpired.next, unexpired.deadline), (0, 3_000 + timeout));
+        assert_eq!(node.next_timer(), Some(3_000 + timeout));
     }
 
     #[test]

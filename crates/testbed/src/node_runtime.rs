@@ -156,12 +156,6 @@ impl<S: Substrate<WireMsg>> NodeRuntime<S> {
         self.drive(group, now_ns, |paxos| paxos.start_round(round));
     }
 
-    /// Re-pushes `group`'s open proposals (nothing unless this process
-    /// coordinates the group).
-    pub fn retransmit(&mut self, group: u32, now_ns: u64) {
-        self.drive(group, now_ns, |paxos| paxos.retransmit());
-    }
-
     /// One locally triggered step of `group`'s Paxos process: route what it
     /// sends and pump the consequences.
     fn drive(
@@ -176,52 +170,38 @@ impl<S: Substrate<WireMsg>> NodeRuntime<S> {
         self.pump(now_ns);
     }
 
-    /// Runs the substrate's timer work if any is due. Returns whether it
-    /// ran.
-    pub fn poll_substrate(&mut self, now_ns: u64) -> bool {
-        let due = self.substrate.next_timer().is_some_and(|d| d <= now_ns);
-        if due {
+    /// Time passed: everything timer-driven that is due at `now_ns` —
+    /// substrate timers, failover, retransmission. Hosts call it at
+    /// [`next_deadline`](Self::next_deadline).
+    pub fn on_tick(&mut self, now_ns: u64) {
+        if self.substrate.next_timer().is_some_and(|d| d <= now_ns) {
             self.stamp(now_ns);
             self.substrate.on_timer();
             self.pump(now_ns);
         }
-        due
-    }
-
-    /// Polls every group's round-change timer and starts the rounds this
-    /// process has become responsible for.
-    pub fn poll_failover(&mut self, now_ns: u64) {
         for g in 0..self.groups.len() {
             let current = self.groups[g].paxos.current_round();
-            let Some(timer) = self.groups[g].timer.as_mut() else {
-                continue;
-            };
-            timer.observe_round(current, now_ns);
-            if let Some(round) = timer.suspect(now_ns).filter(|&round| round > current) {
+            let suspected = self.groups[g]
+                .timer
+                .as_mut()
+                .and_then(|t| t.suspect(now_ns));
+            if let Some(round) = suspected.filter(|&round| round > current) {
                 self.start_round(g as u32, round, now_ns);
             }
         }
-    }
-
-    /// Time passed: everything timer-driven that is due at `now_ns` —
-    /// substrate timers, failover, retransmission. A host that models
-    /// these cadences separately calls the three parts itself.
-    pub fn on_tick(&mut self, now_ns: u64) {
-        self.poll_substrate(now_ns);
-        self.poll_failover(now_ns);
         if let Some(every) = self.retransmit_every {
             if now_ns >= self.next_retransmit {
                 self.next_retransmit = now_ns + every;
                 for g in 0..self.groups.len() as u32 {
-                    self.retransmit(g, now_ns);
+                    self.drive(g, now_ns, |paxos| paxos.retransmit());
                 }
             }
         }
     }
 
     /// The earliest clock value at which [`on_tick`](Self::on_tick) has
-    /// something to do, as of the last tick; `None` when only a frame or a
-    /// submission can make progress.
+    /// something to do; `None` when only a frame or a submission can make
+    /// progress.
     pub fn next_deadline(&self) -> Option<u64> {
         let timers = self
             .groups
@@ -300,6 +280,11 @@ impl<S: Substrate<WireMsg>> NodeRuntime<S> {
 
     fn harvest(&mut self, now_ns: u64) {
         for (g, rt) in self.groups.iter_mut().enumerate() {
+            // A round learned from a frame restarts the round-change timer,
+            // so `next_deadline` is right without waiting for a tick.
+            if let Some(timer) = rt.timer.as_mut() {
+                timer.observe_round(rt.paxos.current_round(), now_ns);
+            }
             let delivered = rt.paxos.take_delivered();
             if delivered.is_empty() {
                 continue;
@@ -652,5 +637,41 @@ mod tests {
             || NoopObserver,
         );
         assert_eq!(bystander.next_deadline(), None);
+    }
+
+    /// A round learned from a frame arms the round-change timer at once: a
+    /// host that sleeps until `next_deadline` must wake the process next
+    /// in line without a tick in between.
+    #[test]
+    fn a_round_learned_from_a_frame_arms_the_deadline() {
+        let timers = Timers {
+            failover: Some(1_000),
+            retransmit: None,
+        };
+        let mut nodes: Vec<NodeRuntime<Direct<WireMsg>>> = (0..3)
+            .map(|i| {
+                NodeRuntime::new(
+                    NodeId::new(i),
+                    Direct::new(3, NoopObserver),
+                    configs(3, 1),
+                    timers,
+                    || NoopObserver,
+                )
+            })
+            .collect();
+        nodes[1].start_round(0, Round::new(1), 100);
+        let mut out = Vec::new();
+        nodes[1].take_outgoing_into(&mut out, 100);
+        let (_, phase1a) = out
+            .into_iter()
+            .find(|(to, _)| *to == NodeId::new(2))
+            .expect("Phase 1a to process 2");
+        assert_eq!(nodes[2].next_deadline(), None, "round 1 is not its to lead");
+        nodes[2].on_frame(NodeId::new(1), phase1a, 200);
+        assert_eq!(
+            nodes[2].next_deadline(),
+            Some(1_200),
+            "process 2 leads round 2"
+        );
     }
 }
