@@ -29,14 +29,15 @@
 //! forest is stable — in steady state a message travels exactly `n-1`
 //! links.
 //!
-//! Every link starts eager for every source; the first duplicate a node
-//! receives over an eager link demotes it for the duplicate's source
-//! ([`Packet::Prune`]), so each source's eager subgraph converges to a
-//! spanning tree along which that source's payloads travel exactly once.
-//! When an announced id fails to arrive before a timer, the node requests
-//! it from an announcer ([`Packet::IWant`]); a lazy link that delivers a
-//! missed payload is promoted back into the missed message's tree
-//! ([`Packet::Graft`]), repairing partitions and crashed branches.
+//! Every link starts eager for every source. The first duplicate a node
+//! receives over a link that is eager toward it asks the sender to stop
+//! pushing that source's payloads ([`Packet::Prune`]), so each source's
+//! eager subgraph converges to a spanning tree along which that source's
+//! payloads travel exactly once. When an announced id fails to arrive
+//! before a timer, the node requests it from an announcer
+//! ([`Packet::IWant`]); a link it had pruned that delivers a missed payload
+//! is asked to push again ([`Packet::Graft`]), repairing partitions and
+//! crashed branches.
 //!
 //! Like [`GossipNode`](crate::GossipNode), the [`EagerLazyNode`] is
 //! *sans-IO*: the runtime feeds it [`EagerLazyNode::broadcast`] /
@@ -46,6 +47,27 @@
 //! Payloads fan out as `Arc`-shared encode-once handles (PR 3), and IHAVE
 //! announcements carry the 64-bit [`MessageId::trace_id`] fold — 8 bytes
 //! per id.
+//!
+//! # Each direction of a link belongs to its receiver
+//!
+//! A PRUNE edits only the direction its sender receives: "stop pushing
+//! this source to me". The node that gets it stops those pushes; its own
+//! feed over the same link is untouched, since only it can tell whether
+//! that feed is redundant. Demoting both directions at once lets a
+//! neighbour's duplicate cut the only feed that neighbour gives us. A
+//! GRAFT likewise restores only its sender's feed.
+//!
+//! # The parent is sticky
+//!
+//! For each source a node remembers its *parent*: the link whose first
+//! copy of that source's payloads last arrived over a link the node had
+//! not pruned. A duplicate over the parent link never prunes it. While a
+//! PRUNE is in flight, the link it demotes can still deliver a payload
+//! first; the eager copy over the parent link is then a duplicate, and
+//! pruning it too would leave the node with no eager feed for the source
+//! at all, fed from then on by announcements and the miss timer. Such a
+//! first copy over a pruned link neither promotes the link nor makes it
+//! the parent: the crossing settles when the PRUNE lands.
 //!
 //! # Announcements leave in batches
 //!
@@ -339,16 +361,22 @@ pub struct PlumtreeStats {
     pub ihave_entries: Stat,
     /// IWANT packets queued by the miss timer.
     pub iwant_packets: Stat,
-    /// GRAFT packets queued (lazy link promoted after delivering a missed
-    /// id).
+    /// GRAFT packets queued (a link this node had pruned delivered a
+    /// missed id, so the peer is asked to push that source again).
     pub grafts: Stat,
-    /// PRUNE packets queued (eager link demoted after delivering a
-    /// duplicate).
+    /// PRUNE packets queued (a link eager toward this node delivered a
+    /// duplicate, so the peer is asked to stop pushing that source).
     pub prunes: Stat,
     /// Missing announced ids recovered via the lazy path.
     pub recovered: Stat,
-    /// Sources evicted from a full per-peer pruned set to admit a newer
-    /// demotion (the evicted source's link silently turns eager again).
+    /// A source's parent link moved to another peer: a first copy arrived
+    /// over an unpruned link other than the one that last fed it. A
+    /// settled forest makes none.
+    pub parent_changes: Stat,
+    /// Sources evicted from a full per-source table (a per-peer pruned set
+    /// in either direction, or the parent table) to admit a newer one.
+    /// An evicted pruned source turns the link eager again, an evicted
+    /// parent loses its protection from pruning: wasteful but safe.
     pub pruned_evictions: Stat,
     /// Control bytes (IHAVE/IWANT/GRAFT/PRUNE) handed to the transport;
     /// payload bytes are in [`MessageStats::bytes_sent`]'s remainder.
@@ -370,6 +398,7 @@ impl PlumtreeStats {
         self.grafts += other.grafts;
         self.prunes += other.prunes;
         self.recovered += other.recovered;
+        self.parent_changes += other.parent_changes;
         self.pruned_evictions += other.pruned_evictions;
         self.control_bytes += other.control_bytes;
         self.requests_served += other.requests_served;
@@ -460,10 +489,39 @@ struct Missing {
 /// Announcers remembered per missing id; later announcements are dropped.
 const MAX_ANNOUNCERS: usize = 8;
 
-/// Per-peer bound on demoted sources; at the cap the smallest remembered
-/// source is evicted to make room (its link flips back to eager — wasteful
-/// but safe), counted in [`PlumtreeStats::pruned_evictions`].
+/// Bound on the sources of each per-source table: a per-peer pruned set
+/// in either direction, and the parent table. Source ids come off the
+/// wire, so none may grow without bound. At the cap the smallest
+/// remembered source is evicted to make room — deterministically:
+/// `HashSet` iteration order is randomly keyed per process, and an
+/// arbitrary victim would make simulated runs irreproducible. Counted in
+/// [`PlumtreeStats::pruned_evictions`].
 const MAX_PRUNED_SOURCES: usize = 1024;
+
+/// Adds `source` to a capped per-source set, evicting the smallest
+/// remembered source when the set is full.
+fn insert_capped(set: &mut HashSet<u32>, source: u32, evictions: &mut Stat) {
+    if set.len() >= MAX_PRUNED_SOURCES && !set.contains(&source) {
+        if let Some(&victim) = set.iter().min() {
+            set.remove(&victim);
+            evictions.incr();
+        }
+    }
+    set.insert(source);
+}
+
+/// The per-source pruning state of one overlay link, one set per
+/// direction. Absence means eager: every link starts eager for every
+/// source in both directions.
+#[derive(Debug, Clone, Default)]
+struct Link {
+    /// Sources whose payloads the peer asked us to stop pushing (it sent
+    /// us a PRUNE; its GRAFT undoes it).
+    pruned: HashSet<u32>,
+    /// Sources whose payloads we asked the peer to stop pushing (we sent
+    /// it a PRUNE; our GRAFT undoes it).
+    pruned_in: HashSet<u32>,
+}
 
 /// The announce ids owed to one peer, waiting for its next IHAVE frame.
 #[derive(Debug, Default)]
@@ -527,11 +585,11 @@ enum OutEntry<M> {
 pub struct EagerLazyNode<M, F = RecentCache, O = NoopObserver> {
     id: NodeId,
     peers: Vec<NodeId>,
-    /// Parallel to `peers`: the sources for which this link has been
-    /// demoted to lazy. Absence means eager — every link starts eager for
-    /// every source; PRUNEs (received, or sent on a duplicate) demote,
-    /// GRAFTs and recovered misses promote.
-    pruned: Vec<HashSet<u32>>,
+    /// Parallel to `peers`: each link's pruned sources, per direction.
+    links: Vec<Link>,
+    /// Per source, the index of the peer whose link is its parent (see
+    /// the module docs), never pruned on a duplicate.
+    parents: HashMap<u32, usize>,
     send_queues: Vec<VecDeque<OutEntry<M>>>,
     /// Parallel to `peers`: announce ids pending in the next IHAVE batch
     /// toward that peer.
@@ -592,7 +650,8 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         EagerLazyNode {
             id,
             peers,
-            pruned: vec![HashSet::new(); n],
+            links: vec![Link::default(); n],
+            parents: HashMap::new(),
             send_queues: (0..n).map(|_| VecDeque::new()).collect(),
             ihave_buf: (0..n).map(|_| Batch::default()).collect(),
             delivery: VecDeque::new(),
@@ -619,25 +678,35 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         &self.peers
     }
 
-    /// Peers currently in the eager (tree) set of `source`'s broadcast
-    /// tree.
+    /// Peers this node eager-pushes `source`'s payloads to: the outbound
+    /// view, which the peers' PRUNEs and GRAFTs edit.
     pub fn eager_peers(&self, source: NodeId) -> Vec<NodeId> {
-        let s = source.as_u32();
-        self.peers
-            .iter()
-            .zip(&self.pruned)
-            .filter_map(|(&p, pruned)| (!pruned.contains(&s)).then_some(p))
-            .collect()
+        self.peers_where(|l| !l.pruned.contains(&source.as_u32()))
     }
 
-    /// Peers currently in the lazy (announcement) set of `source`'s
-    /// broadcast tree.
+    /// Peers this node only announces `source`'s payloads to: the
+    /// outbound view, which the peers' PRUNEs and GRAFTs edit.
     pub fn lazy_peers(&self, source: NodeId) -> Vec<NodeId> {
-        let s = source.as_u32();
+        self.peers_where(|l| l.pruned.contains(&source.as_u32()))
+    }
+
+    /// Peers this node asked to stop pushing `source`'s payloads to it:
+    /// the inbound view, which this node's own PRUNEs and GRAFTs edit.
+    pub fn pruned_senders(&self, source: NodeId) -> Vec<NodeId> {
+        self.peers_where(|l| l.pruned_in.contains(&source.as_u32()))
+    }
+
+    /// The peer whose link is `source`'s parent here, if any (see the
+    /// module docs).
+    pub fn parent(&self, source: NodeId) -> Option<NodeId> {
+        self.parents.get(&source.as_u32()).map(|&i| self.peers[i])
+    }
+
+    fn peers_where(&self, keep: impl Fn(&Link) -> bool) -> Vec<NodeId> {
         self.peers
             .iter()
-            .zip(&self.pruned)
-            .filter_map(|(&p, pruned)| pruned.contains(&s).then_some(p))
+            .zip(&self.links)
+            .filter_map(|(&p, link)| keep(link).then_some(p))
             .collect()
     }
 
@@ -711,22 +780,21 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         self.peers.iter().position(|&p| p == peer)
     }
 
-    fn is_eager(&self, i: usize, source: u32) -> bool {
-        !self.pruned[i].contains(&source)
-    }
-
-    /// Demotes `source` on peer `i`'s link. A full pruned set evicts its
-    /// smallest source — deterministically: `HashSet` iteration order is
-    /// randomly keyed per process, and an arbitrary victim would make
-    /// simulated runs irreproducible.
-    fn remember_pruned(&mut self, i: usize, source: u32) {
-        if self.pruned[i].len() >= MAX_PRUNED_SOURCES && !self.pruned[i].contains(&source) {
-            if let Some(&victim) = self.pruned[i].iter().min() {
-                self.pruned[i].remove(&victim);
-                self.pt.pruned_evictions.incr();
+    /// Makes peer `i`'s link `source`'s parent. A full parent table
+    /// evicts its smallest source, as [`insert_capped`] does.
+    fn set_parent(&mut self, source: u32, i: usize) {
+        match self.parents.get(&source) {
+            Some(&p) if p == i => return,
+            Some(_) => self.pt.parent_changes.incr(),
+            None if self.parents.len() >= MAX_PRUNED_SOURCES => {
+                if let Some(&victim) = self.parents.keys().min() {
+                    self.parents.remove(&victim);
+                    self.pt.pruned_evictions.incr();
+                }
             }
+            None => {}
         }
-        self.pruned[i].insert(source);
+        self.parents.insert(source, i);
     }
 
     /// Broadcasts a message from the local consensus protocol: payload to
@@ -757,13 +825,17 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             Packet::IWant(ids) => self.on_request(from, &ids),
             Packet::Graft(source, ids) => {
                 if let Some(i) = self.peer_index(from) {
-                    self.pruned[i].remove(&source);
+                    self.links[i].pruned.remove(&source);
                 }
                 self.on_request(from, &ids);
             }
             Packet::Prune(source) => {
                 if let Some(i) = self.peer_index(from) {
-                    self.remember_pruned(i, source);
+                    insert_capped(
+                        &mut self.links[i].pruned,
+                        source,
+                        &mut self.pt.pruned_evictions,
+                    );
                 }
             }
         }
@@ -782,9 +854,11 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             });
         }
         if !self.filter.insert(mid) {
-            // Duplicate over a link that is eager for this source: the
-            // link is a cycle edge of that source's tree — demote it for
-            // this source only and tell the peer to stop.
+            // Duplicate over a link still eager toward us for this source:
+            // the link is a cycle edge of that source's tree. Ask the peer
+            // to stop pushing this source to us; our own pushes to it are
+            // its to stop. The parent link is kept even so: its copy lost
+            // the race to a link whose PRUNE is still in flight.
             self.stats.duplicates.incr();
             if O::ENABLED {
                 self.observer.record(Event::DuplicateDropped {
@@ -793,8 +867,14 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
                 });
             }
             if let Some(i) = self.peer_index(from) {
-                if self.is_eager(i, source) {
-                    self.remember_pruned(i, source);
+                if !self.links[i].pruned_in.contains(&source)
+                    && self.parents.get(&source) != Some(&i)
+                {
+                    insert_capped(
+                        &mut self.links[i].pruned_in,
+                        source,
+                        &mut self.pt.pruned_evictions,
+                    );
                     self.queue_control(i, Packet::Prune(source));
                     self.pt.prunes.incr();
                     if O::ENABLED {
@@ -814,26 +894,27 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         let was_missing = self.forget_missing(fold).is_some_and(|m| m.next > 0);
         if was_missing {
             self.pt.recovered.incr();
-            if let Some(i) = self.peer_index(from) {
-                if !self.is_eager(i, source) {
-                    // A lazy link recovered a timer-detected miss: this
-                    // source's tree is broken upstream of us. Promote the
-                    // link and make the promotion mutual so the peer
-                    // eager-pushes the source's next messages immediately.
-                    // (A fresh payload over a lazy link *without* a miss is
-                    // a prune/push crossing still in flight — no promotion,
-                    // or the edge flaps.)
-                    self.pruned[i].remove(&source);
-                    self.queue_control(i, Packet::Graft(source, Vec::new()));
-                    self.pt.grafts.incr();
-                    if O::ENABLED {
-                        self.observer.record(Event::Graft {
-                            node: self.id.as_u32(),
-                            peer: from.as_u32(),
-                            msg: fold,
-                        });
-                    }
+        }
+        if let Some(i) = self.peer_index(from) {
+            if was_missing && self.links[i].pruned_in.remove(&source) {
+                // A link we had pruned recovered a timer-detected miss:
+                // this source's tree is broken upstream of us. Ask the peer
+                // to push the source's next messages to us again. (A fresh
+                // payload over a pruned link *without* a miss is a
+                // prune/push crossing still in flight — no promotion, or
+                // the edge flaps.)
+                self.queue_control(i, Packet::Graft(source, Vec::new()));
+                self.pt.grafts.incr();
+                if O::ENABLED {
+                    self.observer.record(Event::Graft {
+                        node: self.id.as_u32(),
+                        peer: from.as_u32(),
+                        msg: fold,
+                    });
                 }
+            }
+            if !self.links[i].pruned_in.contains(&source) {
+                self.set_parent(source, i);
             }
         }
         self.register_fresh(source, msg, Some(from));
@@ -994,7 +1075,7 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             if Some(self.peers[i]) == origin || self.peers[i].as_u32() == source {
                 continue;
             }
-            let eager = self.is_eager(i, source);
+            let eager = !self.links[i].pruned.contains(&source);
             if eager {
                 self.queue_payload(i, source, Arc::clone(&shared), size);
             }
@@ -1270,10 +1351,11 @@ mod tests {
         node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(9)));
         node.take_outgoing();
         node.on_packet(NodeId::new(2), Packet::Payload(SRC, Msg(9)));
-        // Peer 2's link delivered a duplicate of SRC's message: demoted
-        // from SRC's tree + PRUNE sent, but still eager for other sources.
-        assert_eq!(node.lazy_peers(src()), vec![NodeId::new(2)]);
-        assert!(node.lazy_peers(NodeId::new(3)).is_empty());
+        // Peer 2's link delivered a duplicate of SRC's message: peer 2 is
+        // asked to stop pushing SRC to us (PRUNE sent), but still feeds us
+        // every other source.
+        assert_eq!(node.pruned_senders(src()), vec![NodeId::new(2)]);
+        assert!(node.pruned_senders(NodeId::new(3)).is_empty());
         assert_eq!(node.plumtree_stats().prunes.get(), 1);
         let out = node.take_outgoing();
         assert!(out.contains(&(NodeId::new(2), Packet::Prune(SRC))));
@@ -1477,16 +1559,22 @@ mod tests {
     #[test]
     fn recovery_promotes_and_grafts_the_lazy_link() {
         let mut node = node_with_peers(2);
-        node.on_packet(NodeId::new(2), Packet::Prune(SRC));
-        node.set_clock(0);
+        // Peer 1 feeds SRC first; peer 2's duplicate gets it pruned.
+        node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(1)));
+        node.on_packet(NodeId::new(2), Packet::Payload(SRC, Msg(1)));
+        assert_eq!(node.pruned_senders(src()), vec![NodeId::new(2)]);
+        node.take_deliveries();
+        // Msg(1)'s announcements leave, so the miss timer is the next one.
+        drain_when_due(&mut node);
         node.on_packet(NodeId::new(2), announce(&[fold(8)]));
         node.set_clock(node.next_timer().unwrap());
         node.on_timer();
         node.take_outgoing(); // the IWANT
         node.on_packet(NodeId::new(2), Packet::Payload(SRC, Msg(8)));
-        // The lazy link recovered the miss: promoted back into SRC's tree
-        // + mutual GRAFT.
-        assert!(node.eager_peers(src()).contains(&NodeId::new(2)));
+        // The pruned link recovered the miss: peer 2 is asked to push SRC
+        // again (GRAFT), and feeds SRC's tree to us from now on.
+        assert!(!node.pruned_senders(src()).contains(&NodeId::new(2)));
+        assert_eq!(node.parent(src()), Some(NodeId::new(2)));
         assert_eq!(node.plumtree_stats().recovered.get(), 1);
         assert_eq!(node.plumtree_stats().grafts.get(), 1);
         let out = node.take_outgoing();
@@ -1796,14 +1884,187 @@ mod tests {
         node.on_packet(peer, Packet::Prune(extra));
         assert_eq!(node.plumtree_stats().pruned_evictions.get(), 1);
 
-        // The duplicate-demote path shares the eviction policy: a dup of a
-        // brand-new source over the (still eager) link prunes it too.
+        // The duplicate path shares the eviction policy on the inbound
+        // side: with the peer's feed pruned for a full set of sources, a
+        // dup of a brand-new source over its (still eager) link prunes it
+        // too. The first copies come from a stranger, so no parent is
+        // recorded and the parent table stays empty.
+        let stranger = NodeId::new(99);
+        for source in 0..MAX_PRUNED_SOURCES as u32 {
+            let msg = Msg(1_000_000 + u64::from(source));
+            node.on_packet(stranger, Packet::Payload(source, msg.clone()));
+            node.on_packet(peer, Packet::Payload(source, msg));
+            node.take_outgoing();
+        }
+        assert_eq!(node.pruned_senders(NodeId::new(0)), vec![peer]);
+        assert_eq!(node.plumtree_stats().pruned_evictions.get(), 1);
         let fresh = 60_000;
-        node.on_packet(peer, Packet::Payload(fresh, Msg(424242)));
+        node.on_packet(stranger, Packet::Payload(fresh, Msg(424242)));
         node.take_outgoing();
         node.on_packet(peer, Packet::Payload(fresh, Msg(424242)));
-        assert_eq!(node.lazy_peers(NodeId::new(fresh)), vec![peer]);
+        assert_eq!(node.pruned_senders(NodeId::new(fresh)), vec![peer]);
+        assert!(
+            node.pruned_senders(NodeId::new(0)).is_empty(),
+            "victim evicted"
+        );
         assert_eq!(node.plumtree_stats().pruned_evictions.get(), 2);
+        assert_eq!(node.parent(NodeId::new(fresh)), None);
+    }
+
+    #[test]
+    fn a_duplicate_prunes_the_senders_pushes_not_ours() {
+        let mut node = node_with_peers(2);
+        node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(1)));
+        node.take_outgoing();
+        node.on_packet(NodeId::new(2), Packet::Payload(SRC, Msg(1)));
+        assert_eq!(
+            node.take_outgoing(),
+            vec![(NodeId::new(2), Packet::Prune(SRC))]
+        );
+        // Our pushes to peer 2 go on: only peer 2 can tell whether they
+        // are redundant.
+        assert_eq!(
+            node.eager_peers(src()),
+            vec![NodeId::new(1), NodeId::new(2)]
+        );
+        node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(2)));
+        assert_eq!(payloads(&node.take_outgoing()), vec![(NodeId::new(2), 2)]);
+    }
+
+    #[test]
+    fn a_received_prune_stops_only_our_pushes() {
+        let mut node = node_with_peers(2);
+        node.on_packet(NodeId::new(2), Packet::Prune(SRC));
+        node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(1)));
+        // Peer 1 is the origin and peer 2 asked us to stop: no payload.
+        assert!(payloads(&node.take_outgoing()).is_empty());
+        assert_eq!(node.lazy_peers(src()), vec![NodeId::new(2)]);
+        // Peer 2's feed to us is untouched, so its duplicate is ours to
+        // prune.
+        assert!(node.pruned_senders(src()).is_empty());
+        node.on_packet(NodeId::new(2), Packet::Payload(SRC, Msg(1)));
+        assert_eq!(
+            node.take_outgoing(),
+            vec![(NodeId::new(2), Packet::Prune(SRC))]
+        );
+        assert_eq!(node.pruned_senders(src()), vec![NodeId::new(2)]);
+    }
+
+    #[test]
+    fn the_parent_follows_first_copies_over_unpruned_links() {
+        let mut node = node_with_peers(3);
+        let stats = |n: &EagerLazyNode<Msg>| {
+            let pt = n.plumtree_stats();
+            (pt.prunes.get(), pt.parent_changes.get())
+        };
+        node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(1)));
+        assert_eq!(node.parent(src()), Some(NodeId::new(1)));
+        // Adopting a first parent is not a change.
+        assert_eq!(stats(&node), (0, 0));
+        node.on_packet(NodeId::new(2), Packet::Payload(SRC, Msg(2)));
+        assert_eq!(node.parent(src()), Some(NodeId::new(2)));
+        assert_eq!(stats(&node), (0, 1));
+        // The former parent's copy is a duplicate over a link that is no
+        // longer the parent: pruned.
+        node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(2)));
+        assert_eq!(node.pruned_senders(src()), vec![NodeId::new(1)]);
+        assert_eq!(stats(&node), (1, 1));
+        // A first copy over the pruned link is a crossing, not a parent.
+        node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(3)));
+        assert_eq!(node.parent(src()), Some(NodeId::new(2)));
+        assert_eq!(stats(&node), (1, 1));
+        node.on_packet(NodeId::new(3), Packet::Payload(SRC, Msg(4)));
+        assert_eq!(node.parent(src()), Some(NodeId::new(3)));
+        assert_eq!(stats(&node), (1, 2));
+    }
+
+    /// The prune/push crossing: the node prunes peer B after A's copy of
+    /// m1 wins, but B's push of m2 is already in flight and beats A's.
+    /// A's copy of m2 is then a duplicate over the parent link, which must
+    /// not be pruned, or the node is left with no eager feed for the
+    /// source and is fed by announcements and the miss timer from then on.
+    #[test]
+    fn a_prune_crossing_a_push_keeps_the_parent_feeding() {
+        // X = 0 hears source S = 3 through A = 1 and B = 2.
+        let (x, a, b, s) = (0, 1, 2, 3);
+        let mut nodes: Vec<EagerLazyNode<Msg>> = [[a, b], [x, s], [x, s], [a, b]]
+            .iter()
+            .enumerate()
+            .map(|(i, peers)| {
+                let peers = peers.iter().map(|&p| NodeId::new(p)).collect();
+                EagerLazyNode::new(NodeId::new(i as u32), peers, EagerLazyConfig::default())
+            })
+            .collect();
+        let src = NodeId::new(s);
+        // Hands every packet `from` has queued to its receiver.
+        let send = |nodes: &mut Vec<EagerLazyNode<Msg>>, from: u32| {
+            for (to, pkt) in nodes[from as usize].take_outgoing() {
+                nodes[to.as_index()].on_packet(NodeId::new(from), pkt);
+            }
+        };
+        nodes[s as usize].broadcast(Msg(1));
+        send(&mut nodes, s);
+        send(&mut nodes, a);
+        send(&mut nodes, b);
+        // A's copy won, B's was a duplicate: X's PRUNE to B is queued, but
+        // not yet sent when S's next message overtakes it through B.
+        assert_eq!(nodes[x as usize].parent(src), Some(NodeId::new(a)));
+        assert_eq!(nodes[x as usize].pruned_senders(src), vec![NodeId::new(b)]);
+        nodes[s as usize].broadcast(Msg(2));
+        send(&mut nodes, s);
+        send(&mut nodes, b);
+        send(&mut nodes, a);
+        assert_eq!(nodes[x as usize].parent(src), Some(NodeId::new(a)));
+        let prunes: Vec<NodeId> = nodes[x as usize]
+            .take_outgoing()
+            .into_iter()
+            .filter_map(|(to, pkt)| (pkt == Packet::Prune(s)).then_some(to))
+            .collect();
+        assert_eq!(prunes, vec![NodeId::new(b)]);
+        run_rounds(&mut nodes);
+        for node in nodes.iter_mut() {
+            node.take_deliveries();
+        }
+        // A still pushes to X, so S's next message reaches X with no
+        // clock advance: no announcement or miss timer is involved.
+        assert!(nodes[a as usize].eager_peers(src).contains(&NodeId::new(x)));
+        nodes[s as usize].broadcast(Msg(3));
+        run_rounds(&mut nodes);
+        assert_eq!(nodes[x as usize].take_deliveries(), vec![Msg(3)]);
+        assert_eq!(nodes[x as usize].plumtree_stats().iwant_packets.get(), 0);
+    }
+
+    #[test]
+    fn a_flood_of_source_ids_stays_under_the_cap() {
+        let mut node = node_with_peers(2);
+        let (one, two) = (NodeId::new(1), NodeId::new(2));
+        let extra = 100;
+        let sources = MAX_PRUNED_SOURCES as u32 + extra;
+        for source in 0..sources {
+            // Peer 1's copy becomes the parent, peer 2's duplicate is
+            // pruned, and peer 2 prunes our pushes: one entry in each of
+            // the three per-source tables.
+            let msg = Msg(1_000_000 + u64::from(source));
+            node.on_packet(one, Packet::Payload(source, msg.clone()));
+            node.on_packet(two, Packet::Payload(source, msg));
+            node.on_packet(two, Packet::Prune(source));
+            node.take_outgoing();
+        }
+        assert_eq!(node.parents.len(), MAX_PRUNED_SOURCES);
+        assert_eq!(node.links[1].pruned_in.len(), MAX_PRUNED_SOURCES);
+        assert_eq!(node.links[1].pruned.len(), MAX_PRUNED_SOURCES);
+        assert!(node.links[0].pruned.is_empty() && node.links[0].pruned_in.is_empty());
+        assert_eq!(
+            node.plumtree_stats().pruned_evictions.get(),
+            3 * u64::from(extra)
+        );
+        // The smallest sources were evicted, the newest kept.
+        let newest = NodeId::new(sources - 1);
+        assert_eq!(node.parent(newest), Some(one));
+        assert_eq!(node.pruned_senders(newest), vec![two]);
+        assert_eq!(node.parent(NodeId::new(0)), None);
+        assert!(node.pruned_senders(NodeId::new(0)).is_empty());
+        assert_eq!(node.plumtree_stats().parent_changes.get(), 0);
     }
 
     impl Wire for Msg {

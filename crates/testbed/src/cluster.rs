@@ -1138,6 +1138,50 @@ mod tests {
         assert!(eager_lazy <= 1.29, "eager/lazy redundancy {eager_lazy:.2}");
     }
 
+    /// The half phase of the `sim_eagerlazy_g4_n13` benchmark workload:
+    /// 13 processes on the overlay pinned by seed 7, 4 groups, batches of
+    /// 8, 400 values/s, 0.5 s warm-up, run seed 1; `window` and `drain` in
+    /// seconds.
+    fn eager_lazy_g4_half(window: f64, drain: f64) -> RunMetrics {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let overlay = connected_k_out(13, paper_fanout(13), &mut rng, 100).expect("connected");
+        let mut params = ClusterParams::paper(13, Setup::EagerLazyGossip)
+            .with_groups(4)
+            .with_batch_values(8)
+            .with_rate(400.0)
+            .with_seconds(window, 0.5)
+            .with_seed(1)
+            .with_overlay(overlay);
+        params.drain = SimDuration::from_secs_f64(drain);
+        run_cluster(&params)
+    }
+
+    #[test]
+    fn eager_lazy_trees_settle() {
+        // A run is a prefix of every longer run with the same warm-up and
+        // seed: cut at 1 s, it shares the full run's first second event for
+        // event. Equal tree-edit counters therefore mean that none happened
+        // in the full run after its first second.
+        let first_second = eager_lazy_g4_half(0.5, 0.0);
+        let full = eager_lazy_g4_half(2.0, 1.5);
+        let (early, pt) = (&first_second.plumtree, &full.plumtree);
+        assert!(early.prunes.get() > 0, "the trees formed");
+        assert_eq!(pt.prunes, early.prunes, "PRUNE after the first second");
+        assert_eq!(pt.grafts, early.grafts, "GRAFT after the first second");
+        assert_eq!(
+            pt.parent_changes, early.parent_changes,
+            "parent change after the first second"
+        );
+        // Every process gets every source's payloads through its tree: no
+        // id is requested or recovered, and no acceptor waits for a value.
+        assert_eq!(pt.iwant_packets.get(), 0);
+        assert_eq!(pt.recovered.get(), 0);
+        assert_eq!(full.value_waits, 0);
+        assert!(full.safety_ok);
+        assert_eq!(full.not_ordered_in_window, 0);
+    }
+
     #[test]
     fn eager_lazy_masks_moderate_loss_via_recovery() {
         // Drain long enough for a worst-case repair chain on a value

@@ -24,6 +24,7 @@ use simnet::{
 
 use crate::audit::{AuditReport, RunAudit, SafetyAuditor};
 use crate::cluster::{run_cluster, ClusterParams, Setup};
+use crate::metrics::RunMetrics;
 
 /// Quantizes a loss rate to four decimals so the spec string round-trips
 /// exactly (`0.1234` parses back to the same `f64`).
@@ -525,42 +526,50 @@ impl Fuzzer {
         params
     }
 
-    /// Runs one plan under run seed `seed` and audits it, on push gossip
-    /// and on direct channels — the one substrate where a retransmitted
-    /// proposal reaches the acceptors. With neutrality checking on, the
-    /// same schedule also runs on Semantic Gossip and on eager/lazy
-    /// dissemination: each run is individually audited on every plan
-    /// (agreement/integrity even while link cuts force tree repair), and
-    /// on benign plans the decided sets of both alternative substrates are
-    /// compared against push gossip's.
-    pub fn run_plan(&self, plan: &FaultPlan, seed: u64) -> AuditReport {
-        let gossip = run_cluster(&plan.apply(self.base_params(Setup::Gossip, seed)));
-        let baseline = run_cluster(&plan.apply(self.base_params(Setup::Baseline, seed)));
-        let mut report = AuditReport {
-            violations: gossip.violations.clone(),
-        };
-        report.merge(AuditReport {
-            violations: baseline.violations,
-        });
+    /// The substrates a plan runs on, in audit order: push gossip, then
+    /// direct channels — the one substrate where a retransmitted proposal
+    /// reaches the acceptors — then, with neutrality checking on, Semantic
+    /// Gossip and eager/lazy dissemination.
+    fn substrates(&self) -> Vec<Setup> {
+        let mut setups = vec![Setup::Gossip, Setup::Baseline];
         if self.config.check_neutrality {
-            let semantic = run_cluster(&plan.apply(self.base_params(Setup::SemanticGossip, seed)));
-            let eager = run_cluster(&plan.apply(self.base_params(Setup::EagerLazyGossip, seed)));
+            setups.extend([Setup::SemanticGossip, Setup::EagerLazyGossip]);
+        }
+        setups
+    }
+
+    fn run(&self, plan: &FaultPlan, setup: Setup, seed: u64) -> RunMetrics {
+        run_cluster(&plan.apply(self.base_params(setup, seed)))
+    }
+
+    /// Runs one plan under run seed `seed` on every
+    /// [`substrate`](Self::substrates) and audits each run individually
+    /// (agreement/integrity even while link cuts force tree repair). On
+    /// benign plans the decided sets of Semantic Gossip and eager/lazy
+    /// dissemination are also compared against push gossip's.
+    pub fn run_plan(&self, plan: &FaultPlan, seed: u64) -> AuditReport {
+        let runs: Vec<(Setup, RunMetrics)> = self
+            .substrates()
+            .into_iter()
+            .map(|setup| (setup, self.run(plan, setup, seed)))
+            .collect();
+        let mut report = AuditReport::default();
+        for (_, m) in &runs {
             report.merge(AuditReport {
-                violations: semantic.violations.clone(),
+                violations: m.violations.clone(),
             });
-            report.merge(AuditReport {
-                violations: eager.violations.clone(),
-            });
-            // The set comparison is only sound when nothing was lost or
-            // down; both runs are still individually audited above on
-            // every plan. Sharded configs compare each group's decided
-            // set on its own — values must not leak between shards.
-            if plan.is_benign() {
-                for (a, b) in gossip.audits.iter().zip(&semantic.audits) {
-                    report.merge(SafetyAuditor::audit_neutrality(a, b));
-                }
-                for (a, b) in gossip.audits.iter().zip(&eager.audits) {
-                    report.merge(SafetyAuditor::audit_neutrality(a, b));
+        }
+        let gossip = &runs[0].1;
+        // The set comparison is only sound when nothing was lost or down;
+        // every run is still individually audited above on every plan.
+        // Sharded configs compare each group's decided set on its own —
+        // values must not leak between shards.
+        if plan.is_benign() {
+            for (setup, m) in &runs {
+                if matches!(setup, Setup::SemanticGossip | Setup::EagerLazyGossip) {
+                    for (a, b) in gossip.audits.iter().zip(&m.audits) {
+                        report.merge(SafetyAuditor::audit_neutrality(a, b));
+                    }
                 }
             }
         }
@@ -574,29 +583,15 @@ impl Fuzzer {
 
     /// Produces a flight-recorder dump for a plan: re-runs it (runs are
     /// deterministic, so the replay recreates the exact event stream) and
-    /// returns the recent-event tail of the run whose audit failed,
-    /// preferring the Gossip substrate, then direct channels. `None` when
-    /// the flight recorder is disabled or captured nothing.
+    /// returns the recent-event tail of the first run, in
+    /// [`substrates`](Self::substrates) order, whose audit failed. `None`
+    /// when the flight recorder is disabled or captured nothing.
     pub fn flight_dump(&self, plan: &FaultPlan, seed: u64, reason: &str) -> Option<String> {
-        let gossip = run_cluster(&plan.apply(self.base_params(Setup::Gossip, seed)));
-        if !gossip.violations.is_empty() {
-            return gossip.flight_dump(reason);
-        }
-        let baseline = run_cluster(&plan.apply(self.base_params(Setup::Baseline, seed)));
-        if !baseline.violations.is_empty() {
-            return baseline.flight_dump(reason);
-        }
-        if !self.config.check_neutrality {
-            return gossip.flight_dump(reason);
-        }
-        let semantic = run_cluster(&plan.apply(self.base_params(Setup::SemanticGossip, seed)));
-        if !semantic.violations.is_empty() {
-            semantic.flight_dump(reason)
-        } else {
-            // Cross-run violation (neutrality) or corrupted-audit selftest:
-            // no single run failed, fall back to the gossip run's tail.
-            gossip.flight_dump(reason)
-        }
+        let runs = self
+            .substrates()
+            .into_iter()
+            .map(|setup| self.run(plan, setup, seed));
+        first_failing_dump(runs, reason)
     }
 
     /// Runs the seed's derived plan.
@@ -659,6 +654,21 @@ impl Fuzzer {
     }
 }
 
+/// The flight dump of the first of `runs` whose audit failed, running no
+/// more of them than that. When none failed on its own — a cross-run
+/// violation (neutrality) or the corrupted-audit selftest — the first
+/// run's tail stands in.
+fn first_failing_dump(runs: impl IntoIterator<Item = RunMetrics>, reason: &str) -> Option<String> {
+    let mut first = None;
+    for m in runs {
+        if !m.violations.is_empty() {
+            return m.flight_dump(reason);
+        }
+        first.get_or_insert(m);
+    }
+    first?.flight_dump(reason)
+}
+
 /// Self-test corruption: rewrite one delivered value to a phantom id no
 /// client ever submitted (an integrity violation the auditor must catch).
 fn corrupt_one_entry(audit: &mut RunAudit) {
@@ -681,6 +691,7 @@ fn corrupt_one_entry(audit: &mut RunAudit) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::Violation;
 
     fn tiny_config() -> FuzzConfig {
         FuzzConfig {
@@ -829,6 +840,40 @@ mod tests {
         for line in lines {
             obs::TimedEvent::from_json(line).expect("valid trace line");
         }
+    }
+
+    #[test]
+    fn flight_dump_names_the_eager_lazy_run_when_it_alone_failed() {
+        let fuzzer = Fuzzer::new(tiny_config());
+        let setups = fuzzer.substrates();
+        assert_eq!(setups.last(), Some(&Setup::EagerLazyGossip));
+        // Every run audits clean on the empty plan; give the eager/lazy
+        // one a violation of its own.
+        let runs = setups.iter().map(|&setup| {
+            let mut m = fuzzer.run(&FaultPlan::default(), setup, 7);
+            if setup == Setup::EagerLazyGossip {
+                m.violations.push(Violation::Gap {
+                    node: 0,
+                    expected: 0,
+                    found: 1,
+                });
+            }
+            m
+        });
+        let dump =
+            first_failing_dump(runs, "eager/lazy audit failure").expect("flight recorder is on");
+        // Only the eager/lazy substrate announces payloads.
+        assert!(
+            dump.contains("\"ihave_sent\""),
+            "not the eager/lazy run's tail"
+        );
+        let clean = first_failing_dump(
+            [Setup::Gossip, Setup::EagerLazyGossip]
+                .map(|setup| fuzzer.run(&FaultPlan::default(), setup, 7)),
+            "cross-run failure",
+        )
+        .expect("flight recorder is on");
+        assert!(!clean.contains("\"ihave_sent\""), "not the push run's tail");
     }
 
     #[test]

@@ -432,6 +432,7 @@ impl RunMetrics {
             ("grafts", pt.grafts.get()),
             ("prunes", pt.prunes.get()),
             ("recovered", pt.recovered.get()),
+            ("parent_changes", pt.parent_changes.get()),
             ("pruned_evictions", pt.pruned_evictions.get()),
             ("control_bytes", pt.control_bytes.get()),
             ("requests_served", pt.requests_served.get()),
@@ -650,6 +651,7 @@ mod tests {
         m.record_value(&fate(0, 100, Some(250), true));
         m.gossip.received.add(7);
         m.plumtree.requests_unserved.add(4);
+        m.plumtree.parent_changes.add(3);
         m.value_waits = 2;
         m.proposals_parked = 5;
         m.trace_kinds = vec![("decided", 3), ("phase2a", 9)];
@@ -663,6 +665,9 @@ mod tests {
             .contains("gossip_messages_total{setup=\"Semantic Gossip\",counter=\"received\"} 7"));
         assert!(text.contains(
             "plumtree_messages_total{setup=\"Semantic Gossip\",counter=\"requests_unserved\"} 4"
+        ));
+        assert!(text.contains(
+            "plumtree_messages_total{setup=\"Semantic Gossip\",counter=\"parent_changes\"} 3"
         ));
         assert!(text.contains("trace_events_total{setup=\"Semantic Gossip\",kind=\"phase2a\"} 9"));
         assert!(text.contains("testbed_safety_ok{setup=\"Semantic Gossip\"} 1"));
