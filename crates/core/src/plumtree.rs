@@ -69,6 +69,15 @@
 //! first copy over a pruned link neither promotes the link nor makes it
 //! the parent: the crossing settles when the PRUNE lands.
 //!
+//! Nor does a node push a source's payloads to its parent for that
+//! source; it announces them there instead. A settled parent has them
+//! already. During a crossing, though, the node's first copy comes over
+//! the link it is pruning, and pushed on to the parent it can beat the
+//! parent's own feed and make the node the parent's parent. Each of the
+//! two then keeps the other from being pruned while neither forwards the
+//! other anything, every other feed of both is pruned, and both are left
+//! to the miss timer for good.
+//!
 //! # Announcements leave in batches
 //!
 //! The ids owed to a peer wait in a per-peer batch that leaves as **one**
@@ -1075,7 +1084,10 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             if Some(self.peers[i]) == origin || self.peers[i].as_u32() == source {
                 continue;
             }
-            let eager = !self.links[i].pruned.contains(&source);
+            // Nor to the parent, which has it already (see the module
+            // docs): announced only.
+            let eager =
+                !self.links[i].pruned.contains(&source) && self.parents.get(&source) != Some(&i);
             if eager {
                 self.queue_payload(i, source, Arc::clone(&shared), size);
             }
@@ -2032,6 +2044,88 @@ mod tests {
         run_rounds(&mut nodes);
         assert_eq!(nodes[x as usize].take_deliveries(), vec![Msg(3)]);
         assert_eq!(nodes[x as usize].plumtree_stats().iwant_packets.get(), 0);
+    }
+
+    #[test]
+    fn a_first_copy_is_announced_to_the_parent_not_pushed() {
+        let mut node = node_with_peers(2);
+        node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(1)));
+        node.on_packet(NodeId::new(2), Packet::Payload(SRC, Msg(1)));
+        node.take_outgoing();
+        drain_when_due(&mut node);
+        // Peer 2's PRUNE is in flight when its push of Msg(2) beats the
+        // parent's: peer 1 gets an announcement, not a payload.
+        node.on_packet(NodeId::new(2), Packet::Payload(SRC, Msg(2)));
+        let mut out = node.take_outgoing();
+        out.extend(drain_when_due(&mut node));
+        assert!(payloads(&out).is_empty());
+        assert_eq!(ihaves(&out), vec![(NodeId::new(1), vec![], vec![fold(2)])]);
+        // Another source's payloads still reach peer 1.
+        node.on_packet(NodeId::new(2), Packet::Payload(SRC + 1, Msg(3)));
+        assert_eq!(payloads(&node.take_outgoing()), vec![(NodeId::new(1), 3)]);
+    }
+
+    /// Source S reaches X two ways around a ring, S-Q-P-X and S-L-X. X
+    /// feeds from P and has just pruned L when L's push of m2 beats P's.
+    /// Were X to push m2 on to its parent P, it could beat P's own copy
+    /// from Q: P would make X its parent and prune Q, and once X's PRUNE
+    /// to L landed, no payload of S would ever reach X or P again.
+    #[test]
+    fn parents_form_no_cycle_when_a_crossing_copy_wins() {
+        let (s, q, p, x, l) = (0, 1, 2, 3, 4);
+        let ring: [[u32; 2]; 5] = [[q, l], [s, p], [q, x], [p, l], [x, s]];
+        let mut nodes: Vec<EagerLazyNode<Msg>> = ring
+            .iter()
+            .enumerate()
+            .map(|(i, peers)| {
+                let peers = peers.iter().map(|&p| NodeId::new(p)).collect();
+                EagerLazyNode::new(NodeId::new(i as u32), peers, EagerLazyConfig::default())
+            })
+            .collect();
+        let src = NodeId::new(s);
+        // Hands the packets `from` has sent toward `to` to it; the rest
+        // wait in `held`, in order.
+        let mut held: Vec<Vec<(NodeId, Packet<Msg>)>> = vec![Vec::new(); ring.len()];
+        let mut send = |nodes: &mut Vec<EagerLazyNode<Msg>>, from: u32, to: u32| {
+            let queue = &mut held[from as usize];
+            queue.extend(nodes[from as usize].take_outgoing());
+            let (now, later) = std::mem::take(queue)
+                .into_iter()
+                .partition(|(dst, _)| dst.as_u32() == to);
+            *queue = later;
+            for (_, pkt) in now {
+                nodes[to as usize].on_packet(NodeId::new(from), pkt);
+            }
+        };
+        nodes[s as usize].broadcast(Msg(1));
+        send(&mut nodes, s, q);
+        send(&mut nodes, q, p);
+        send(&mut nodes, p, x);
+        send(&mut nodes, s, l);
+        send(&mut nodes, l, x);
+        assert_eq!(nodes[x as usize].parent(src), Some(NodeId::new(p)));
+        assert_eq!(nodes[x as usize].pruned_senders(src), vec![NodeId::new(l)]);
+        // m2 goes around the fast side first, X's PRUNE to L still queued.
+        nodes[s as usize].broadcast(Msg(2));
+        send(&mut nodes, s, l);
+        send(&mut nodes, l, x);
+        send(&mut nodes, x, p);
+        send(&mut nodes, s, q);
+        send(&mut nodes, q, p);
+        for (from, to) in [(x, l), (l, x), (p, q), (q, p), (p, x), (x, p)] {
+            send(&mut nodes, from, to);
+        }
+        run_rounds(&mut nodes);
+        assert_eq!(nodes[x as usize].parent(src), Some(NodeId::new(p)));
+        assert_eq!(nodes[p as usize].parent(src), Some(NodeId::new(q)));
+        for node in nodes.iter_mut() {
+            node.take_deliveries();
+        }
+        // Both still get S's next message pushed: no clock advance.
+        nodes[s as usize].broadcast(Msg(3));
+        run_rounds(&mut nodes);
+        assert_eq!(nodes[p as usize].take_deliveries(), vec![Msg(3)]);
+        assert_eq!(nodes[x as usize].take_deliveries(), vec![Msg(3)]);
     }
 
     #[test]
