@@ -16,13 +16,14 @@
 //!
 //! The expected digests were generated before the replay was unified and
 //! are not to be regenerated by a change that claims to keep behaviour.
-//! The replay code has not changed since; its input has, three times, and
+//! The replay code has not changed since; its input has, four times, and
 //! the digests were re-pinned with the golden runs each time: both runs'
 //! proposals went thin (EXPERIMENTS.md, "Send-once walkthrough"), the
 //! eager/lazy run's announcements started to leave in per-peer batches
-//! (EXPERIMENTS.md, "Announcement walkthrough"), then its timers started
-//! to fire at their deadlines instead of on the simulator's 50 ms poll
-//! (EXPERIMENTS.md, "Timer walkthrough").
+//! (EXPERIMENTS.md, "Announcement walkthrough"), its timers started to
+//! fire at their deadlines instead of on the simulator's 50 ms poll
+//! (EXPERIMENTS.md, "Timer walkthrough"), then its PRUNEs started to stop
+//! only what their sender receives (EXPERIMENTS.md, "Tree walkthrough").
 
 use std::process::Command;
 
@@ -267,45 +268,45 @@ fn mid_stream_windows_replay_without_panicking() {
 }
 
 const MULTI_RUN: &str = r#"
-events=156939 nodes=13 runs=2 unresolved_hops=0
-report=54d8f8fec7e96758
-json=d189a4301505a692
-csv=2f31d90c4a33abd4
+events=163428 nodes=13 runs=2 unresolved_hops=0
+report=b2a7ee8a3dc070c9
+json=3563f00314324ef2
+csv=813bf3ca3fd77658
 ledger 1: attributed=2120488 unattributed=0 frames=0/0 cells=9b6824d9b424d2a3 classes=2486d8b7f459165c
-ledger 2: attributed=2373989 unattributed=0 frames=0/0 cells=d5f61cfe0ab3230b classes=09612b07b5ecb5a5
-critical paths=96 not_fully_resolved=0 report=bfe517969a3d4c65
+ledger 2: attributed=2655738 unattributed=0 frames=0/0 cells=10aa0dc5b716ac0c classes=09612b07b5ecb5a5
+critical paths=98 not_fully_resolved=0 report=6c327e1cc2d776a0
 "#;
 
 const HEALTH_PER_RUN: &str = r#"
 run 1: default HealthSummary { stalls_detected: 0, stalls_cleared: 0, max_stall_ms: 0, stalled_instance: None, open_instances: 0, pending_values: 0 } / 150ms HealthSummary { stalls_detected: 1, stalls_cleared: 1, max_stall_ms: 445, stalled_instance: None, open_instances: 0, pending_values: 0 }
-run 2: default HealthSummary { stalls_detected: 0, stalls_cleared: 0, max_stall_ms: 0, stalled_instance: None, open_instances: 3, pending_values: 3 } / 150ms HealthSummary { stalls_detected: 1, stalls_cleared: 1, max_stall_ms: 444, stalled_instance: None, open_instances: 3, pending_values: 3 }
+run 2: default HealthSummary { stalls_detected: 0, stalls_cleared: 0, max_stall_ms: 0, stalled_instance: None, open_instances: 0, pending_values: 0 } / 150ms HealthSummary { stalls_detected: 1, stalls_cleared: 1, max_stall_ms: 444, stalled_instance: None, open_instances: 0, pending_values: 0 }
 "#;
 
 const TRACETOOL: &str = r#"
-report --csv: exit=0 stdout=54d8f8fec7e96758
-report --json: exit=0 stdout=128895b3b89a1448
-report --max-redundancy 2: exit=1 stdout=54d8f8fec7e96758
-ledger --csv: exit=0 stdout=2c4a4e8315e9bbed
-ledger --json: exit=0 stdout=4a771bd1fa75998f
-ledger --min-attribution 100: exit=0 stdout=2c4a4e8315e9bbed
-critical-path: exit=0 stdout=bfe517969a3d4c65
-critical-path --instance 3: exit=0 stdout=f3e61a851a43963d
+report --csv: exit=0 stdout=b2a7ee8a3dc070c9
+report --json: exit=0 stdout=eb1fcd3b517c2f68
+report --max-redundancy 2: exit=1 stdout=b2a7ee8a3dc070c9
+ledger --csv: exit=0 stdout=04932724f2a6e058
+ledger --json: exit=0 stdout=667f14517ae8efff
+ledger --min-attribution 100: exit=0 stdout=04932724f2a6e058
+critical-path: exit=0 stdout=6c327e1cc2d776a0
+critical-path --instance 3: exit=0 stdout=4e2b0e7b0a0bf75e
 health: exit=0 stdout=e042271e6908c453
 health --stall-after-ms 150: exit=1 stdout=2000d8cb1c5af3ea
-report.csv: 2f31d90c4a33abd4
-ledger.csv: be42df256b375a21
+report.csv: 813bf3ca3fd77658
+ledger.csv: 4393b86999959104
 "#;
 
 const TAIL: &str = r#"
 events=1024 nodes=13 runs=1 unresolved_hops=0
-report=73c7289d15a790ad
-json=d2372fefbc5ff8ce
-csv=a9ca2ce64c3f8781
-ledger 1: attributed=20756 unattributed=0 frames=0/0 cells=a0708a63c6cf40ce classes=09612b07b5ecb5a5
-critical paths=3 not_fully_resolved=0 report=f48ec69b6fa09085
+report=582f83abe889f310
+json=68fc7998366400a5
+csv=5dc3a39260289890
+ledger 1: attributed=19171 unattributed=0 frames=0/0 cells=59de1bae3b06dbc4 classes=09612b07b5ecb5a5
+critical paths=2 not_fully_resolved=0 report=f8ce3eba79458f12
 "#;
 
-const TAIL_HEALTH: &str = "HealthSummary { stalls_detected: 0, stalls_cleared: 0, max_stall_ms: 0, stalled_instance: None, open_instances: 12, pending_values: 0 }";
+const TAIL_HEALTH: &str = "HealthSummary { stalls_detected: 0, stalls_cleared: 0, max_stall_ms: 0, stalled_instance: None, open_instances: 16, pending_values: 0 }";
 
 const MID_RUN: &str = r#"
 events=1024 nodes=13 runs=1 unresolved_hops=0

@@ -11,11 +11,14 @@
 //! thin (a Phase 2a names its value by id; the value travels once, in its
 //! `ClientValue`; EXPERIMENTS.md, "Send-once walkthrough"), when eager/lazy
 //! announcements started to leave in per-peer batches (only
-//! `eagerlazy_g4_batch8_n13` moved; "Announcement walkthrough"), and last
-//! when the simulator started to wake each process at its runtime's next
-//! deadline instead of on fixed polls: `faults_n21`, `failover_g2_n13` and
+//! `eagerlazy_g4_batch8_n13` moved; "Announcement walkthrough"), when the
+//! simulator started to wake each process at its runtime's next deadline
+//! instead of on fixed polls: `faults_n21`, `failover_g2_n13` and
 //! `eagerlazy_g4_batch8_n13` moved, and EXPERIMENTS.md ("Timer
-//! walkthrough") lists the old and new value of each of their fields.
+//! walkthrough") lists the old and new value of each of their fields. Last,
+//! eager/lazy PRUNEs started to stop only what their sender receives, with
+//! a sticky parent link: only `eagerlazy_g4_batch8_n13` moved (EXPERIMENTS.md,
+//! "Tree walkthrough").
 
 use overlay::{connected_k_out, paper_fanout, Graph};
 use rand::rngs::StdRng;
@@ -250,17 +253,17 @@ trace lines=464577 bytes=41030855 hash=f47f386228fc9272
 value_waits=0 proposals_parked=228 safety_ok=true
 "#;
 const EAGERLAZY_G4_N13: &str = r#"
-submitted_in_window=400 ordered=397 not_ordered=3 ordered_by_group=[100, 100, 97, 100]
-latency_p50_ns=345031835 latency_p99_ns=1334728284
-bytes_out_by_class=[("ClientValue", 8749020), ("Decision", 7714798), ("GRAFT", 1379), ("IHAVE", 2415998), ("IWANT", 50897), ("PRUNE", 2535), ("Phase1a", 1360), ("Phase1b", 11610), ("Phase2a", 86913), ("Phase2b", 1167932)]
-node_received=123413 node_sent=123622 received_by_kind=[8445, 136, 1161, 7032, 88608, 0, 6967]
-gossip sent=112477 filtered=0 duplicates=6794 aggregated_away=0 bytes_sent=20202442
-group 0: longest_log=150 delivered_hash=96154043705487a3 promises_hash=560f5907f86ef205
-group 1: longest_log=150 delivered_hash=21a7be3faf7ad00d promises_hash=560f5907f86ef205
-group 2: longest_log=150 delivered_hash=3dcc8f907efa7e82 promises_hash=560f5907f86ef205
+submitted_in_window=400 ordered=400 not_ordered=0 ordered_by_group=[100, 100, 100, 100]
+latency_p50_ns=323684611 latency_p99_ns=468018131
+bytes_out_by_class=[("ClientValue", 9127160), ("Decision", 7463976), ("IHAVE", 2494836), ("PRUNE", 1425), ("Phase1a", 1360), ("Phase1b", 15890), ("Phase2a", 86406), ("Phase2b", 1163319)]
+node_received=118672 node_sent=118672 received_by_kind=[8810, 136, 1589, 6934, 88326, 0, 6756]
+gossip sent=112551 filtered=0 duplicates=3339 aggregated_away=0 bytes_sent=20354372
+group 0: longest_log=150 delivered_hash=f9cf743689c159ff promises_hash=560f5907f86ef205
+group 1: longest_log=150 delivered_hash=62d2b81df47f3167 promises_hash=560f5907f86ef205
+group 2: longest_log=150 delivered_hash=5b2cb0d9ad50edc8 promises_hash=560f5907f86ef205
 group 3: longest_log=150 delivered_hash=e0ddea2447453bc8 promises_hash=560f5907f86ef205
-trace lines=611609 bytes=55106284 hash=a3d2d26426707aee
-value_waits=500 proposals_parked=746 safety_ok=true
+trace lines=606412 bytes=54718318 hash=753d47aeac04982f
+value_waits=0 proposals_parked=483 safety_ok=true
 "#;
 const FAULTS_N21: &str = r#"
 submitted_in_window=40 ordered=40 not_ordered=0 ordered_by_group=[40]
