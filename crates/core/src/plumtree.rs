@@ -67,7 +67,9 @@
 //! pruning it too would leave the node with no eager feed for the source
 //! at all, fed from then on by announcements and the miss timer. Such a
 //! first copy over a pruned link neither promotes the link nor makes it
-//! the parent: the crossing settles when the PRUNE lands.
+//! the parent: the crossing settles when the PRUNE lands. A pruned link
+//! that recovers a timer-detected miss is grafted, and so becomes the
+//! parent.
 //!
 //! Nor does a node push a source's payloads to its parent for that
 //! source; it announces them there instead. A settled parent has them
@@ -687,35 +689,26 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         &self.peers
     }
 
-    /// Peers this node eager-pushes `source`'s payloads to: the outbound
-    /// view, which the peers' PRUNEs and GRAFTs edit.
+    /// Peers whose links are eager for `source`: the outbound view, the
+    /// peers this node pushes `source`'s payloads to unless one is its
+    /// parent for `source`. The peers' PRUNEs and GRAFTs edit it.
     pub fn eager_peers(&self, source: NodeId) -> Vec<NodeId> {
-        self.peers_where(|l| !l.pruned.contains(&source.as_u32()))
-    }
-
-    /// Peers this node only announces `source`'s payloads to: the
-    /// outbound view, which the peers' PRUNEs and GRAFTs edit.
-    pub fn lazy_peers(&self, source: NodeId) -> Vec<NodeId> {
-        self.peers_where(|l| l.pruned.contains(&source.as_u32()))
-    }
-
-    /// Peers this node asked to stop pushing `source`'s payloads to it:
-    /// the inbound view, which this node's own PRUNEs and GRAFTs edit.
-    pub fn pruned_senders(&self, source: NodeId) -> Vec<NodeId> {
-        self.peers_where(|l| l.pruned_in.contains(&source.as_u32()))
-    }
-
-    /// The peer whose link is `source`'s parent here, if any (see the
-    /// module docs).
-    pub fn parent(&self, source: NodeId) -> Option<NodeId> {
-        self.parents.get(&source.as_u32()).map(|&i| self.peers[i])
-    }
-
-    fn peers_where(&self, keep: impl Fn(&Link) -> bool) -> Vec<NodeId> {
+        let s = source.as_u32();
         self.peers
             .iter()
             .zip(&self.links)
-            .filter_map(|(&p, link)| keep(link).then_some(p))
+            .filter_map(|(&p, link)| (!link.pruned.contains(&s)).then_some(p))
+            .collect()
+    }
+
+    /// Peers whose links are lazy for `source`: the outbound view, the
+    /// peers that asked this node to only announce `source`'s payloads.
+    pub fn lazy_peers(&self, source: NodeId) -> Vec<NodeId> {
+        let s = source.as_u32();
+        self.peers
+            .iter()
+            .zip(&self.links)
+            .filter_map(|(&p, link)| link.pruned.contains(&s).then_some(p))
             .collect()
     }
 
@@ -1277,6 +1270,28 @@ mod tests {
     /// The source id most tests broadcast under.
     const SRC: u32 = 7;
 
+    /// Peers `node` asked to stop pushing `source`'s payloads to it: the
+    /// inbound view, which its own PRUNEs and GRAFTs edit.
+    fn pruned_senders<F: DuplicateFilter, O: Observer>(
+        node: &EagerLazyNode<Msg, F, O>,
+        source: NodeId,
+    ) -> Vec<NodeId> {
+        let s = source.as_u32();
+        node.peers
+            .iter()
+            .zip(&node.links)
+            .filter_map(|(&p, link)| link.pruned_in.contains(&s).then_some(p))
+            .collect()
+    }
+
+    /// The peer whose link is `source`'s parent at `node`, if any.
+    fn parent<F: DuplicateFilter, O: Observer>(
+        node: &EagerLazyNode<Msg, F, O>,
+        source: NodeId,
+    ) -> Option<NodeId> {
+        node.parents.get(&source.as_u32()).map(|&i| node.peers[i])
+    }
+
     fn src() -> NodeId {
         NodeId::new(SRC)
     }
@@ -1366,8 +1381,8 @@ mod tests {
         // Peer 2's link delivered a duplicate of SRC's message: peer 2 is
         // asked to stop pushing SRC to us (PRUNE sent), but still feeds us
         // every other source.
-        assert_eq!(node.pruned_senders(src()), vec![NodeId::new(2)]);
-        assert!(node.pruned_senders(NodeId::new(3)).is_empty());
+        assert_eq!(pruned_senders(&node, src()), vec![NodeId::new(2)]);
+        assert!(pruned_senders(&node, NodeId::new(3)).is_empty());
         assert_eq!(node.plumtree_stats().prunes.get(), 1);
         let out = node.take_outgoing();
         assert!(out.contains(&(NodeId::new(2), Packet::Prune(SRC))));
@@ -1574,7 +1589,7 @@ mod tests {
         // Peer 1 feeds SRC first; peer 2's duplicate gets it pruned.
         node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(1)));
         node.on_packet(NodeId::new(2), Packet::Payload(SRC, Msg(1)));
-        assert_eq!(node.pruned_senders(src()), vec![NodeId::new(2)]);
+        assert_eq!(pruned_senders(&node, src()), vec![NodeId::new(2)]);
         node.take_deliveries();
         // Msg(1)'s announcements leave, so the miss timer is the next one.
         drain_when_due(&mut node);
@@ -1585,8 +1600,8 @@ mod tests {
         node.on_packet(NodeId::new(2), Packet::Payload(SRC, Msg(8)));
         // The pruned link recovered the miss: peer 2 is asked to push SRC
         // again (GRAFT), and feeds SRC's tree to us from now on.
-        assert!(!node.pruned_senders(src()).contains(&NodeId::new(2)));
-        assert_eq!(node.parent(src()), Some(NodeId::new(2)));
+        assert!(!pruned_senders(&node, src()).contains(&NodeId::new(2)));
+        assert_eq!(parent(&node, src()), Some(NodeId::new(2)));
         assert_eq!(node.plumtree_stats().recovered.get(), 1);
         assert_eq!(node.plumtree_stats().grafts.get(), 1);
         let out = node.take_outgoing();
@@ -1908,19 +1923,19 @@ mod tests {
             node.on_packet(peer, Packet::Payload(source, msg));
             node.take_outgoing();
         }
-        assert_eq!(node.pruned_senders(NodeId::new(0)), vec![peer]);
+        assert_eq!(pruned_senders(&node, NodeId::new(0)), vec![peer]);
         assert_eq!(node.plumtree_stats().pruned_evictions.get(), 1);
         let fresh = 60_000;
         node.on_packet(stranger, Packet::Payload(fresh, Msg(424242)));
         node.take_outgoing();
         node.on_packet(peer, Packet::Payload(fresh, Msg(424242)));
-        assert_eq!(node.pruned_senders(NodeId::new(fresh)), vec![peer]);
+        assert_eq!(pruned_senders(&node, NodeId::new(fresh)), vec![peer]);
         assert!(
-            node.pruned_senders(NodeId::new(0)).is_empty(),
+            pruned_senders(&node, NodeId::new(0)).is_empty(),
             "victim evicted"
         );
         assert_eq!(node.plumtree_stats().pruned_evictions.get(), 2);
-        assert_eq!(node.parent(NodeId::new(fresh)), None);
+        assert_eq!(parent(&node, NodeId::new(fresh)), None);
     }
 
     #[test]
@@ -1953,13 +1968,13 @@ mod tests {
         assert_eq!(node.lazy_peers(src()), vec![NodeId::new(2)]);
         // Peer 2's feed to us is untouched, so its duplicate is ours to
         // prune.
-        assert!(node.pruned_senders(src()).is_empty());
+        assert!(pruned_senders(&node, src()).is_empty());
         node.on_packet(NodeId::new(2), Packet::Payload(SRC, Msg(1)));
         assert_eq!(
             node.take_outgoing(),
             vec![(NodeId::new(2), Packet::Prune(SRC))]
         );
-        assert_eq!(node.pruned_senders(src()), vec![NodeId::new(2)]);
+        assert_eq!(pruned_senders(&node, src()), vec![NodeId::new(2)]);
     }
 
     #[test]
@@ -1970,23 +1985,23 @@ mod tests {
             (pt.prunes.get(), pt.parent_changes.get())
         };
         node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(1)));
-        assert_eq!(node.parent(src()), Some(NodeId::new(1)));
+        assert_eq!(parent(&node, src()), Some(NodeId::new(1)));
         // Adopting a first parent is not a change.
         assert_eq!(stats(&node), (0, 0));
         node.on_packet(NodeId::new(2), Packet::Payload(SRC, Msg(2)));
-        assert_eq!(node.parent(src()), Some(NodeId::new(2)));
+        assert_eq!(parent(&node, src()), Some(NodeId::new(2)));
         assert_eq!(stats(&node), (0, 1));
         // The former parent's copy is a duplicate over a link that is no
         // longer the parent: pruned.
         node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(2)));
-        assert_eq!(node.pruned_senders(src()), vec![NodeId::new(1)]);
+        assert_eq!(pruned_senders(&node, src()), vec![NodeId::new(1)]);
         assert_eq!(stats(&node), (1, 1));
         // A first copy over the pruned link is a crossing, not a parent.
         node.on_packet(NodeId::new(1), Packet::Payload(SRC, Msg(3)));
-        assert_eq!(node.parent(src()), Some(NodeId::new(2)));
+        assert_eq!(parent(&node, src()), Some(NodeId::new(2)));
         assert_eq!(stats(&node), (1, 1));
         node.on_packet(NodeId::new(3), Packet::Payload(SRC, Msg(4)));
-        assert_eq!(node.parent(src()), Some(NodeId::new(3)));
+        assert_eq!(parent(&node, src()), Some(NodeId::new(3)));
         assert_eq!(stats(&node), (1, 2));
     }
 
@@ -2020,13 +2035,16 @@ mod tests {
         send(&mut nodes, b);
         // A's copy won, B's was a duplicate: X's PRUNE to B is queued, but
         // not yet sent when S's next message overtakes it through B.
-        assert_eq!(nodes[x as usize].parent(src), Some(NodeId::new(a)));
-        assert_eq!(nodes[x as usize].pruned_senders(src), vec![NodeId::new(b)]);
+        assert_eq!(parent(&nodes[x as usize], src), Some(NodeId::new(a)));
+        assert_eq!(
+            pruned_senders(&nodes[x as usize], src),
+            vec![NodeId::new(b)]
+        );
         nodes[s as usize].broadcast(Msg(2));
         send(&mut nodes, s);
         send(&mut nodes, b);
         send(&mut nodes, a);
-        assert_eq!(nodes[x as usize].parent(src), Some(NodeId::new(a)));
+        assert_eq!(parent(&nodes[x as usize], src), Some(NodeId::new(a)));
         let prunes: Vec<NodeId> = nodes[x as usize]
             .take_outgoing()
             .into_iter()
@@ -2103,8 +2121,11 @@ mod tests {
         send(&mut nodes, p, x);
         send(&mut nodes, s, l);
         send(&mut nodes, l, x);
-        assert_eq!(nodes[x as usize].parent(src), Some(NodeId::new(p)));
-        assert_eq!(nodes[x as usize].pruned_senders(src), vec![NodeId::new(l)]);
+        assert_eq!(parent(&nodes[x as usize], src), Some(NodeId::new(p)));
+        assert_eq!(
+            pruned_senders(&nodes[x as usize], src),
+            vec![NodeId::new(l)]
+        );
         // m2 goes around the fast side first, X's PRUNE to L still queued.
         nodes[s as usize].broadcast(Msg(2));
         send(&mut nodes, s, l);
@@ -2116,8 +2137,8 @@ mod tests {
             send(&mut nodes, from, to);
         }
         run_rounds(&mut nodes);
-        assert_eq!(nodes[x as usize].parent(src), Some(NodeId::new(p)));
-        assert_eq!(nodes[p as usize].parent(src), Some(NodeId::new(q)));
+        assert_eq!(parent(&nodes[x as usize], src), Some(NodeId::new(p)));
+        assert_eq!(parent(&nodes[p as usize], src), Some(NodeId::new(q)));
         for node in nodes.iter_mut() {
             node.take_deliveries();
         }
@@ -2154,10 +2175,10 @@ mod tests {
         );
         // The smallest sources were evicted, the newest kept.
         let newest = NodeId::new(sources - 1);
-        assert_eq!(node.parent(newest), Some(one));
-        assert_eq!(node.pruned_senders(newest), vec![two]);
-        assert_eq!(node.parent(NodeId::new(0)), None);
-        assert!(node.pruned_senders(NodeId::new(0)).is_empty());
+        assert_eq!(parent(&node, newest), Some(one));
+        assert_eq!(pruned_senders(&node, newest), vec![two]);
+        assert_eq!(parent(&node, NodeId::new(0)), None);
+        assert!(pruned_senders(&node, NodeId::new(0)).is_empty());
         assert_eq!(node.plumtree_stats().parent_changes.get(), 0);
     }
 
