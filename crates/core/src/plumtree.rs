@@ -384,10 +384,9 @@ pub struct PlumtreeStats {
     /// over an unpruned link other than the one that last fed it. A
     /// settled forest makes none.
     pub parent_changes: Stat,
-    /// Sources evicted from a full per-source table (a per-peer pruned set
-    /// in either direction, or the parent table) to admit a newer one.
-    /// An evicted pruned source turns the link eager again, an evicted
-    /// parent loses its protection from pruning: wasteful but safe.
+    /// Sources a link forgot to admit a newer one at its bound: the link
+    /// turns eager again in both directions for the evicted source and
+    /// stops being its parent (wasteful but safe).
     pub pruned_evictions: Stat,
     /// Control bytes (IHAVE/IWANT/GRAFT/PRUNE) handed to the transport;
     /// payload bytes are in [`MessageStats::bytes_sent`]'s remainder.
@@ -500,38 +499,61 @@ struct Missing {
 /// Announcers remembered per missing id; later announcements are dropped.
 const MAX_ANNOUNCERS: usize = 8;
 
-/// Bound on the sources of each per-source table: a per-peer pruned set
-/// in either direction, and the parent table. Source ids come off the
-/// wire, so none may grow without bound. At the cap the smallest
-/// remembered source is evicted to make room — deterministically:
-/// `HashSet` iteration order is randomly keyed per process, and an
-/// arbitrary victim would make simulated runs irreproducible. Counted in
+/// Per-peer bound on the sources a link remembers anything about. Source
+/// ids come off the wire, so no table may grow without bound. At the cap
+/// the smallest remembered source is evicted to make room —
+/// deterministically: `HashMap` iteration order is randomly keyed per
+/// process, and an arbitrary victim would make simulated runs
+/// irreproducible. The victim's link turns eager again in both directions
+/// and stops being its parent: wasteful but safe. Counted in
 /// [`PlumtreeStats::pruned_evictions`].
 const MAX_PRUNED_SOURCES: usize = 1024;
 
-/// Adds `source` to a capped per-source set, evicting the smallest
-/// remembered source when the set is full.
-fn insert_capped(set: &mut HashSet<u32>, source: u32, evictions: &mut Stat) {
-    if set.len() >= MAX_PRUNED_SOURCES && !set.contains(&source) {
-        if let Some(&victim) = set.iter().min() {
-            set.remove(&victim);
-            evictions.incr();
-        }
-    }
-    set.insert(source);
-}
+/// The peer asked us to stop pushing the source (its PRUNE; its GRAFT
+/// clears it).
+const PRUNED_OUT: u8 = 1;
+/// We asked the peer to stop pushing the source (our PRUNE; our GRAFT
+/// clears it).
+const PRUNED_IN: u8 = 2;
+/// The link is the source's parent (see the module docs).
+const PARENT: u8 = 4;
 
-/// The per-source pruning state of one overlay link, one set per
-/// direction. Absence means eager: every link starts eager for every
-/// source in both directions.
+/// What one overlay link is to each source, as `PRUNED_OUT | PRUNED_IN |
+/// PARENT` flags. A source without an entry has none: every link starts
+/// eager for every source in both directions.
 #[derive(Debug, Clone, Default)]
-struct Link {
-    /// Sources whose payloads the peer asked us to stop pushing (it sent
-    /// us a PRUNE; its GRAFT undoes it).
-    pruned: HashSet<u32>,
-    /// Sources whose payloads we asked the peer to stop pushing (we sent
-    /// it a PRUNE; our GRAFT undoes it).
-    pruned_in: HashSet<u32>,
+struct Link(HashMap<u32, u8>);
+
+impl Link {
+    /// The flags set for `source`.
+    fn flags(&self, source: u32) -> u8 {
+        self.0.get(&source).copied().unwrap_or(0)
+    }
+
+    /// Sets `flag` for `source`, evicting the smallest remembered source
+    /// when the link is at [`MAX_PRUNED_SOURCES`].
+    fn set(&mut self, source: u32, flag: u8, evictions: &mut Stat) {
+        if self.0.len() >= MAX_PRUNED_SOURCES && !self.0.contains_key(&source) {
+            if let Some(&victim) = self.0.keys().min() {
+                self.0.remove(&victim);
+                evictions.incr();
+            }
+        }
+        *self.0.entry(source).or_insert(0) |= flag;
+    }
+
+    /// Clears `flag` for `source`; returns whether it was set.
+    fn clear(&mut self, source: u32, flag: u8) -> bool {
+        let Some(flags) = self.0.get_mut(&source) else {
+            return false;
+        };
+        let was_set = *flags & flag != 0;
+        *flags &= !flag;
+        if *flags == 0 {
+            self.0.remove(&source);
+        }
+        was_set
+    }
 }
 
 /// The announce ids owed to one peer, waiting for its next IHAVE frame.
@@ -596,11 +618,8 @@ enum OutEntry<M> {
 pub struct EagerLazyNode<M, F = RecentCache, O = NoopObserver> {
     id: NodeId,
     peers: Vec<NodeId>,
-    /// Parallel to `peers`: each link's pruned sources, per direction.
+    /// Parallel to `peers`: what each link is to each source.
     links: Vec<Link>,
-    /// Per source, the index of the peer whose link is its parent (see
-    /// the module docs), never pruned on a duplicate.
-    parents: HashMap<u32, usize>,
     send_queues: Vec<VecDeque<OutEntry<M>>>,
     /// Parallel to `peers`: announce ids pending in the next IHAVE batch
     /// toward that peer.
@@ -662,7 +681,6 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             id,
             peers,
             links: vec![Link::default(); n],
-            parents: HashMap::new(),
             send_queues: (0..n).map(|_| VecDeque::new()).collect(),
             ihave_buf: (0..n).map(|_| Batch::default()).collect(),
             delivery: VecDeque::new(),
@@ -697,7 +715,7 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         self.peers
             .iter()
             .zip(&self.links)
-            .filter_map(|(&p, link)| (!link.pruned.contains(&s)).then_some(p))
+            .filter_map(|(&p, link)| (link.flags(s) & PRUNED_OUT == 0).then_some(p))
             .collect()
     }
 
@@ -708,7 +726,7 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         self.peers
             .iter()
             .zip(&self.links)
-            .filter_map(|(&p, link)| link.pruned.contains(&s).then_some(p))
+            .filter_map(|(&p, link)| (link.flags(s) & PRUNED_OUT != 0).then_some(p))
             .collect()
     }
 
@@ -782,21 +800,21 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
         self.peers.iter().position(|&p| p == peer)
     }
 
-    /// Makes peer `i`'s link `source`'s parent. A full parent table
-    /// evicts its smallest source, as [`insert_capped`] does.
+    /// Makes peer `i`'s link `source`'s parent, in place of the link
+    /// that was.
     fn set_parent(&mut self, source: u32, i: usize) {
-        match self.parents.get(&source) {
-            Some(&p) if p == i => return,
-            Some(_) => self.pt.parent_changes.incr(),
-            None if self.parents.len() >= MAX_PRUNED_SOURCES => {
-                if let Some(&victim) = self.parents.keys().min() {
-                    self.parents.remove(&victim);
-                    self.pt.pruned_evictions.incr();
-                }
-            }
-            None => {}
+        if self.links[i].flags(source) & PARENT != 0 {
+            return;
         }
-        self.parents.insert(source, i);
+        if let Some(old) = self
+            .links
+            .iter_mut()
+            .find(|l| l.flags(source) & PARENT != 0)
+        {
+            old.clear(source, PARENT);
+            self.pt.parent_changes.incr();
+        }
+        self.links[i].set(source, PARENT, &mut self.pt.pruned_evictions);
     }
 
     /// Broadcasts a message from the local consensus protocol: payload to
@@ -827,17 +845,13 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             Packet::IWant(ids) => self.on_request(from, &ids),
             Packet::Graft(source, ids) => {
                 if let Some(i) = self.peer_index(from) {
-                    self.links[i].pruned.remove(&source);
+                    self.links[i].clear(source, PRUNED_OUT);
                 }
                 self.on_request(from, &ids);
             }
             Packet::Prune(source) => {
                 if let Some(i) = self.peer_index(from) {
-                    insert_capped(
-                        &mut self.links[i].pruned,
-                        source,
-                        &mut self.pt.pruned_evictions,
-                    );
+                    self.links[i].set(source, PRUNED_OUT, &mut self.pt.pruned_evictions);
                 }
             }
         }
@@ -869,14 +883,8 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
                 });
             }
             if let Some(i) = self.peer_index(from) {
-                if !self.links[i].pruned_in.contains(&source)
-                    && self.parents.get(&source) != Some(&i)
-                {
-                    insert_capped(
-                        &mut self.links[i].pruned_in,
-                        source,
-                        &mut self.pt.pruned_evictions,
-                    );
+                if self.links[i].flags(source) & (PRUNED_IN | PARENT) == 0 {
+                    self.links[i].set(source, PRUNED_IN, &mut self.pt.pruned_evictions);
                     self.queue_control(i, Packet::Prune(source));
                     self.pt.prunes.incr();
                     if O::ENABLED {
@@ -898,7 +906,7 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             self.pt.recovered.incr();
         }
         if let Some(i) = self.peer_index(from) {
-            if was_missing && self.links[i].pruned_in.remove(&source) {
+            if was_missing && self.links[i].clear(source, PRUNED_IN) {
                 // A link we had pruned recovered a timer-detected miss:
                 // this source's tree is broken upstream of us. Ask the peer
                 // to push the source's next messages to us again. (A fresh
@@ -915,7 +923,7 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
                     });
                 }
             }
-            if !self.links[i].pruned_in.contains(&source) {
+            if self.links[i].flags(source) & PRUNED_IN == 0 {
                 self.set_parent(source, i);
             }
         }
@@ -1079,8 +1087,7 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
             }
             // Nor to the parent, which has it already (see the module
             // docs): announced only.
-            let eager =
-                !self.links[i].pruned.contains(&source) && self.parents.get(&source) != Some(&i);
+            let eager = self.links[i].flags(source) & (PRUNED_OUT | PARENT) == 0;
             if eager {
                 self.queue_payload(i, source, Arc::clone(&shared), size);
             }
@@ -1280,7 +1287,7 @@ mod tests {
         node.peers
             .iter()
             .zip(&node.links)
-            .filter_map(|(&p, link)| link.pruned_in.contains(&s).then_some(p))
+            .filter_map(|(&p, link)| (link.flags(s) & PRUNED_IN != 0).then_some(p))
             .collect()
     }
 
@@ -1289,7 +1296,11 @@ mod tests {
         node: &EagerLazyNode<Msg, F, O>,
         source: NodeId,
     ) -> Option<NodeId> {
-        node.parents.get(&source.as_u32()).map(|&i| node.peers[i])
+        let s = source.as_u32();
+        node.peers
+            .iter()
+            .zip(&node.links)
+            .find_map(|(&p, link)| (link.flags(s) & PARENT != 0).then_some(p))
     }
 
     fn src() -> NodeId {
@@ -1911,29 +1922,17 @@ mod tests {
         node.on_packet(peer, Packet::Prune(extra));
         assert_eq!(node.plumtree_stats().pruned_evictions.get(), 1);
 
-        // The duplicate path shares the eviction policy on the inbound
-        // side: with the peer's feed pruned for a full set of sources, a
-        // dup of a brand-new source over its (still eager) link prunes it
-        // too. The first copies come from a stranger, so no parent is
-        // recorded and the parent table stays empty.
-        let stranger = NodeId::new(99);
-        for source in 0..MAX_PRUNED_SOURCES as u32 {
-            let msg = Msg(1_000_000 + u64::from(source));
-            node.on_packet(stranger, Packet::Payload(source, msg.clone()));
-            node.on_packet(peer, Packet::Payload(source, msg));
-            node.take_outgoing();
-        }
-        assert_eq!(pruned_senders(&node, NodeId::new(0)), vec![peer]);
-        assert_eq!(node.plumtree_stats().pruned_evictions.get(), 1);
+        // The duplicate path shares the link's table and its eviction
+        // policy: a dup of a brand-new source over the (still eager) link
+        // prunes it too, at the cost of the smallest remembered source.
+        // The first copy comes from a stranger, so it makes no parent.
         let fresh = 60_000;
+        let stranger = NodeId::new(99);
         node.on_packet(stranger, Packet::Payload(fresh, Msg(424242)));
         node.take_outgoing();
         node.on_packet(peer, Packet::Payload(fresh, Msg(424242)));
         assert_eq!(pruned_senders(&node, NodeId::new(fresh)), vec![peer]);
-        assert!(
-            pruned_senders(&node, NodeId::new(0)).is_empty(),
-            "victim evicted"
-        );
+        assert!(node.lazy_peers(NodeId::new(1)).is_empty(), "victim evicted");
         assert_eq!(node.plumtree_stats().pruned_evictions.get(), 2);
         assert_eq!(parent(&node, NodeId::new(fresh)), None);
     }
@@ -2156,29 +2155,29 @@ mod tests {
         let extra = 100;
         let sources = MAX_PRUNED_SOURCES as u32 + extra;
         for source in 0..sources {
-            // Peer 1's copy becomes the parent, peer 2's duplicate is
-            // pruned, and peer 2 prunes our pushes: one entry in each of
-            // the three per-source tables.
+            // Peer 1's copy makes it the parent, peer 2's duplicate is
+            // pruned and peer 2 prunes our pushes: one entry per link.
             let msg = Msg(1_000_000 + u64::from(source));
             node.on_packet(one, Packet::Payload(source, msg.clone()));
             node.on_packet(two, Packet::Payload(source, msg));
             node.on_packet(two, Packet::Prune(source));
             node.take_outgoing();
         }
-        assert_eq!(node.parents.len(), MAX_PRUNED_SOURCES);
-        assert_eq!(node.links[1].pruned_in.len(), MAX_PRUNED_SOURCES);
-        assert_eq!(node.links[1].pruned.len(), MAX_PRUNED_SOURCES);
-        assert!(node.links[0].pruned.is_empty() && node.links[0].pruned_in.is_empty());
+        assert_eq!(node.links[0].0.len(), MAX_PRUNED_SOURCES);
+        assert_eq!(node.links[1].0.len(), MAX_PRUNED_SOURCES);
         assert_eq!(
             node.plumtree_stats().pruned_evictions.get(),
-            3 * u64::from(extra)
+            2 * u64::from(extra)
         );
         // The smallest sources were evicted, the newest kept.
         let newest = NodeId::new(sources - 1);
         assert_eq!(parent(&node, newest), Some(one));
         assert_eq!(pruned_senders(&node, newest), vec![two]);
-        assert_eq!(parent(&node, NodeId::new(0)), None);
-        assert!(pruned_senders(&node, NodeId::new(0)).is_empty());
+        assert_eq!(node.lazy_peers(newest), vec![two]);
+        let oldest = NodeId::new(0);
+        assert_eq!(parent(&node, oldest), None);
+        assert!(pruned_senders(&node, oldest).is_empty());
+        assert!(node.lazy_peers(oldest).is_empty());
         assert_eq!(node.plumtree_stats().parent_changes.get(), 0);
     }
 
