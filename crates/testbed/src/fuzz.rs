@@ -548,15 +548,15 @@ impl Fuzzer {
     /// benign plans the decided sets of Semantic Gossip and eager/lazy
     /// dissemination are also compared against push gossip's.
     pub fn run_plan(&self, plan: &FaultPlan, seed: u64) -> AuditReport {
-        let runs: Vec<(Setup, RunMetrics)> = self
+        let mut runs: Vec<(Setup, RunMetrics)> = self
             .substrates()
             .into_iter()
             .map(|setup| (setup, self.run(plan, setup, seed)))
             .collect();
         let mut report = AuditReport::default();
-        for (_, m) in &runs {
+        for (_, m) in &mut runs {
             report.merge(AuditReport {
-                violations: m.violations.clone(),
+                violations: std::mem::take(&mut m.violations),
             });
         }
         let gossip = &runs[0].1;
