@@ -4,9 +4,10 @@
 //! once per overlay path. The paper controls flooding with a cache of
 //! recently seen message identifiers: a message whose id is still in the
 //! cache is dropped without being delivered or forwarded (§3.3). The cache
-//! stores ids, not messages, so its footprint is small and constant; the
-//! paper notes a sliding Bloom filter would work as well — both structures
-//! are provided here.
+//! stores ids, not messages, so its footprint is small: it grows with the
+//! ids seen, up to its bound, and nothing is allocated for the bound up
+//! front. The paper notes a sliding Bloom filter would work as well — both
+//! structures are provided here.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -47,6 +48,10 @@ pub trait DuplicateFilter {
 /// the default hasher costs more than the probe. Eviction order comes from
 /// the queue, never from the set's iteration order.
 ///
+/// The cache starts empty and its set and queue grow with the ids
+/// inserted, up to `capacity`: a node that sees a few thousand ids holds a
+/// table for a few thousand, not for the bound.
+///
 /// # Example
 ///
 /// ```
@@ -76,8 +81,8 @@ impl RecentCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         RecentCache {
-            set: HashSet::with_capacity_and_hasher(capacity, MixState::new()),
-            order: VecDeque::with_capacity(capacity),
+            set: HashSet::with_hasher(MixState::new()),
+            order: VecDeque::new(),
             capacity,
         }
     }
@@ -272,6 +277,11 @@ mod tests {
         // Re-inserting a present id must not push anything out.
         assert!(!c.insert(id(2)));
         assert!(c.contains(id(1)));
+    }
+
+    #[test]
+    fn construction_allocates_nothing_by_the_capacity() {
+        crate::test_alloc::assert_allocation_ignores_bound("RecentCache::new", RecentCache::new);
     }
 
     #[test]

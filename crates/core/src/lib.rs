@@ -65,6 +65,8 @@ pub mod plumtree;
 pub mod semantics;
 pub mod stats;
 pub mod substrate;
+#[cfg(test)]
+mod test_alloc;
 
 pub use cache::{DuplicateFilter, RecentCache, SlidingBloom};
 pub use codec::{Reader, Wire, WireError};

@@ -713,6 +713,19 @@ mod tests {
     }
 
     #[test]
+    fn construction_allocates_nothing_by_a_bound() {
+        let peers: Vec<NodeId> = (1..=4).map(NodeId::new).collect();
+        crate::test_alloc::assert_allocation_ignores_bound("GossipNode::new", |bound| {
+            let config = GossipConfig {
+                recent_cache_size: bound,
+                send_queue_capacity: bound,
+                delivery_queue_capacity: bound,
+            };
+            GossipNode::<Msg>::new(NodeId::new(0), peers.clone(), config, NoSemantics)
+        });
+    }
+
+    #[test]
     fn broadcast_delivers_locally_and_pushes_to_all_peers() {
         let mut node = node_with_peers(3);
         node.broadcast(Msg(1));

@@ -429,8 +429,8 @@ struct PayloadStore<M> {
 impl<M> PayloadStore<M> {
     fn new(capacity: usize) -> Self {
         PayloadStore {
-            by_fold: HashMap::with_capacity(capacity.min(1024)),
-            order: VecDeque::with_capacity(capacity.min(1024)),
+            by_fold: HashMap::new(),
+            order: VecDeque::new(),
             capacity,
         }
     }
@@ -463,8 +463,8 @@ struct FoldSet {
 impl FoldSet {
     fn new(capacity: usize) -> Self {
         FoldSet {
-            set: HashSet::with_capacity(capacity.min(1024)),
-            order: VecDeque::with_capacity(capacity.min(1024)),
+            set: HashSet::new(),
+            order: VecDeque::new(),
             capacity,
         }
     }
@@ -1252,6 +1252,8 @@ impl<M: GossipItem, F: DuplicateFilter, O: Observer> EagerLazyNode<M, F, O> {
 mod tests {
     use super::*;
     use crate::id::MessageId;
+    use crate::test_alloc::{allocated_by, assert_allocation_ignores_bound};
+    use proptest::prelude::*;
 
     #[derive(Clone, Debug, PartialEq)]
     struct Msg(u64);
@@ -2228,33 +2230,85 @@ mod tests {
         assert!(Packet::<Msg>::from_bytes(&[9]).is_err());
     }
 
-    thread_local! {
-        /// Allocations this thread made; per thread, so tests running in
-        /// parallel do not disturb a count.
-        static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    #[test]
+    fn construction_allocates_nothing_by_a_bound() {
+        let peers: Vec<NodeId> = (1..=4).map(NodeId::new).collect();
+        assert_allocation_ignores_bound("EagerLazyNode::new", |bound| {
+            let config = EagerLazyConfig {
+                gossip: GossipConfig {
+                    recent_cache_size: bound,
+                    send_queue_capacity: bound,
+                    delivery_queue_capacity: bound,
+                },
+                payload_store_capacity: bound,
+                max_ihave_batch: bound,
+                ..EagerLazyConfig::default()
+            };
+            EagerLazyNode::<Msg>::new(NodeId::new(0), peers.clone(), config)
+        });
     }
 
-    struct Counting;
-
-    // SAFETY: every call is forwarded unchanged to `System`; the count
-    // beside it touches only a const-initialised thread-local `Cell`, which
-    // neither allocates nor unwinds.
-    unsafe impl std::alloc::GlobalAlloc for Counting {
-        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-            // `try_with`: a thread tearing down has no counter left.
-            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-            // SAFETY: `layout` is the caller's, passed through.
-            unsafe { std::alloc::System.alloc(layout) }
+    proptest! {
+        /// Against a `VecDeque` model: the store holds the `capacity` most
+        /// recently inserted ids, evicts first in first out, and serves
+        /// exactly what it holds. Re-inserting a held id replaces its
+        /// payload in place, without moving it in the eviction order.
+        #[test]
+        fn prop_payload_store_matches_fifo_model(
+            ops in proptest::collection::vec((0u64..40, 0u32..4), 1..200),
+            cap in 1usize..16,
+        ) {
+            let mut store = PayloadStore::new(cap);
+            let mut model: VecDeque<(u64, u32, u64)> = VecDeque::new();
+            for (step, &(v, source)) in (0u64..).zip(&ops) {
+                store.insert(fold(v), source, Arc::new(Msg(step)));
+                match model.iter_mut().find(|held| held.0 == v) {
+                    Some(held) => *held = (v, source, step),
+                    None => {
+                        model.push_back((v, source, step));
+                        if model.len() > cap {
+                            model.pop_front();
+                        }
+                    }
+                }
+                prop_assert_eq!(store.order.len(), model.len());
+                prop_assert_eq!(store.by_fold.len(), model.len());
+                prop_assert!(model.len() <= cap);
+                for probe in 0u64..40 {
+                    let served = store.get(fold(probe)).map(|(s, m)| (probe, *s, m.0));
+                    let held = model.iter().find(|held| held.0 == probe).copied();
+                    prop_assert_eq!(served, held);
+                }
+            }
         }
 
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-            // SAFETY: `ptr` came from `System` with this `layout`.
-            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        /// Against a `VecDeque` model: the set holds the `capacity` most
+        /// recently inserted ids, evicts first in first out, and a
+        /// re-inserted held id neither moves nor evicts anything.
+        #[test]
+        fn prop_fold_set_matches_fifo_model(
+            ids in proptest::collection::vec(0u64..40, 1..200),
+            cap in 1usize..16,
+        ) {
+            let mut set = FoldSet::new(cap);
+            let mut model: VecDeque<u64> = VecDeque::new();
+            for &v in &ids {
+                set.insert(fold(v));
+                if !model.contains(&v) {
+                    model.push_back(v);
+                    if model.len() > cap {
+                        model.pop_front();
+                    }
+                }
+                prop_assert_eq!(set.order.len(), model.len());
+                prop_assert_eq!(set.set.len(), model.len());
+                prop_assert!(model.len() <= cap);
+                for probe in 0u64..40 {
+                    prop_assert_eq!(set.contains(fold(probe)), model.contains(&probe));
+                }
+            }
         }
     }
-
-    #[global_allocator]
-    static ALLOCATOR: Counting = Counting;
 
     #[test]
     fn a_hostile_ihave_count_is_refused_before_any_allocation() {
@@ -2269,11 +2323,12 @@ mod tests {
             &[TAG_IHAVE, 0xFF, 0xFF],
         ];
         for frame in frames {
-            let before = ALLOCATIONS.with(|n| n.get());
-            let decoded = Packet::<Msg>::from_bytes(frame);
-            let allocated = ALLOCATIONS.with(|n| n.get()) - before;
+            let (decoded, allocated) = allocated_by(|| Packet::<Msg>::from_bytes(frame));
             assert!(decoded.is_err(), "{frame:?} decoded to {decoded:?}");
-            assert_eq!(allocated, 0, "{frame:?} allocated before it was refused");
+            assert_eq!(
+                allocated.count, 0,
+                "{frame:?} allocated before it was refused"
+            );
         }
         // The counter does see a decode that allocates: both id lists.
         let frame = Packet::<Msg>::IHave {
@@ -2281,9 +2336,9 @@ mod tests {
             announced: vec![2],
         }
         .to_bytes();
-        let before = ALLOCATIONS.with(|n| n.get());
-        assert!(Packet::<Msg>::from_bytes(&frame).is_ok());
-        assert_eq!(ALLOCATIONS.with(|n| n.get()) - before, 2);
+        let (decoded, allocated) = allocated_by(|| Packet::<Msg>::from_bytes(&frame));
+        assert!(decoded.is_ok());
+        assert_eq!(allocated.count, 2);
     }
 
     /// A node whose two peers are eager (peer 1) and lazy (peer 2) for its

@@ -52,6 +52,8 @@ pub mod prom;
 pub mod series;
 pub mod serve;
 pub mod span;
+#[cfg(test)]
+mod test_alloc;
 
 pub use counter::Counter;
 pub use event::{Event, TimedEvent, TraceParseError};

@@ -65,7 +65,7 @@ impl RingObserver {
     /// nothing (but still counts discards).
     pub fn with_capacity(capacity: usize) -> Self {
         RingObserver {
-            events: VecDeque::with_capacity(capacity.min(4096)),
+            events: VecDeque::new(),
             capacity,
             now: 0,
             discarded: 0,
@@ -302,6 +302,14 @@ mod tests {
         assert_eq!(drained[0].at, 2);
         assert_eq!(drained[1].at, 3);
         assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn construction_allocates_nothing_by_the_capacity() {
+        crate::test_alloc::assert_allocation_ignores_bound(
+            "RingObserver::with_capacity",
+            RingObserver::with_capacity,
+        );
     }
 
     #[test]

@@ -225,13 +225,7 @@ struct Node<S: SimSubstrate> {
     /// The process itself: its substrate and consensus groups. Everything
     /// else in this struct is the simulator's model of the machine it runs
     /// on.
-    ///
-    /// Boxed on measurement, not taste: a push node owns megabyte-sized
-    /// dedup tables, and with the runtimes inline in the node vector glibc
-    /// serves those tables from recycled heap instead of fresh mappings on
-    /// every run after the first — cluster set-up on `sim_semantic_n27`
-    /// goes from 0.13 ms to 1 ms (`bench_e2e`'s `setup_s`).
-    runtime: Box<NodeRuntime<S>>,
+    runtime: NodeRuntime<S>,
     cpu: NodeCpu,
     loss: LossInjector,
     /// Messages that physically arrived (post injected loss).
@@ -362,13 +356,13 @@ impl<S: SimSubstrate> Cluster<S> {
         };
         let nodes = (0..params.n as u32)
             .map(|i| Node {
-                runtime: Box::new(NodeRuntime::new(
+                runtime: NodeRuntime::new(
                     NodeId::new(i),
                     S::build(&params, overlay.as_ref(), i),
                     (0..params.groups as u32).map(|g| params.group_config(g)),
                     timers,
                     || RingObserver::with_capacity(params.ring_capacity()),
-                )),
+                ),
                 cpu: NodeCpu::new(params.cpu.recv),
                 loss: LossInjector::new(params.loss_rate, seeds.rng("loss-injector", i as u64)),
                 raw_received: 0,
